@@ -1,26 +1,31 @@
-"""Streaming per-sample controllers: the integral benchmark and the add-on
-repetitive loop.
+"""Per-sample controllers: the integral benchmark and the add-on repetitive
+loop.
 
 The repetitive correction is realized as a memory loop: the error plus the
 loop feedback passes through the causal robustness taps, enters a delay line
 shortened by the combined forward shifts (the only realizable placement of
 the non-causal advances), and is read out through the causal learning filter.
-The streaming output equals offline filtering by the loop's rational transfer
-function to float rounding; a dedicated test pins that equivalence, since the
-shift bookkeeping is the easiest thing to get wrong here.
+Both controllers take one error per call.  The memory loop does its numeric
+work once per memory block: its output at sample k depends on the error
+only up to k - buffer_length, so a block is known before its first sample
+arrives and computing it whole is causal.  Only the order of the
+floating-point sums differs from a sample-by-sample loop.  The output equals
+offline filtering by the loop's rational transfer function to float
+rounding; dedicated tests pin that equivalence and the agreement with a
+sample-by-sample reference, since the shift bookkeeping is the easiest thing
+to get wrong here.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .lti import DelayLine, DiscreteTransferFunction, StreamingFilter
+from .lti import DiscreteTransferFunction
 from .rc_design import RcFilterSet
 
 BENCHMARK_INTEGRAL_GAIN = 0.01257
@@ -86,7 +91,7 @@ class IntegralController:
 
 
 class RepetitiveController:
-    """Memory-loop realization of the repetitive correction.
+    """Memory-loop realization of the repetitive correction, one block at a time.
 
     Buffer length is period_n minus both forward shifts; the learning-filter
     advance is taken between the buffer output and the loop feedback tap, the
@@ -94,6 +99,17 @@ class RepetitiveController:
     until the shortened buffer has filled once (first-breath neutrality).
     On numeric overflow the loop latches a fault, emits zeros, and leaves the
     outer integral controller running.
+
+    The memory readout v(k) is the robustness-filter output of sample
+    k - buffer_length, so a whole block of buffer_length samples reads only
+    inputs of earlier blocks.  The first step of each block therefore runs
+    the robustness FIR over the block that just ended, which gives the next
+    block's readout, and derives from it the block's feedback (v delayed by
+    l_shift) and correction (L_c applied to v, filter state carried between
+    blocks).  Each step then only adds its error to the precomputed
+    feedback, stores the sum and returns the precomputed correction.  That
+    boundary step does O(buffer_length) work, so the per-sample cost is an
+    average over the block.
     """
 
     def __init__(self, filterset: RcFilterSet):
@@ -106,51 +122,62 @@ class RepetitiveController:
                 f"= {n_short} <= 0"
             )
         self.buffer_length = n_short
-        self._memory = DelayLine(n_short)
-        self._advance = DelayLine(filterset.l_shift) if filterset.l_shift > 0 else None
-        self._learning = StreamingFilter(filterset.l_causal)
-        self._q_taps = [float(t) for t in filterset.q_kernel.taps]
-        self._q_hist = deque([0.0] * len(self._q_taps), maxlen=len(self._q_taps))
-        self.fault = False
-        self.sample_count = 0
+        lc = filterset.l_causal
+        self._q_taps = np.asarray(filterset.q_kernel.taps, dtype=float)
+        # the pure delay becomes leading zero taps, so lfilter's carried state holds it
+        self._l_num = np.concatenate([np.zeros(lc.pure_delay), lc.numerator_coeffs])
+        self._l_den = lc.denominator_coeffs
+        self.reset()
 
     def step(self, error: float) -> float:
         if self.fault:
             return 0.0
+        i = len(self._inputs)
+        if i == self.buffer_length:
+            self._next_block()
+            i = 0
         self.sample_count += 1
-        v = self._memory.oldest()
-        w = self._advance.oldest() if self._advance is not None else v
-        a = error + w
+        a = error + self._feedback[i]
         if not math.isfinite(a) or abs(a) > OVERFLOW_LIMIT:
             self._trip_fault(a)
             return 0.0
-        self._q_hist.appendleft(a)
-        y_q = 0.0
-        for t, h in zip(self._q_taps, self._q_hist):
-            y_q += t * h
-        out = self._learning.step(v)
+        self._inputs.append(a)
+        out = self._correction[i]
         if not math.isfinite(out) or abs(out) > OVERFLOW_LIMIT:
             self._trip_fault(out)
             return 0.0
-        self._memory.push(y_q)
-        if self._advance is not None:
-            self._advance.push(v)
         return out
+
+    def _next_block(self) -> None:
+        from scipy.signal import lfilter
+
+        loop_in = np.concatenate([self._input_history, self._inputs])
+        memory = np.convolve(loop_in, self._q_taps, mode="valid")
+        self._input_history = loop_in[len(loop_in) - len(self._input_history):]
+        delayed = np.concatenate([self._memory_history, memory])
+        self._memory_history = delayed[len(delayed) - len(self._memory_history):]
+        correction, self._l_state = lfilter(self._l_num, self._l_den, memory,
+                                            zi=self._l_state)
+        self._feedback = delayed[: self.buffer_length].tolist()
+        self._correction = correction.tolist()
+        self._inputs = []
 
     def _trip_fault(self, value) -> None:
         self.fault = True
         warnings.warn(
-            f"repetitive loop overflow ({value!r}) at sample {self.sample_count}; "
+            f"repetitive loop overflow ({float(value)!r}) at sample {self.sample_count}; "
             "correction disabled, integral controller continues",
             stacklevel=3,
         )
 
     def reset(self) -> None:
-        self._memory.reset()
-        if self._advance is not None:
-            self._advance.reset()
-        self._learning.reset()
-        self._q_hist = deque([0.0] * len(self._q_taps), maxlen=len(self._q_taps))
+        n = self.buffer_length
+        self._inputs: list[float] = []            # loop inputs e + w of this block
+        self._input_history = np.zeros(len(self._q_taps) - 1)
+        self._memory_history = np.zeros(self.filterset.l_shift)
+        self._l_state = np.zeros(max(len(self._l_num), len(self._l_den)) - 1)
+        self._feedback = [0.0] * n
+        self._correction = [0.0] * n
         self.fault = False
         self.sample_count = 0
 

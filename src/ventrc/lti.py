@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigurationError, SingularityError, UnstableFilterWarning
 
@@ -223,6 +222,8 @@ def filter_stream(tf: DiscreteTransferFunction, input_sequence, initial_state=No
     diverge) but emits an UnstableFilterWarning when the order is small
     enough to root-check cheaply.
     """
+    from scipy.signal import lfilter
+
     u = np.asarray(input_sequence, dtype=float)
     den = _trim_trailing(tf.denominator_coeffs)
     if len(den) - 1 <= _STABILITY_CHECK_MAX_ORDER and len(den) > 1:
@@ -348,6 +349,69 @@ class StreamingFilter:
 #   FIR kernel:         "fir <sample_time> <forward_shift>" then the taps.
 
 
+class CoefficientFile:
+    """A coefficient file read whole: a header line, then "<field> <value>" lines.
+
+    The header must match the header spec word for word, where a word
+    written "<name>" is a field read from that position.  A field named in
+    array_fields takes a count as its value, and that many numbers follow on
+    their own lines.  An empty file, a wrong header, a malformed line, a
+    missing field, a value that does not parse and an array shorter than its
+    count all raise ConfigurationError naming the path and the field.
+    """
+
+    def __init__(self, path, header: str, array_fields: tuple[str, ...]):
+        self.path = path
+        with open(path) as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+        if not lines:
+            raise ConfigurationError(f"{path}: file is empty")
+        spec, words = header.split(), lines[0].split()
+        if len(words) != len(spec) or any(
+                s != w for s, w in zip(spec, words) if not s.startswith("<")):
+            raise ConfigurationError(f"{path}: expected header {header!r}, got {lines[0]!r}")
+        self._scalars = {s[1:-1]: w for s, w in zip(spec, words) if s.startswith("<")}
+        self._arrays: dict[str, list[float]] = {}
+        idx = 1
+        while idx < len(lines):
+            parts = lines[idx].split()
+            if len(parts) != 2:
+                raise ConfigurationError(
+                    f"{path}: expected '<field> <value>', got {lines[idx]!r}")
+            name, value = parts
+            if name not in array_fields:
+                self._scalars[name] = value
+                idx += 1
+                continue
+            count = self._parse(name, value, int)
+            body = lines[idx + 1 : idx + 1 + max(count, 0)]
+            if count < 0 or len(body) < count:
+                raise ConfigurationError(
+                    f"{path}: field {name!r} declares {count} values, the file has {len(body)}")
+            self._arrays[name] = [self._parse(name, v, float) for v in body]
+            idx += 1 + count
+
+    def _parse(self, field: str, text: str, kind):
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"{self.path}: field {field!r}: {text!r} is not a valid {kind.__name__}"
+            ) from None
+
+    def scalar(self, field: str, kind, default=None):
+        if field not in self._scalars:
+            if default is not None:
+                return default
+            raise ConfigurationError(f"{self.path}: missing field {field!r}")
+        return self._parse(field, self._scalars[field], kind)
+
+    def array(self, field: str) -> list[float]:
+        if field not in self._arrays:
+            raise ConfigurationError(f"{self.path}: missing field {field!r}")
+        return self._arrays[field]
+
+
 def save_transfer_function(tf: DiscreteTransferFunction, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"tf {float(tf.sample_time)!r} {tf.pure_delay}\n")
@@ -360,21 +424,9 @@ def save_transfer_function(tf: DiscreteTransferFunction, path) -> None:
 
 
 def load_transfer_function(path) -> DiscreteTransferFunction:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "tf":
-        raise ValueError(f"{path}: expected 'tf' header, got {lines[0]!r}")
-    sample_time, delay = float(head[1]), int(head[2])
-    idx = 1
-    sections = {}
-    while idx < len(lines):
-        name, count = lines[idx].split()
-        count = int(count)
-        vals = [float(v) for v in lines[idx + 1 : idx + 1 + count]]
-        sections[name] = vals
-        idx += 1 + count
-    return DiscreteTransferFunction(sections["num"], sections["den"], delay, sample_time)
+    f = CoefficientFile(path, "tf <sample_time> <pure_delay>", ("num", "den"))
+    return DiscreteTransferFunction(f.array("num"), f.array("den"),
+                                    f.scalar("pure_delay", int), f.scalar("sample_time", float))
 
 
 def save_fir_kernel(kernel: FirKernel, sample_time: float, path) -> None:

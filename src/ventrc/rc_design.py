@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DesignError
 from .lti import (
+    CoefficientFile,
     DiscreteTransferFunction,
     FirKernel,
     FrequencyResponse,
@@ -348,25 +349,10 @@ def save_filterset(filterset: RcFilterSet, path) -> None:
 
 
 def load_filterset(path) -> RcFilterSet:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if lines[0] != "ventrc-filterset v1":
-        raise ConfigurationError(f"{path}: not a ventrc filter-set file")
-    scalars = {}
-    arrays = {}
-    idx = 1
-    while idx < len(lines):
-        key, val = lines[idx].split()
-        if key in ("l_num", "l_den", "q_taps"):
-            count = int(val)
-            arrays[key] = [float(v) for v in lines[idx + 1 : idx + 1 + count]]
-            idx += 1 + count
-        else:
-            scalars[key] = val
-            idx += 1
+    f = CoefficientFile(path, "ventrc-filterset v1", ("l_num", "l_den", "q_taps"))
     l_causal = DiscreteTransferFunction(
-        arrays["l_num"], arrays["l_den"],
-        int(scalars.get("l_delay", 0)), float(scalars["sample_time"]),
+        f.array("l_num"), f.array("l_den"),
+        f.scalar("l_delay", int, default=0), f.scalar("sample_time", float),
     )
-    q_kernel = FirKernel(arrays["q_taps"], int(scalars["q_shift"]), zero_phase=True)
-    return RcFilterSet(l_causal, int(scalars["l_shift"]), q_kernel, int(scalars["period_n"]))
+    q_kernel = FirKernel(f.array("q_taps"), f.scalar("q_shift", int), zero_phase=True)
+    return RcFilterSet(l_causal, f.scalar("l_shift", int), q_kernel, f.scalar("period_n", int))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FitConvergenceWarning, IdentificationError
+from .errors import ConfigurationError, FitConvergenceWarning, IdentificationError
 from .lti import (
     DiscreteTransferFunction,
     FrequencyResponse,
@@ -275,10 +275,26 @@ def load_frf(path, sample_time: float = 0.002) -> FrequencyResponse:
     freqs, values = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigurationError(f"{path}: file is empty")
         if [h.strip() for h in header] != FRF_HEADER:
-            raise ValueError(f"{path}: expected header {FRF_HEADER}, got {header}")
+            raise ConfigurationError(f"{path}: expected header {FRF_HEADER}, got {header}")
         for row in reader:
-            freqs.append(float(row[0]))
-            values.append(complex(float(row[1]), float(row[2])))
+            if not row:
+                continue
+            if len(row) != len(FRF_HEADER):
+                raise ConfigurationError(
+                    f"{path}: line {reader.line_num}: expected {len(FRF_HEADER)} fields "
+                    f"{FRF_HEADER}, got {row}")
+            try:
+                f, re_, im = map(float, row)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path}: line {reader.line_num}: fields {FRF_HEADER} must be "
+                    f"numbers, got {row}") from None
+            freqs.append(f)
+            values.append(complex(re_, im))
+    if not freqs:
+        raise ConfigurationError(f"{path}: no {FRF_HEADER} rows after the header")
     return FrequencyResponse(np.array(freqs), np.array(values), sample_time)

@@ -95,6 +95,15 @@ def test_check_stability_command(pipeline_dir, tmp_path, capsys):
     assert report.exists()
 
 
+def test_check_stability_rejects_truncated_filterset(pipeline_dir, tmp_path, capsys):
+    cut = tmp_path / "cut.filterset"
+    lines = (pipeline_dir / "rc_adult.filterset").read_text().splitlines(keepends=True)
+    cut.write_text("".join(lines[:8]))
+    rc = main(["check-stability", "--filterset", str(cut), "--frf-dir", str(pipeline_dir)])
+    assert rc == 1
+    assert f"error: {cut}: field 'l_num' declares" in capsys.readouterr().err
+
+
 def test_run_and_compare_commands(pipeline_dir, tmp_path, capsys):
     out_dir = tmp_path / "run"
     rc = main(["run", "--scenario", "baby", "--mode", "rc", "--breaths", "6",

@@ -1,7 +1,11 @@
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ventrc.control_rt import (
     BENCHMARK_INTEGRAL_GAIN,
@@ -13,8 +17,12 @@ from ventrc.control_rt import (
     rc_transfer_function,
 )
 from ventrc.errors import ConfigurationError
+from ventrc.harness import ExperimentSpec, run_experiment
 from ventrc.lti import DiscreteTransferFunction, FirKernel, filter_stream
+from ventrc.plant import load_scenario, reference_profile
 from ventrc.rc_design import RcFilterSet, design_q_fir
+
+from rc_reference import ReferenceRepetitiveController
 
 TS = 0.002
 KI = BENCHMARK_INTEGRAL_GAIN
@@ -178,3 +186,122 @@ def test_designed_filterset_equivalence(design_outputs):
         warnings.simplefilter("ignore")
         offline = filter_stream(rc_transfer_function(fs), e)
     assert np.sqrt(np.mean((stream - offline) ** 2)) <= 1e-8
+
+
+# -- the block-wise memory loop against the sample-by-sample reference --------
+#
+# A filter set is drawn as plain numbers so that @example can pin the regimes
+# that exercise the block bookkeeping: robustness taps longer than a memory
+# block, a learning-filter advance longer than a block, a learning filter
+# with pure delay and one of order 0.
+
+
+def build_filterset(half_taps, l_num, l_poles, l_delay, l_shift, n_short):
+    # symmetric positive taps about the centre, unit DC gain
+    taps = np.array(half_taps[:0:-1] + half_taps)
+    taps /= taps.sum()
+    q = FirKernel(taps, len(half_taps) - 1, zero_phase=True)
+    lc = DiscreteTransferFunction(l_num, np.poly(l_poles) if l_poles else [1.0],
+                                  l_delay, TS)
+    return RcFilterSet(lc, l_shift, q, n_short + l_shift + q.forward_shift)
+
+
+@st.composite
+def loop_cases(draw):
+    params = (
+        draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=9)),
+        draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4)),
+        draw(st.lists(st.floats(-0.9, 0.9), max_size=3)),
+        draw(st.integers(0, 4)),
+        draw(st.integers(0, 30)),
+        draw(st.integers(1, 24)),
+    )
+    period = build_filterset(*params).period_n
+    errors = draw(st.lists(st.floats(-1.0, 1.0), min_size=period, max_size=4 * period))
+    return params, errors
+
+
+LONG_TAPS = ([0.9, 0.7, 0.5, 0.3, 0.2, 0.1], [1.0, 0.4], [0.5], 0, 3, 2)
+LONG_ADVANCE = ([0.8, 0.3], [1.0, -0.3, 0.2], [0.6, -0.4], 0, 25, 4)
+DELAYED_LC = ([0.6, 0.4, 0.1], [0.7, 0.2], [0.3], 3, 5, 7)
+ORDER_0_LC = ([1.0, 0.5], [1.3], [], 0, 0, 5)
+RAMP = [math.sin(0.37 * k) for k in range(120)]
+
+
+@settings(deadline=None, derandomize=True)
+@given(loop_cases())
+@example((LONG_TAPS, RAMP))
+@example((LONG_ADVANCE, RAMP))
+@example((DELAYED_LC, RAMP))
+@example((ORDER_0_LC, RAMP))
+def test_block_loop_matches_references(case):
+    params, errors = case
+    fs = build_filterset(*params)
+    block_rc, ref_rc = RepetitiveController(fs), ReferenceRepetitiveController(fs)
+    block = np.array([block_rc.step(e) for e in errors])
+    ref = np.array([ref_rc.step(e) for e in errors])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        offline = filter_stream(rc_transfer_function(fs), errors)
+    tol = 1e-12 * (1.0 + np.max(np.abs(ref)))
+    assert np.max(np.abs(block - ref)) <= tol
+    assert np.max(np.abs(block - offline)) <= tol
+
+
+def run_recording(ctrl, errors):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = [ctrl.step(e) for e in errors]
+    return np.array(out), caught
+
+
+def assert_same_fault(fs, errors):
+    block = RepetitiveController(fs)
+    ref = ReferenceRepetitiveController(fs)
+    out_block, w_block = run_recording(block, errors)
+    out_ref, w_ref = run_recording(ref, errors)
+    assert block.fault and ref.fault
+    assert block.sample_count == ref.sample_count
+    assert len(w_block) == len(w_ref) == 1
+    assert (w_block[0].category, w_block[0].filename, w_block[0].lineno) == \
+        (w_ref[0].category, w_ref[0].filename, w_ref[0].lineno)
+    pattern = r"overflow \((.*)\) at sample (\d+)"
+    value_b, sample_b = re.search(pattern, str(w_block[0].message)).groups()
+    value_r, sample_r = re.search(pattern, str(w_ref[0].message)).groups()
+    assert sample_b == sample_r == str(ref.sample_count)
+    # a finite overflow value carries the reference's rounding only to 1e-12
+    assert value_b == value_r or math.isclose(float(value_b), float(value_r), rel_tol=1e-12)
+    assert re.sub(pattern, "", str(w_block[0].message)) == \
+        re.sub(pattern, "", str(w_ref[0].message))
+    tol = 1e-12 * (1.0 + np.max(np.abs(out_ref)))
+    assert np.max(np.abs(out_block - out_ref)) <= tol
+    assert np.all(out_block[ref.sample_count - 1:] == 0.0)
+
+
+@settings(deadline=None, derandomize=True)
+@given(loop_cases(), st.data())
+def test_block_loop_faults_like_reference(case, data):
+    params, errors = case
+    at = data.draw(st.integers(0, len(errors) - 1))
+    bad = data.draw(st.sampled_from([math.inf, -math.inf, math.nan, 2e12, -5e13]))
+    errors = errors[:at] + [bad] + errors[at + 1:]
+    assert_same_fault(build_filterset(*params), errors)
+
+
+def test_correction_overflow_faults_like_reference():
+    # a 1e11 learning gain passes the loop input but not the correction
+    fs = build_filterset([1.0], [1e11], [], 0, 0, 4)
+    assert_same_fault(fs, [30.0] * 12)
+
+
+@pytest.mark.parametrize("name", ["adult", "pediatric", "baby"])
+def test_rc_run_equals_pid_until_memory_fills(design_outputs, name):
+    scenario, circuit = load_scenario(name)
+    fs = design_outputs["filterset"].with_period(len(reference_profile(scenario,
+                                                                       circuit.sample_time)))
+    quiet = RepetitiveController(fs).buffer_length + 1
+    pid = run_experiment(ExperimentSpec(scenario=name, mode="pid", breaths=1))
+    rc = run_experiment(ExperimentSpec(scenario=name, mode="rc", breaths=1, filterset=fs))
+    for signal in ("command", "p_aw"):
+        assert getattr(rc, signal)[:quiet].tobytes() == getattr(pid, signal)[:quiet].tobytes()
+    assert not np.array_equal(rc.command, pid.command)

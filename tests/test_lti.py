@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ventrc
 from ventrc.errors import ConfigurationError, SingularityError, UnstableFilterWarning
 from ventrc.lti import (
     DelayLine,
@@ -202,6 +208,35 @@ def test_coefficient_file_round_trip(tmp_path):
     assert back.sample_time == TS
     assert np.array_equal(back.numerator_coeffs, tf.numerator_coeffs)
     assert np.array_equal(back.denominator_coeffs, tf.denominator_coeffs)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [], "file is empty"),
+    (lambda lines: lines[:lines.index("den 3")], "missing field 'den'"),
+    (lambda lines: lines[:-1], "field 'den' declares 3 values, the file has 2"),
+    (lambda lines: ["tf 0.002"] + lines[1:],
+     "expected header 'tf <sample_time> <pure_delay>', got 'tf 0.002'"),
+    (lambda lines: ["fir 0.002 7"] + lines[1:],
+     "expected header 'tf <sample_time> <pure_delay>', got 'fir 0.002 7'"),
+    (lambda lines: ["tf 0.002 seven"] + lines[1:], "field 'pure_delay': 'seven' is not a valid int"),
+])
+def test_truncated_coefficient_file_fails_closed(tmp_path, edit, message):
+    path = tmp_path / "filt.coeff"
+    save_transfer_function(DiscreteTransferFunction([0.25, -0.125], [1.0, -0.5, 0.25], 7, TS),
+                           path)
+    path.write_text("".join(ln + "\n" for ln in edit(path.read_text().splitlines())))
+    with pytest.raises(ConfigurationError) as exc:
+        load_transfer_function(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal costs about a second to import; only filtering code needs it
+    src = Path(ventrc.__file__).resolve().parent.parent
+    probe = "import sys, ventrc; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_fir_file_round_trip(tmp_path):

@@ -229,6 +229,30 @@ class TestFilterSet:
         assert other.l_causal is fs.l_causal
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [], "file is empty"),
+    (lambda lines: ["ventrc-filterset v2"] + lines[1:],
+     "expected header 'ventrc-filterset v1', got 'ventrc-filterset v2'"),
+    # cut after 8 lines: inside the learning-filter numerator
+    (lambda lines: lines[:8], "field 'l_num' declares 2 values, the file has 1"),
+    (lambda lines: lines[:lines.index("q_taps 51")], "missing field 'q_taps'"),
+    (lambda lines: lines[:-1], "field 'q_taps' declares 51 values, the file has 50"),
+    (lambda lines: lines[:7] + lines[8:], "field 'l_num': 'l_den 2' is not a valid float"),
+    (lambda lines: [ln for ln in lines if not ln.startswith("period_n ")],
+     "missing field 'period_n'"),
+    (lambda lines: [ln.replace("l_shift 13", "l_shift") for ln in lines],
+     "expected '<field> <value>', got 'l_shift'"),
+])
+def test_truncated_filterset_fails_closed(tmp_path, edit, message):
+    path = tmp_path / "rc.filterset"
+    lc = DiscreteTransferFunction([1.0, 0.2], [1.0, -0.3], 0, TS)
+    save_filterset(RcFilterSet(lc, 13, design_q_fir(23.0, 50, TS), 2000), path)
+    path.write_text("".join(ln + "\n" for ln in edit(path.read_text().splitlines())))
+    with pytest.raises(ConfigurationError) as exc:
+        load_filterset(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 class TestDesignPipeline:
     @pytest.mark.filterwarnings("ignore::ventrc.errors.FitConvergenceWarning")
     def test_budget_violation_raises(self, design_outputs):

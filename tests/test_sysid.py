@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ventrc.control_rt import benchmark_controller_tf
-from ventrc.errors import FitConvergenceWarning, IdentificationError
+from ventrc.errors import ConfigurationError, FitConvergenceWarning, IdentificationError
 from ventrc.lti import DiscreteTransferFunction, FrequencyResponse, evaluate
 from ventrc.plant import VentilatorPlant, load_scenario
 from ventrc.sysid import (
@@ -227,3 +227,22 @@ def test_frf_csv_round_trip(tmp_path):
     back = load_frf(path, sample_time=TS)
     assert np.array_equal(back.frequencies_hz, frf.frequencies_hz)
     assert np.array_equal(back.values, frf.values)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [], "file is empty"),
+    (lambda lines: lines[:1], "no ['frequency_hz', 'real', 'imag'] rows after the header"),
+    (lambda lines: lines[:2] + ["2.0,-0.5"],
+     "line 3: expected 3 fields ['frequency_hz', 'real', 'imag'], got ['2.0', '-0.5']"),
+    (lambda lines: lines[:2] + ["2.0,-0.5,"],
+     "line 3: fields ['frequency_hz', 'real', 'imag'] must be numbers, got ['2.0', '-0.5', '']"),
+    (lambda lines: ["frequency_hz,real"] + lines[1:],
+     "expected header ['frequency_hz', 'real', 'imag'], got ['frequency_hz', 'real']"),
+])
+def test_truncated_frf_csv_fails_closed(tmp_path, edit, message):
+    path = tmp_path / "resp.csv"
+    save_frf(FrequencyResponse([0.5, 2.0, 30.0], [1 + 2j, -0.5 + 0.25j, 0.001j], TS), path)
+    path.write_text("".join(ln + "\n" for ln in edit(path.read_text().splitlines())))
+    with pytest.raises(ConfigurationError) as exc:
+        load_frf(path, sample_time=TS)
+    assert str(exc.value) == f"{path}: {message}"
