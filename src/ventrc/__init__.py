@@ -16,7 +16,6 @@ from .lti import (
     FirKernel,
     FrequencyResponse,
     StreamingFilter,
-    apply_fir_zero_phase,
     evaluate,
     filter_stream,
 )
@@ -24,14 +23,12 @@ from .plant import (
     CircuitParameters,
     PatientScenario,
     VentilatorPlant,
-    airway_pressure_node,
     load_scenario,
     reference_profile,
 )
 from .sysid import (
     MultisineSpec,
     average_frf,
-    estimate_delay,
     estimate_frf,
     fit_rational,
 )
@@ -39,7 +36,6 @@ from .rc_design import (
     RcFilterSet,
     StabilityReport,
     check_stability,
-    compute_modifying_sensitivity,
     default_stability_grid,
     design_pipeline,
     design_q_fir,

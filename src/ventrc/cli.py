@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .control_rt import benchmark_controller_tf
-from .errors import DesignError, ExperimentDiverged, VentrcError
+from .errors import ConfigurationError, DesignError, ExperimentDiverged, VentrcError
 from .harness import (
     ComparisonTable,
     ExperimentSpec,
@@ -138,11 +138,25 @@ def _cmd_run(args) -> int:
 
 
 def _read_norm_csv(path: Path) -> np.ndarray:
+    norms = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigurationError(f"{path}: file is empty")
+        if "error_norm" not in header:
+            raise ConfigurationError(f"{path}: no 'error_norm' column in header {header}")
         col = header.index("error_norm")
-        return np.array([float(row[col]) for row in reader])
+        for row in reader:
+            try:
+                norms.append(float(row[col]))
+            except (IndexError, ValueError):
+                raise ConfigurationError(
+                    f"{path}: line {reader.line_num}: no number in column 'error_norm', "
+                    f"got {row}") from None
+    if not norms:
+        raise ConfigurationError(f"{path}: no rows after the header")
+    return np.array(norms)
 
 
 def _cmd_compare(args) -> int:

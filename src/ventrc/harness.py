@@ -24,10 +24,17 @@ from .control_rt import (
     benchmark_controller_tf,
 )
 from .errors import ConfigurationError, DesignError, ExperimentDiverged
-from .lti import FirKernel, FrequencyResponse, evaluate, save_transfer_function
+from .lti import (
+    DiscreteTransferFunction,
+    FirKernel,
+    FrequencyResponse,
+    evaluate,
+    save_transfer_function,
+)
 from .plant import VentilatorPlant, load_scenario, reference_profile
 from .rc_design import (
     RcFilterSet,
+    StabilityReport,
     check_stability,
     default_stability_grid,
     design_pipeline,
@@ -290,15 +297,15 @@ def design_excitation_bins(sample_time: float = 0.002) -> np.ndarray:
 class PipelineResult:
     """Everything the full identify/design/run/compare pipeline produced."""
 
-    frfs: dict
-    mean_frf: object
-    t_fit: object
-    filterset: object
-    report_no_q: object
-    report: object
-    logs: dict
-    comparisons: dict
-    files: dict
+    frfs: dict[str, FrequencyResponse]
+    mean_frf: FrequencyResponse
+    t_fit: DiscreteTransferFunction
+    filterset: RcFilterSet
+    report_no_q: StabilityReport
+    report: StabilityReport
+    logs: dict[tuple[str, str], BreathLog]
+    comparisons: dict[str, ComparisonTable]
+    files: dict[str, Path]
 
 
 def run_full_pipeline(out_dir, scenarios=("adult", "pediatric", "baby"),
@@ -365,7 +372,7 @@ def run_full_pipeline(out_dir, scenarios=("adult", "pediatric", "baby"),
     save_transfer_function(t_fit, tfit_path)
     files["t_fit"] = tfit_path
 
-    report_no_q = check_stability(FirKernel([1.0], 0, zero_phase=True),
+    report_no_q = check_stability(FirKernel([1.0]),
                                   filterset.l_causal, filterset.l_shift, frfs)
     no_q_path = out_dir / "stability_no_q.csv"
     report_no_q.save_csv(no_q_path)

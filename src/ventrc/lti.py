@@ -81,13 +81,6 @@ class DiscreteTransferFunction:
             return np.array([])
         return np.roots(den)
 
-    def zeros(self) -> np.ndarray:
-        """Roots of the numerator in the z plane (pure delay excluded)."""
-        num = _trim_trailing(self.numerator_coeffs)
-        if len(num) == 1:
-            return np.array([])
-        return np.roots(num)
-
     def is_stable(self, tol: float = 0.0) -> bool:
         p = self.poles()
         return bool(p.size == 0 or np.all(np.abs(p) < 1.0 - tol))
@@ -129,25 +122,25 @@ class DiscreteTransferFunction:
 
 @dataclass
 class FirKernel:
-    """Causal FIR taps realized with a forward shift: z^forward_shift * FIR(taps)."""
+    """Zero-phase FIR kernel, realized causally as z^forward_shift * FIR(taps).
+
+    The taps are odd in number and symmetric about the centre tap, which
+    forward_shift = (len(taps) - 1) // 2 moves to z^0.
+    """
 
     taps: np.ndarray
-    forward_shift: int = 0
-    zero_phase: bool = False
 
     def __post_init__(self):
         self.taps = np.atleast_1d(np.asarray(self.taps, dtype=float))
-        if self.taps.size < 1:
-            raise ValueError("FirKernel needs at least one tap")
-        if self.forward_shift < 0 or int(self.forward_shift) != self.forward_shift:
-            raise ValueError(f"forward_shift must be a nonnegative integer, got {self.forward_shift}")
-        self.forward_shift = int(self.forward_shift)
-        if self.zero_phase:
-            sym = self.taps[::-1]
-            if len(self.taps) != 2 * self.forward_shift + 1 or not np.allclose(
-                self.taps, sym, rtol=0.0, atol=1e-12 * max(1.0, np.max(np.abs(self.taps)))
-            ):
-                raise ValueError("zero_phase kernel must be symmetric about index forward_shift")
+        if self.taps.size % 2 == 0:
+            raise ValueError(f"FirKernel needs an odd number of taps, got {self.taps.size}")
+        if not np.allclose(self.taps, self.taps[::-1], rtol=0.0,
+                           atol=1e-12 * max(1.0, np.max(np.abs(self.taps)))):
+            raise ValueError("FirKernel taps must be symmetric about the centre tap")
+
+    @property
+    def forward_shift(self) -> int:
+        return (len(self.taps) - 1) // 2
 
     def dc_gain(self) -> float:
         return float(np.sum(self.taps))
@@ -245,32 +238,6 @@ def filter_stream(tf: DiscreteTransferFunction, input_sequence, initial_state=No
     return y
 
 
-def apply_fir_zero_phase(kernel: FirKernel, input_sequence, wrap_length: int | None = None) -> np.ndarray:
-    """Apply z^forward_shift * FIR(taps): linear convolution advanced by the shift.
-
-    With wrap_length N the input must be one N-sample period and indices wrap
-    modulo N (the circular application used over one period of a memory loop).
-    """
-    u = np.asarray(input_sequence, dtype=float)
-    if kernel.forward_shift > len(kernel.taps):
-        raise ConfigurationError(
-            f"forward_shift {kernel.forward_shift} exceeds tap count {len(kernel.taps)}"
-        )
-    if wrap_length is not None:
-        if len(u) != wrap_length:
-            raise ValueError(f"input length {len(u)} must equal wrap_length {wrap_length}")
-        n = wrap_length
-        out = np.zeros(n)
-        for j, t in enumerate(kernel.taps):
-            out += t * np.roll(u, j - kernel.forward_shift)
-        return out
-    full = np.convolve(u, kernel.taps)
-    shifted = full[kernel.forward_shift : kernel.forward_shift + len(u)]
-    if len(shifted) < len(u):
-        shifted = np.concatenate([shifted, np.zeros(len(u) - len(shifted))])
-    return shifted
-
-
 class DelayLine:
     """Fixed-capacity FIFO: step() returns the sample inserted `capacity` steps ago.
 
@@ -299,13 +266,6 @@ class DelayLine:
         self.push(value)
         return out
 
-    def contents(self) -> list[float]:
-        """Last `capacity` inputs, oldest first (zeros before warm-up)."""
-        return self._buf[self._pos:] + self._buf[: self._pos]
-
-    def reset(self) -> None:
-        self._buf = [0.0] * self.capacity
-        self._pos = 0
 
 
 class StreamingFilter:
@@ -335,18 +295,12 @@ class StreamingFilter:
             z[-1] = b[len(z)] * u - a[len(z)] * y
         return y
 
-    def reset(self) -> None:
-        self._state = [0.0] * len(self._state)
-        if self._delay is not None:
-            self._delay.reset()
-
 
 # -- coefficient file I/O ---------------------------------------------------
 #
-# Plain-text format: one header line, then one coefficient per line.
-#   transfer function:  "tf <sample_time> <pure_delay>" then "num <k>" /
-#                       "den <m>" section markers.
-#   FIR kernel:         "fir <sample_time> <forward_shift>" then the taps.
+# Plain-text format: the header "tf <sample_time> <pure_delay>", then the
+# "num <k>" and "den <m>" section markers, each followed by one coefficient
+# per line.
 
 
 class CoefficientFile:
@@ -425,24 +379,9 @@ def save_transfer_function(tf: DiscreteTransferFunction, path) -> None:
 
 def load_transfer_function(path) -> DiscreteTransferFunction:
     f = CoefficientFile(path, "tf <sample_time> <pure_delay>", ("num", "den"))
-    return DiscreteTransferFunction(f.array("num"), f.array("den"),
-                                    f.scalar("pure_delay", int), f.scalar("sample_time", float))
-
-
-def save_fir_kernel(kernel: FirKernel, sample_time: float, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"fir {float(sample_time)!r} {kernel.forward_shift}\n")
-        for t in kernel.taps:
-            fh.write(f"{float(t)!r}\n")
-
-
-def load_fir_kernel(path) -> tuple[FirKernel, float]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "fir":
-        raise ValueError(f"{path}: expected 'fir' header, got {lines[0]!r}")
-    sample_time, shift = float(head[1]), int(head[2])
-    taps = [float(v) for v in lines[1:]]
-    kernel = FirKernel(taps, shift)
-    return kernel, sample_time
+    num, den = f.array("num"), f.array("den")
+    pure_delay, sample_time = f.scalar("pure_delay", int), f.scalar("sample_time", float)
+    try:
+        return DiscreteTransferFunction(num, den, pure_delay, sample_time)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None

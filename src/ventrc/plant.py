@@ -82,23 +82,6 @@ class CircuitParameters:
         return self.blower_delay_samples + self.measurement_delay_samples
 
 
-def airway_pressure_node(p_out: float, p_lung: float, circuit: CircuitParameters,
-                         patient: PatientScenario):
-    """Solve the static flow balance at the airway node.
-
-    (p_out - p_aw)/R_hose = p_aw/R_leak + (p_aw - p_lung)/R_lung.
-    Returns (p_aw, q_out, q_leak, q_pat) in (mbar, L/s, L/s, L/s).
-    """
-    g_hose = 1.0 / circuit.r_hose
-    g_leak = 1.0 / circuit.r_leak
-    g_lung = 1.0 / patient.r_lung
-    p_aw = (p_out * g_hose + p_lung * g_lung) / (g_hose + g_leak + g_lung)
-    q_out = (p_out - p_aw) * g_hose
-    q_leak = p_aw * g_leak
-    q_pat = (p_aw - p_lung) * g_lung
-    return p_aw, q_out, q_leak, q_pat
-
-
 @dataclass
 class PlantState:
     """Mutable state of one simulator instance."""
@@ -233,8 +216,6 @@ def reference_profile(scenario: PatientScenario, sample_time: float,
         raise ConfigurationError(
             f"sample_time {sample_time} s does not divide the breath timing"
         )
-    if n_total <= 0:
-        raise ConfigurationError("profile needs at least one sample")
     profile = np.full(n_total, float(scenario.peep))
     profile[:n_insp] = scenario.ipap
     if smoothing_rise_time is not None and smoothing_rise_time > 0:
@@ -279,37 +260,54 @@ def resolve_scenario_path(name_or_path) -> Path:
 def load_scenario(path) -> tuple[PatientScenario, CircuitParameters]:
     path = resolve_scenario_path(path)
     cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigurationError(f"cannot read scenario file {path}")
     try:
+        if not cp.read(path):
+            raise ConfigurationError(f"cannot read scenario file {path}")
         pat = cp["patient"]
         vent = cp["ventilator"]
-        scenario = PatientScenario(
-            r_lung=pat.getfloat("r_lung"),
-            c_lung=pat.getfloat("c_lung"),
-            respiratory_rate=vent.getfloat("respiratory_rate"),
-            peep=vent.getfloat("peep"),
-            ipap=vent.getfloat("ipap"),
-            t_insp=vent.getfloat("t_insp"),
-            t_exp=vent.getfloat("t_exp"),
-            name=pat.get("name", Path(path).stem),
-        )
-        circ = cp["circuit"] if cp.has_section("circuit") else {}
-        defaults = CircuitParameters()
-        circuit = CircuitParameters(
-            r_hose=float(circ.get("r_hose", defaults.r_hose)),
-            r_leak=float(circ.get("r_leak", defaults.r_leak)),
-            blower_time_constant=float(circ.get("blower_time_constant",
-                                                defaults.blower_time_constant)),
-            blower_delay_samples=int(circ.get("blower_delay_samples",
-                                              defaults.blower_delay_samples)),
-            measurement_delay_samples=int(circ.get("measurement_delay_samples",
-                                                   defaults.measurement_delay_samples)),
-            sample_time=float(circ.get("sample_time", defaults.sample_time)),
-        )
     except (KeyError, configparser.Error) as exc:
         raise ConfigurationError(f"scenario file {path} is incomplete: {exc}") from exc
+    circ = cp["circuit"] if cp.has_section("circuit") else {}
+    defaults = CircuitParameters()
+
+    def number(section, field, kind=float, default=None):
+        text = section.get(field)
+        if text is None:
+            if default is None:
+                raise ConfigurationError(f"{path}: missing field {field!r}")
+            return default
+        try:
+            return kind(text)
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}: field {field!r}: {text!r} is not a valid {kind.__name__}") from None
+
+    try:
+        scenario = PatientScenario(
+            r_lung=number(pat, "r_lung"),
+            c_lung=number(pat, "c_lung"),
+            respiratory_rate=number(vent, "respiratory_rate"),
+            peep=number(vent, "peep"),
+            ipap=number(vent, "ipap"),
+            t_insp=number(vent, "t_insp"),
+            t_exp=number(vent, "t_exp"),
+            name=pat.get("name", Path(path).stem),
+        )
+        circuit = CircuitParameters(
+            r_hose=number(circ, "r_hose", float, defaults.r_hose),
+            r_leak=number(circ, "r_leak", float, defaults.r_leak),
+            blower_time_constant=number(circ, "blower_time_constant", float,
+                                        defaults.blower_time_constant),
+            blower_delay_samples=number(circ, "blower_delay_samples", int,
+                                        defaults.blower_delay_samples),
+            measurement_delay_samples=number(circ, "measurement_delay_samples", int,
+                                             defaults.measurement_delay_samples),
+            sample_time=number(circ, "sample_time", float, defaults.sample_time),
+        )
+    except ConfigurationError:
+        raise
+    except (ValueError, configparser.Error) as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
     return scenario, circuit
 
 

@@ -21,8 +21,8 @@ from .lti import (
     DiscreteTransferFunction,
     FirKernel,
     FrequencyResponse,
+    evaluate,
     hz_to_rad_per_sample,
-    polyval_zinv,
 )
 from .sysid import fit_rational
 
@@ -46,8 +46,6 @@ class RcFilterSet:
                 f"shift budget violated: l_shift {self.l_shift} + q shift "
                 f"{self.q_kernel.forward_shift} exceeds period {self.period_n}"
             )
-        if not self.q_kernel.zero_phase:
-            raise ConfigurationError("q_kernel must be zero-phase (symmetric)")
         # up to 1% DC deficit is allowed: keeping |Q| <= 1 everywhere wins
         # over exact unity when Gibbs ripple forces a rescale
         if abs(self.q_kernel.dc_gain() - 1.0) > 1e-2:
@@ -63,14 +61,12 @@ class RcFilterSet:
         """Same filters bound to a different period (the design is N-independent)."""
         return RcFilterSet(self.l_causal, self.l_shift, self.q_kernel, period_n)
 
-    def learning_filter_response(self, frequencies_hz) -> np.ndarray:
-        """Complex response of the non-causal L = z^l_shift * L_c."""
-        w = hz_to_rad_per_sample(frequencies_hz, self.sample_time)
-        zinv = np.exp(-1j * w)
-        lc = (polyval_zinv(self.l_causal.numerator_coeffs, zinv)
-              / polyval_zinv(self.l_causal.denominator_coeffs, zinv)
-              * zinv**self.l_causal.pure_delay)
-        return lc * zinv ** (-self.l_shift)
+
+def learning_filter_response(l_causal: DiscreteTransferFunction, l_shift: int,
+                             frequencies_hz) -> np.ndarray:
+    """Complex response of the non-causal L = z^l_shift * L_c on a Hz grid."""
+    zinv = np.exp(-1j * hz_to_rad_per_sample(frequencies_hz, l_causal.sample_time))
+    return evaluate(l_causal, frequencies_hz).values * zinv ** (-l_shift)
 
 
 @dataclass
@@ -185,11 +181,11 @@ def design_q_fir(cutoff_hz: float, order: int, sample_time: float) -> FirKernel:
     taps[~nz] = wc / np.pi
     taps *= 0.54 - 0.46 * np.cos(2.0 * np.pi * n / order)
     taps /= taps.sum()
-    kernel = FirKernel(taps, order // 2, zero_phase=True)
+    kernel = FirKernel(taps)
     probe = np.linspace(nyquist / 2048, nyquist, 2048)
     peak = float(np.max(np.abs(kernel.frequency_response(probe, sample_time))))
     if peak > 1.0 + 1e-6:
-        kernel = FirKernel(taps / peak, order // 2, zero_phase=True)
+        kernel = FirKernel(taps / peak)
     return kernel
 
 
@@ -203,7 +199,7 @@ def default_stability_grid(sample_time: float = 0.002) -> np.ndarray:
 
 def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: int,
                     frfs: dict[str, FrequencyResponse]) -> StabilityReport:
-    """Evaluate |Q(1 - T_i L)| for every plant response on its grid.
+    """Evaluate |Q(1 - T_i L)| for every plant response on their shared grid.
 
     The small-gain bound quantifies over all frequencies, so the shared grid
     should reach Nyquist (a warning is emitted otherwise) and be dense enough
@@ -211,65 +207,23 @@ def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: i
     """
     if not frfs:
         raise ValueError("need at least one FRF to check")
-    rows: dict[str, np.ndarray] = {}
-    grid = None
-    ts = None
-    for name, frf in frfs.items():
-        if ts is None:
-            ts = frf.sample_time
-            grid = frf.frequencies_hz
-            nyq = 0.5 / ts
-            # excited multisine grids stop one bin short of Nyquist; only a
-            # materially short grid deserves the warning
-            if grid[-1] < 0.98 * nyq:
-                warnings.warn(
-                    f"stability grid stops at {grid[-1]:.1f} Hz below Nyquist "
-                    f"{nyq:.1f} Hz; the bound must hold at all frequencies",
-                    stacklevel=2,
-                )
-        elif not (len(frf.frequencies_hz) == len(grid)
-                  and np.allclose(frf.frequencies_hz, grid, rtol=0.0, atol=1e-9)):
-            raise ValueError("all FRFs must share one frequency grid")
-        w = hz_to_rad_per_sample(frf.frequencies_hz, ts)
-        zinv = np.exp(-1j * w)
-        l_val = (polyval_zinv(l_causal.numerator_coeffs, zinv)
-                 / polyval_zinv(l_causal.denominator_coeffs, zinv)
-                 * zinv**l_causal.pure_delay
-                 * zinv ** (-l_shift))
-        q_val = q.frequency_response(frf.frequencies_hz, ts)
-        rows[name] = np.abs(q_val * (1.0 - frf.values * l_val))
-    return StabilityReport(np.asarray(grid, dtype=float), rows)
-
-
-def compute_modifying_sensitivity(q: FirKernel, l_causal: DiscreteTransferFunction,
-                                  l_shift: int, t: FrequencyResponse,
-                                  period_n: int) -> FrequencyResponse:
-    """How the add-on loop reshapes the baseline sensitivity on t's grid.
-
-    S_R = (1 - e^{-iwN} Q) / (1 - (1 - T L) e^{-iwN} Q); bins where the
-    denominator is nearly singular (|den| < 1e-12) are flagged via a warning
-    and returned as-is.
-    """
-    ts = t.sample_time
-    w = hz_to_rad_per_sample(t.frequencies_hz, ts)
-    zinv = np.exp(-1j * w)
-    l_val = (polyval_zinv(l_causal.numerator_coeffs, zinv)
-             / polyval_zinv(l_causal.denominator_coeffs, zinv)
-             * zinv**l_causal.pure_delay
-             * zinv ** (-l_shift))
-    q_val = q.frequency_response(t.frequencies_hz, ts)
-    loop = np.exp(-1j * w * period_n) * q_val
-    den = 1.0 - (1.0 - t.values * l_val) * loop
-    near = np.abs(den) < 1e-12
-    if np.any(near):
-        flagged = t.frequencies_hz[near]
+    first = next(iter(frfs.values()))
+    grid, ts = first.frequencies_hz, first.sample_time
+    nyq = 0.5 / ts
+    # excited multisine grids stop one bin short of Nyquist; only a
+    # materially short grid deserves the warning
+    if grid[-1] < 0.98 * nyq:
         warnings.warn(
-            f"modifying sensitivity nearly singular at {flagged[:5]} Hz",
+            f"stability grid stops at {grid[-1]:.1f} Hz below Nyquist "
+            f"{nyq:.1f} Hz; the bound must hold at all frequencies",
             stacklevel=2,
         )
-        den = np.where(near, np.inf, den)
-    values = (1.0 - loop) / den
-    return FrequencyResponse(t.frequencies_hz, values, ts)
+    if not all(first.same_grid(frf) for frf in frfs.values()):
+        raise ValueError("all FRFs must share one frequency grid")
+    q_val = q.frequency_response(grid, ts)
+    l_val = learning_filter_response(l_causal, l_shift, grid)
+    rows = {name: np.abs(q_val * (1.0 - frf.values * l_val)) for name, frf in frfs.items()}
+    return StabilityReport(np.asarray(grid, dtype=float), rows)
 
 
 def design_pipeline(frfs: dict[str, FrequencyResponse], mean_frf: FrequencyResponse,
@@ -350,9 +304,17 @@ def save_filterset(filterset: RcFilterSet, path) -> None:
 
 def load_filterset(path) -> RcFilterSet:
     f = CoefficientFile(path, "ventrc-filterset v1", ("l_num", "l_den", "q_taps"))
-    l_causal = DiscreteTransferFunction(
-        f.array("l_num"), f.array("l_den"),
-        f.scalar("l_delay", int, default=0), f.scalar("sample_time", float),
-    )
-    q_kernel = FirKernel(f.array("q_taps"), f.scalar("q_shift", int), zero_phase=True)
-    return RcFilterSet(l_causal, f.scalar("l_shift", int), q_kernel, f.scalar("period_n", int))
+    l_num, l_den, q_taps = f.array("l_num"), f.array("l_den"), f.array("q_taps")
+    l_delay, sample_time = f.scalar("l_delay", int, default=0), f.scalar("sample_time", float)
+    l_shift, q_shift = f.scalar("l_shift", int), f.scalar("q_shift", int)
+    period_n = f.scalar("period_n", int)
+    try:
+        q_kernel = FirKernel(q_taps)
+        if q_kernel.forward_shift != q_shift:
+            raise ConfigurationError(
+                f"field 'q_shift' is {q_shift}, but {len(q_taps)} q_taps give "
+                f"{q_kernel.forward_shift}")
+        l_causal = DiscreteTransferFunction(l_num, l_den, l_delay, sample_time)
+        return RcFilterSet(l_causal, l_shift, q_kernel, period_n)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None

@@ -246,18 +246,6 @@ def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
     return tf
 
 
-def estimate_delay(frf: FrequencyResponse, band_hz: tuple[float, float]) -> int:
-    """Delay in samples from the least-squares slope of unwrapped phase vs w."""
-    lo, hi = band_hz
-    sel = (frf.frequencies_hz >= lo) & (frf.frequencies_hz <= hi)
-    if np.count_nonzero(sel) < 3:
-        raise ValueError(f"need at least 3 bins inside [{lo}, {hi}] Hz")
-    w = hz_to_rad_per_sample(frf.frequencies_hz[sel], frf.sample_time)
-    phase = np.unwrap(np.angle(frf.values[sel]))
-    slope, _ = np.polyfit(w, phase, 1)
-    return int(round(-slope))
-
-
 # -- CSV persistence ----------------------------------------------------------
 
 FRF_HEADER = ["frequency_hz", "real", "imag"]

@@ -52,7 +52,7 @@ def design_outputs(scenario_table):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FitConvergenceWarning)
         filterset, report = design_pipeline(frfs, mean, period_n=2000)
-    report_no_q = check_stability(FirKernel([1.0], 0, zero_phase=True),
+    report_no_q = check_stability(FirKernel([1.0]),
                                   filterset.l_causal, filterset.l_shift, frfs)
     elapsed = time.perf_counter() - t0
     return {

@@ -135,3 +135,33 @@ def test_unknown_scenario_errors(tmp_path, capsys):
                "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "built-ins" in capsys.readouterr().err
+
+
+def test_run_rejects_bad_scenario_value(tmp_path, capsys):
+    from ventrc.plant import load_scenario, save_scenario
+
+    scenario, circuit = load_scenario("adult")
+    cfg = tmp_path / "bad.cfg"
+    save_scenario(scenario, circuit, cfg)
+    cfg.write_text(cfg.read_text().replace("r_lung = 5.0", "r_lung = abc"))
+    rc = main(["run", "--scenario", str(cfg), "--mode", "pid", "--breaths", "1",
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert f"error: {cfg}: field 'r_lung': 'abc' is not a valid float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "file is empty"),
+    ("breath,norm\n1,2.5\n", "no 'error_norm' column in header ['breath', 'norm']"),
+    ("breath,error_norm\n1,2.5\n2\n",
+     "line 3: no number in column 'error_norm', got ['2']"),
+    ("breath,error_norm\n", "no rows after the header"),
+])
+def test_compare_rejects_malformed_norms(tmp_path, capsys, text, message):
+    good = tmp_path / "good.csv"
+    good.write_text("breath,error_norm\n1,2.5\n2,1.5\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    rc = main(["compare", "--baseline", str(good), "--candidate", str(bad)])
+    assert rc == 1
+    assert f"error: {bad}: {message}" in capsys.readouterr().err

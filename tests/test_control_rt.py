@@ -31,7 +31,7 @@ KI = BENCHMARK_INTEGRAL_GAIN
 def trivial_filterset(period_n=4):
     # unit learning filter, unit single-tap robustness kernel
     lc = DiscreteTransferFunction([1.0], [1.0], 0, TS)
-    return RcFilterSet(lc, 0, FirKernel([1.0], 0, zero_phase=True), period_n)
+    return RcFilterSet(lc, 0, FirKernel([1.0]), period_n)
 
 
 def synthetic_filterset(period_n=64):
@@ -166,7 +166,7 @@ class TestVentilatorController:
 
     def test_sample_time_mismatch_rejected(self):
         lc = DiscreteTransferFunction([1.0], [1.0], 0, 0.001)
-        fs = RcFilterSet(lc, 0, FirKernel([1.0], 0, zero_phase=True), 100)
+        fs = RcFilterSet(lc, 0, FirKernel([1.0]), 100)
         with pytest.raises(ConfigurationError, match="sample time"):
             ControllerConfig(sample_time=0.002, filterset=fs, rc_enabled=True)
 
@@ -200,7 +200,7 @@ def build_filterset(half_taps, l_num, l_poles, l_delay, l_shift, n_short):
     # symmetric positive taps about the centre, unit DC gain
     taps = np.array(half_taps[:0:-1] + half_taps)
     taps /= taps.sum()
-    q = FirKernel(taps, len(half_taps) - 1, zero_phase=True)
+    q = FirKernel(taps)
     lc = DiscreteTransferFunction(l_num, np.poly(l_poles) if l_poles else [1.0],
                                   l_delay, TS)
     return RcFilterSet(lc, l_shift, q, n_short + l_shift + q.forward_shift)

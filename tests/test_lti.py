@@ -13,12 +13,9 @@ from ventrc.lti import (
     DiscreteTransferFunction,
     FirKernel,
     StreamingFilter,
-    apply_fir_zero_phase,
     evaluate,
     filter_stream,
-    load_fir_kernel,
     load_transfer_function,
-    save_fir_kernel,
     save_transfer_function,
 )
 
@@ -104,50 +101,44 @@ class TestFilterStream:
 
 class TestFirApplication:
     def test_single_tap_identity(self):
-        k = FirKernel([1.0], 0, zero_phase=True)
-        u = np.random.default_rng(1).normal(size=32)
-        assert np.allclose(apply_fir_zero_phase(k, u), u, atol=0.0)
+        k = FirKernel([1.0])
+        assert k.forward_shift == 0
+        resp = k.frequency_response(np.linspace(0.5, 250.0, 32), TS)
+        assert np.allclose(resp, 1.0, atol=0.0)
 
     def test_symmetric_three_tap_circular(self):
-        # hand convolution: impulse at k=5 spreads one sample either side
-        k = FirKernel([0.25, 0.5, 0.25], 1, zero_phase=True)
-        u = np.zeros(16)
-        u[5] = 1.0
-        y = apply_fir_zero_phase(k, u, wrap_length=16)
-        expected = np.zeros(16)
-        expected[4:7] = [0.25, 0.5, 0.25]
-        assert np.allclose(y, expected, atol=1e-15)
-
-    def test_circular_wraps_at_edges(self):
-        k = FirKernel([0.25, 0.5, 0.25], 1, zero_phase=True)
-        u = np.zeros(8)
-        u[0] = 1.0
-        y = apply_fir_zero_phase(k, u, wrap_length=8)
-        assert y[7] == pytest.approx(0.25)
-        assert y[0] == pytest.approx(0.5)
-        assert y[1] == pytest.approx(0.25)
+        # the centred kernel spreads an impulse one sample either side:
+        # 0.25 e^{iw} + 0.5 + 0.25 e^{-iw} = 0.5 + 0.5 cos w, real for every w
+        k = FirKernel([0.25, 0.5, 0.25])
+        f = np.linspace(0.5, 250.0, 64)
+        expected = 0.5 + 0.5 * np.cos(2 * np.pi * f * TS)
+        assert np.allclose(k.frequency_response(f, TS), expected, atol=1e-15)
 
     def test_dc_preserved_by_unit_sum_kernel(self):
         taps = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
-        k = FirKernel(taps, 2, zero_phase=True)
-        y = apply_fir_zero_phase(k, np.full(64, 3.7), wrap_length=64)
-        assert np.allclose(y, 3.7, atol=1e-12)
+        k = FirKernel(taps)
+        assert k.dc_gain() == pytest.approx(1.0, abs=1e-12)
+        assert k.frequency_response([1e-6], TS)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_beyond_taps_rejected(self):
-        k = FirKernel([1.0, 0.5], 0)
-        k.forward_shift = 5  # bypass constructor check to hit the apply-time guard
-        with pytest.raises(ConfigurationError):
-            apply_fir_zero_phase(k, np.zeros(8))
+        # the shift follows from the taps: an even count has no centre tap,
+        # and the shift cannot be set apart from the taps
+        with pytest.raises(ValueError, match="odd"):
+            FirKernel([1.0, 0.5])
+        k = FirKernel([0.25, 0.5, 0.25])
+        assert k.forward_shift == 1
+        with pytest.raises(AttributeError):
+            k.forward_shift = 5
 
     def test_zero_phase_response_is_real(self):
         taps = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
-        k = FirKernel(taps / taps.sum(), 2, zero_phase=True)
+        k = FirKernel(taps / taps.sum())
         resp = k.frequency_response(np.linspace(0.5, 250.0, 500), TS)
         assert np.max(np.abs(resp.imag)) <= 1e-12 * np.max(np.abs(resp))
 
     def test_asymmetric_zero_phase_flag_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
-            FirKernel([0.5, 0.5, 0.1], 1, zero_phase=True)
+            FirKernel([0.5, 0.5, 0.1])
 
 
 class TestDelayLine:
@@ -171,7 +162,7 @@ class TestDelayLine:
         values = list(rng.normal(size=100))
         for v in values:
             line.step(v)
-        assert line.contents() == values[-17:]
+        assert [line.step(0.0) for _ in range(17)] == values[-17:]
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -219,6 +210,9 @@ def test_coefficient_file_round_trip(tmp_path):
     (lambda lines: ["fir 0.002 7"] + lines[1:],
      "expected header 'tf <sample_time> <pure_delay>', got 'fir 0.002 7'"),
     (lambda lines: ["tf 0.002 seven"] + lines[1:], "field 'pure_delay': 'seven' is not a valid int"),
+    (lambda lines: lines[:-3] + ["0.0"] + lines[-2:],
+     "denominator leading (z^0) coefficient must be nonzero"),
+    (lambda lines: ["tf -0.002 7"] + lines[1:], "sample_time must be positive, got -0.002"),
 ])
 def test_truncated_coefficient_file_fails_closed(tmp_path, edit, message):
     path = tmp_path / "filt.coeff"
@@ -238,12 +232,3 @@ def test_import_does_not_load_scipy_signal():
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
     assert out.stdout.strip() == "False"
 
-
-def test_fir_file_round_trip(tmp_path):
-    kernel = FirKernel([0.2, 0.6, 0.2], 1, zero_phase=True)
-    path = tmp_path / "kernel.coeff"
-    save_fir_kernel(kernel, TS, path)
-    back, ts = load_fir_kernel(path)
-    assert ts == TS
-    assert back.forward_shift == 1
-    assert np.array_equal(back.taps, kernel.taps)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from ventrc.plant import (
     CircuitParameters,
     PatientScenario,
     VentilatorPlant,
-    airway_pressure_node,
     builtin_scenario_path,
     load_scenario,
     reference_profile,
@@ -30,15 +30,26 @@ def node_residual(p_aw, p_out, p_lung, circuit, patient):
             - (p_aw - p_lung) / patient.r_lung)
 
 
+def node_flows(p_out, p_lung, circuit, patient):
+    """(p_aw, q_out, q_leak, q_pat) of one plant step from the given lung pressure.
+
+    Without blower lag or delay the blower outlet pressure equals the command.
+    """
+    circuit = replace(circuit, blower_time_constant=0.0, blower_delay_samples=0)
+    plant = VentilatorPlant(patient, circuit)
+    plant.state.p_lung = p_lung
+    plant.step(p_out)
+    return plant.last_flows
+
+
 class TestAirwayNode:
     def test_equilibrium_zero(self):
-        p_aw, q_out, q_leak, q_pat = airway_pressure_node(
-            0.0, 0.0, CircuitParameters(), adult())
+        p_aw, q_out, q_leak, q_pat = node_flows(0.0, 0.0, CircuitParameters(), adult())
         assert p_aw == q_out == q_leak == q_pat == 0.0
 
     def test_no_leak_equal_pressures(self):
         circuit = CircuitParameters(r_leak=math.inf)
-        p_aw, q_out, q_leak, q_pat = airway_pressure_node(12.0, 12.0, circuit, adult())
+        p_aw, q_out, q_leak, q_pat = node_flows(12.0, 12.0, circuit, adult())
         assert p_aw == pytest.approx(12.0, abs=1e-12)
         assert q_pat == pytest.approx(0.0, abs=1e-12)
         assert q_leak == 0.0
@@ -55,7 +66,7 @@ class TestAirwayNode:
                 lo = mid
             else:
                 hi = mid
-        p_aw, q_out, q_leak, q_pat = airway_pressure_node(p_out, p_lung, circuit, patient)
+        p_aw, q_out, q_leak, q_pat = node_flows(p_out, p_lung, circuit, patient)
         assert p_aw == pytest.approx(0.5 * (lo + hi), abs=1e-10)
         # hand value from the three-resistor divider
         assert p_aw == pytest.approx((15 / 5 + 5 / 5) / (1 / 5 + 1 / 50 + 1 / 5), rel=1e-12)
@@ -67,7 +78,7 @@ class TestAirwayNode:
         patient = adult()
         for _ in range(200):
             p_out, p_lung = rng.uniform(-40, 40, 2)
-            p_aw, q_out, q_leak, q_pat = airway_pressure_node(p_out, p_lung, circuit, patient)
+            p_aw, q_out, q_leak, q_pat = node_flows(p_out, p_lung, circuit, patient)
             assert abs(q_out - q_leak - q_pat) <= 1e-12
 
 
@@ -228,3 +239,23 @@ class TestScenarioFiles:
             PatientScenario(5.0, 0.05, 15, peep=5.0, ipap=15.0, t_insp=1.0, t_exp=2.5)
         with pytest.raises(ValueError):
             PatientScenario(-5.0, 0.05, 15, peep=5.0, ipap=15.0, t_insp=1.5, t_exp=2.5)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("r_lung = 5.0", "r_lung = abc", "field 'r_lung': 'abc' is not a valid float"),
+    ("r_lung = 5.0", "", "missing field 'r_lung'"),
+    ("t_exp = 2.5", "t_exp = 3.0",
+     "t_insp + t_exp = 4.5 s does not match 60/respiratory_rate = 4.0 s"),
+    ("r_hose = 5.0", "r_hose = -5.0", "r_hose and r_leak must be positive"),
+    ("blower_delay_samples = 6", "blower_delay_samples = 6.5",
+     "field 'blower_delay_samples': '6.5' is not a valid int"),
+])
+def test_bad_scenario_file_fails_closed(tmp_path, old, new, message):
+    path = tmp_path / "bad.cfg"
+    save_scenario(adult(), CircuitParameters(), path)
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    with pytest.raises(ConfigurationError) as exc:
+        load_scenario(path)
+    assert str(exc.value) == f"{path}: {message}"

@@ -6,10 +6,10 @@ from ventrc.lti import DiscreteTransferFunction, FirKernel, evaluate
 from ventrc.rc_design import (
     RcFilterSet,
     check_stability,
-    compute_modifying_sensitivity,
     default_stability_grid,
     design_pipeline,
     design_q_fir,
+    learning_filter_response,
     load_filterset,
     save_filterset,
     zpetc_invert,
@@ -18,16 +18,10 @@ from ventrc.rc_design import (
 TS = 0.002
 
 
-def learning_response(l_causal, l_shift, freqs):
-    fs = RcFilterSet(l_causal, l_shift,
-                     FirKernel([1.0], 0, zero_phase=True), period_n=10**6)
-    return fs.learning_filter_response(freqs)
-
-
 def compensated(t_fit, freqs):
     l_causal, l_shift = zpetc_invert(t_fit)
     t_val = evaluate(t_fit, freqs).values
-    return t_val * learning_response(l_causal, l_shift, freqs), l_shift
+    return t_val * learning_filter_response(l_causal, l_shift, freqs), l_shift
 
 
 class TestZpetc:
@@ -110,10 +104,9 @@ class TestQDesign:
         assert np.mean(mags > 0.99) > 0.9
 
     def test_constant_passes_unchanged(self):
-        from ventrc.lti import apply_fir_zero_phase
         k = design_q_fir(23.0, 50, TS)
-        out = apply_fir_zero_phase(k, np.full(256, 4.2), wrap_length=256)
-        assert np.allclose(out, 4.2 * k.dc_gain(), atol=1e-12)
+        assert k.dc_gain() == pytest.approx(1.0, abs=1e-3)
+        assert k.frequency_response([1e-6], TS)[0] == pytest.approx(k.dc_gain(), abs=1e-12)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -141,7 +134,7 @@ class TestCheckStability:
         l_causal, l_shift = zpetc_invert(t_fit)
         frf = evaluate(t_fit, np.linspace(0.5, 100.0, 500))
         with pytest.warns(UserWarning, match="Nyquist"):
-            check_stability(FirKernel([1.0], 0, zero_phase=True), l_causal, l_shift,
+            check_stability(FirKernel([1.0]), l_causal, l_shift,
                             {"a": frf})
 
     def test_mismatched_grids_rejected(self):
@@ -150,7 +143,7 @@ class TestCheckStability:
         a = evaluate(t_fit, np.linspace(0.5, 250.0, 400))
         b = evaluate(t_fit, np.linspace(0.6, 250.0, 400))
         with pytest.raises(ValueError, match="grid"):
-            check_stability(FirKernel([1.0], 0, zero_phase=True), l_causal, l_shift,
+            check_stability(FirKernel([1.0]), l_causal, l_shift,
                             {"a": a, "b": b})
 
     def test_report_csv(self, tmp_path, design_outputs):
@@ -160,40 +153,6 @@ class TestCheckStability:
         header = path.read_text().splitlines()[0].split(",")
         assert header[0] == "frequency_hz"
         assert set(header[1:]) == set(report.magnitudes)
-
-
-class TestModifyingSensitivity:
-    def setup_loop(self):
-        t_fit = DiscreteTransferFunction([0.5, 0.1], [1.0, -0.7], 0, TS)
-        l_causal, l_shift = zpetc_invert(t_fit)  # exact inverse: T L = 1
-        return t_fit, l_causal, l_shift
-
-    def test_zero_at_harmonics_with_unit_q(self):
-        t_fit, l_causal, l_shift = self.setup_loop()
-        n = 100
-        harmonics = np.arange(1, 40) / (n * TS)
-        frf = evaluate(t_fit, harmonics)
-        sr = compute_modifying_sensitivity(FirKernel([1.0], 0, zero_phase=True),
-                                           l_causal, l_shift, frf, n)
-        assert np.max(np.abs(sr.values)) <= 1e-12
-
-    def test_unit_without_loop(self):
-        t_fit, l_causal, l_shift = self.setup_loop()
-        frf = evaluate(t_fit, np.linspace(0.5, 200.0, 100))
-        sr = compute_modifying_sensitivity(FirKernel([0.0], 0, zero_phase=True),
-                                           l_causal, l_shift, frf, 100)
-        assert np.allclose(sr.values, 1.0, atol=1e-12)
-
-    def test_midway_magnitude(self):
-        t_fit, l_causal, l_shift = self.setup_loop()
-        n = 100
-        mid = (np.arange(1, 30) + 0.5) / (n * TS)
-        frf = evaluate(t_fit, mid)
-        sr = compute_modifying_sensitivity(FirKernel([1.0], 0, zero_phase=True),
-                                           l_causal, l_shift, frf, n)
-        w = 2 * np.pi * mid * TS
-        expected = 2.0 * np.abs(np.sin(w * n / 2.0))
-        assert np.allclose(np.abs(sr.values), expected, rtol=1e-9)
 
 
 class TestFilterSet:
@@ -209,7 +168,7 @@ class TestFilterSet:
     def test_asymmetric_kernel_rejected(self):
         lc = DiscreteTransferFunction([1.0], [1.0], 0, TS)
         with pytest.raises((ConfigurationError, ValueError)):
-            RcFilterSet(lc, 0, FirKernel([0.7, 0.3], 0), 100)
+            RcFilterSet(lc, 0, FirKernel([0.7, 0.2, 0.1]), 100)
 
     def test_round_trip(self, tmp_path):
         fs = self.make()
@@ -242,6 +201,13 @@ class TestFilterSet:
      "missing field 'period_n'"),
     (lambda lines: [ln.replace("l_shift 13", "l_shift") for ln in lines],
      "expected '<field> <value>', got 'l_shift'"),
+    (lambda lines: lines[:-1] + ["0.5"], "FirKernel taps must be symmetric about the centre tap"),
+    (lambda lines: [ln.replace("q_shift 25", "q_shift 24") for ln in lines],
+     "field 'q_shift' is 24, but 51 q_taps give 25"),
+    (lambda lines: [ln.replace("l_shift 13", "l_shift 1990") for ln in lines],
+     "shift budget violated: l_shift 1990 + q shift 25 exceeds period 2000"),
+    (lambda lines: lines[:lines.index("l_den 2") + 1] + ["0.0"] + lines[lines.index("l_den 2") + 2:],
+     "denominator leading (z^0) coefficient must be nonzero"),
 ])
 def test_truncated_filterset_fails_closed(tmp_path, edit, message):
     path = tmp_path / "rc.filterset"
@@ -271,7 +237,8 @@ class TestDesignPipeline:
         t_fit = design_outputs["t_fit"]
         fs = design_outputs["filterset"]
         grid = default_stability_grid(TS)
-        tl = evaluate(t_fit, grid).values * fs.learning_filter_response(grid)
+        l_val = learning_filter_response(fs.l_causal, fs.l_shift, grid)
+        tl = evaluate(t_fit, grid).values * l_val
         assert np.max(np.abs(tl.imag) / np.abs(tl)) <= 1e-9
         assert np.all(tl.real >= -1e-12)
 

@@ -8,7 +8,6 @@ from ventrc.plant import VentilatorPlant, load_scenario
 from ventrc.sysid import (
     MultisineSpec,
     average_frf,
-    estimate_delay,
     estimate_frf,
     fit_rational,
     load_frf,
@@ -161,23 +160,6 @@ class TestFitRational:
             fit_rational(frf, order=4, fixed_delay_samples=0)
 
 
-class TestEstimateDelay:
-    def test_pure_delay(self):
-        tf = DiscreteTransferFunction([1.0], [1.0], 12, TS)
-        frf = evaluate(tf, np.linspace(1.0, 100.0, 30))
-        assert estimate_delay(frf, (1.0, 100.0)) == 12
-
-    def test_zero_delay_unit_gain(self):
-        tf = DiscreteTransferFunction([1.0], [1.0], 0, TS)
-        frf = evaluate(tf, np.linspace(1.0, 100.0, 30))
-        assert estimate_delay(frf, (1.0, 100.0)) == 0
-
-    def test_closed_loop_near_twelve(self):
-        _, _, closed = analytic_closed_loop()
-        frf = evaluate(closed, np.linspace(30.0, 130.0, 60))
-        assert abs(estimate_delay(frf, (40.0, 120.0)) - 12) <= 1
-
-
 def test_higher_loop_gain_pulls_low_band_toward_unity():
     # sanity: a stiffer (still stable) feedback tracks better at low frequency
     scenario, circuit = load_scenario("adult")
@@ -212,12 +194,6 @@ def test_fit_of_analytic_mean_accurate_below_30hz():
     sel = bins <= 30.0
     mag_err = np.abs(np.abs(fitted[sel]) - np.abs(mean.values[sel])) / np.abs(mean.values[sel])
     assert np.max(mag_err) < 0.05
-
-    def test_narrow_band_rejected(self):
-        tf = DiscreteTransferFunction([1.0], [1.0], 5, TS)
-        frf = evaluate(tf, np.linspace(1.0, 100.0, 30))
-        with pytest.raises(ValueError, match="3 bins"):
-            estimate_delay(frf, (40.0, 41.0))
 
 
 def test_frf_csv_round_trip(tmp_path):
