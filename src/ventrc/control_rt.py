@@ -1,15 +1,15 @@
-"""Per-sample controllers: the integral benchmark and the add-on repetitive
+"""Controllers: the integral benchmark and the add-on repetitive
 loop.
 
 The repetitive correction is realized as a memory loop: the error plus the
 loop feedback passes through the causal robustness taps, enters a delay line
 shortened by the combined forward shifts (the only realizable placement of
 the non-causal advances), and is read out through the causal learning filter.
-Both controllers take one error per call.  The memory loop does its numeric
-work once per memory block: its output at sample k depends on the error
-only up to k - buffer_length, so a block is known before its first sample
-arrives and computing it whole is causal.  Only the order of the
-floating-point sums differs from a sample-by-sample loop.  The output equals
+Both controllers take one error per call.  The memory loop also works a
+chunk at a time: its output at sample k depends on the error only up to
+k - buffer_length, so the corrections of up to buffer_length samples are
+known before their errors arrive.  Only the order of the floating-point
+sums differs from a sample-by-sample loop.  The output equals
 offline filtering by the loop's rational transfer function to float
 rounding; dedicated tests pin that equivalence and the agreement with a
 sample-by-sample reference, since the shift bookkeeping is the easiest thing
@@ -18,7 +18,6 @@ to get wrong here.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -91,7 +90,7 @@ class IntegralController:
 
 
 class RepetitiveController:
-    """Memory-loop realization of the repetitive correction, one block at a time.
+    """Memory-loop realization of the repetitive correction, a chunk at a time.
 
     Buffer length is period_n minus both forward shifts; the learning-filter
     advance is taken between the buffer output and the loop feedback tap, the
@@ -101,15 +100,15 @@ class RepetitiveController:
     outer integral controller running.
 
     The memory readout v(k) is the robustness-filter output of sample
-    k - buffer_length, so a whole block of buffer_length samples reads only
-    inputs of earlier blocks.  The first step of each block therefore runs
-    the robustness FIR over the block that just ended, which gives the next
-    block's readout, and derives from it the block's feedback (v delayed by
-    l_shift) and correction (L_c applied to v, filter state carried between
-    blocks).  Each step then only adds its error to the precomputed
-    feedback, stores the sum and returns the precomputed correction.  That
-    boundary step does O(buffer_length) work, so the per-sample cost is an
-    average over the block.
+    k - buffer_length, so the correction (L_c applied to v) and the loop
+    feedback (v delayed by l_shift) of the next buffer_length samples read
+    only loop inputs that already exist.  corrections(m) therefore hands out
+    the next m corrections before their errors are known, and
+    take_errors(errors) later takes those samples' errors.  The robustness
+    FIR runs over the inputs taken so far at the next corrections() call.
+    step() is the same loop one sample at a time: it hands out a whole
+    buffer_length of corrections whenever none are left, so its numeric
+    work happens once per memory block.
     """
 
     def __init__(self, filterset: RcFilterSet):
@@ -132,52 +131,103 @@ class RepetitiveController:
     def step(self, error: float) -> float:
         if self.fault:
             return 0.0
-        i = len(self._inputs)
-        if i == self.buffer_length:
-            self._next_block()
-            i = 0
-        self.sample_count += 1
-        a = error + self._feedback[i]
-        if not math.isfinite(a) or abs(a) > OVERFLOW_LIMIT:
-            self._trip_fault(a)
-            return 0.0
-        self._inputs.append(a)
-        out = self._correction[i]
-        if not math.isfinite(out) or abs(out) > OVERFLOW_LIMIT:
-            self._trip_fault(out)
-            return 0.0
-        return out
+        if not len(self._feedback):
+            self.corrections(self.buffer_length)
+        out = float(self._handed_out[0])
+        return 0.0 if self.take_errors((error,)) is not None else out
 
-    def _next_block(self) -> None:
+    def corrections(self, m: int) -> np.ndarray:
+        """Corrections of the next m samples, before their errors are known.
+
+        At most buffer_length samples may be handed out and not yet taken.
+        From an overflowing correction on the values are zero; the fault
+        itself latches when take_errors reaches that sample.  All zeros once
+        the loop has faulted.
+        """
         from scipy.signal import lfilter
 
-        loop_in = np.concatenate([self._input_history, self._inputs])
-        memory = np.convolve(loop_in, self._q_taps, mode="valid")
+        if self.fault:
+            return np.zeros(m)
+        ahead = len(self._feedback)
+        if m < 0 or ahead + m > self.buffer_length:
+            raise ValueError(f"{ahead} corrections are pending; {m} more would exceed "
+                             f"the memory of {self.buffer_length} samples")
+        self._filter_inputs()
+        # self._memory holds v for the buffer_length + l_shift samples before
+        # the first pending one
+        l_shift = self.filterset.l_shift
+        correction, self._l_state = lfilter(
+            self._l_num, self._l_den, self._memory[ahead + l_shift: ahead + l_shift + m],
+            zi=self._l_state)
+        if self._overflow is not None:
+            correction[:] = 0.0
+        else:
+            over = ~(np.abs(correction) <= OVERFLOW_LIMIT)
+            if over.any():
+                at = int(np.argmax(over))
+                self._overflow = (ahead + at, correction[at])
+                correction[at:] = 0.0
+        self._feedback = np.concatenate([self._feedback, self._memory[ahead: ahead + m]])
+        self._handed_out = np.concatenate([self._handed_out, correction])
+        return correction
+
+    def take_errors(self, errors) -> int | None:
+        """Take the errors of the oldest handed-out samples, in order.
+
+        Returns the index into errors of the sample at which the loop faults,
+        or None.  The correction is zero from that sample on, so a caller
+        that used nonzero corrections there must replace them with zeros.
+        """
+        if self.fault:
+            return None
+        errors = np.asarray(errors, dtype=float)
+        n = len(errors)
+        if n > len(self._feedback):
+            raise ValueError(f"{n} errors for {len(self._feedback)} handed-out corrections")
+        loop_in = errors + self._feedback[:n]
+        over = ~(np.abs(loop_in) <= OVERFLOW_LIMIT)
+        at_input = int(np.argmax(over)) if over.any() else n
+        at_output = self._overflow[0] if self._overflow is not None else n
+        at = min(at_input, at_output)
+        if at < n:
+            self.sample_count += at + 1
+            self._trip_fault(loop_in[at] if at_input <= at_output else self._overflow[1])
+            return at
+        self._inputs.append(loop_in)
+        self._feedback = self._feedback[n:]
+        self._handed_out = self._handed_out[n:]
+        if self._overflow is not None:
+            self._overflow = (self._overflow[0] - n, self._overflow[1])
+        self.sample_count += n
+        return None
+
+    def _filter_inputs(self) -> None:
+        """Run the robustness FIR over the inputs taken since the last call."""
+        if not self._inputs:
+            return
+        loop_in = np.concatenate([self._input_history, *self._inputs])
+        filtered = np.convolve(loop_in, self._q_taps, mode="valid")
         self._input_history = loop_in[len(loop_in) - len(self._input_history):]
-        delayed = np.concatenate([self._memory_history, memory])
-        self._memory_history = delayed[len(delayed) - len(self._memory_history):]
-        correction, self._l_state = lfilter(self._l_num, self._l_den, memory,
-                                            zi=self._l_state)
-        self._feedback = delayed[: self.buffer_length].tolist()
-        self._correction = correction.tolist()
+        self._memory = np.concatenate([self._memory[len(filtered):], filtered])
         self._inputs = []
 
     def _trip_fault(self, value) -> None:
         self.fault = True
+        # level 4: the caller of step(), or of the code that calls take_errors()
         warnings.warn(
             f"repetitive loop overflow ({float(value)!r}) at sample {self.sample_count}; "
             "correction disabled, integral controller continues",
-            stacklevel=3,
+            stacklevel=4,
         )
 
     def reset(self) -> None:
-        n = self.buffer_length
-        self._inputs: list[float] = []            # loop inputs e + w of this block
+        self._inputs: list[np.ndarray] = []       # loop inputs e + w not yet filtered
         self._input_history = np.zeros(len(self._q_taps) - 1)
-        self._memory_history = np.zeros(self.filterset.l_shift)
+        self._memory = np.zeros(self.buffer_length + self.filterset.l_shift)
         self._l_state = np.zeros(max(len(self._l_num), len(self._l_den)) - 1)
-        self._feedback = [0.0] * n
-        self._correction = [0.0] * n
+        self._feedback = np.zeros(0)              # of the handed-out samples
+        self._handed_out = np.zeros(0)
+        self._overflow: tuple[int, float] | None = None   # (pending index, value)
         self.fault = False
         self.sample_count = 0
 

@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import svg
+from .closed_loop import CHUNK, ClosedLoop, simulate
 from .control_rt import (
     BENCHMARK_INTEGRAL_GAIN,
     ControllerConfig,
-    VentilatorController,
+    RepetitiveController,
     benchmark_controller_tf,
 )
 from .errors import ConfigurationError, DesignError, ExperimentDiverged
@@ -108,7 +109,12 @@ def _analytic_frf(plant: VentilatorPlant, gain: float,
 
 
 def run_experiment(spec: ExperimentSpec) -> BreathLog:
-    """Simulate breaths * N samples of the closed loop; deterministic given seed."""
+    """Simulate breaths * N samples of the closed loop; deterministic given seed.
+
+    The loop runs in chunks through `closed_loop.simulate`; the streaming
+    objects (`VentilatorPlant.step`, `VentilatorController.step`) are its
+    sample-by-sample reference.
+    """
     scenario, circuit = load_scenario(spec.scenario)
     ts = circuit.sample_time
     profile = reference_profile(scenario, ts)
@@ -147,39 +153,25 @@ def run_experiment(spec: ExperimentSpec) -> BreathLog:
         rc_enabled=spec.mode == "rc" and filterset is not None,
         output_limits=spec.output_limits,
     )
-    controller = VentilatorController(config)
-
-    total = spec.breaths * n
-    reference = np.empty(total)
-    p_aw = np.empty(total)
-    p_lung = np.empty(total)
-    q_pat = np.empty(total)
-    command = np.empty(total)
+    memory = RepetitiveController(filterset) if config.rc_enabled else None
+    # rc and pid share the chunk schedule whenever the memory holds a chunk
+    chunk = CHUNK if memory is None else min(CHUNK, memory.buffer_length)
+    loop = ClosedLoop(plant, benchmark_controller_tf(config.integral_gain, ts), chunk)
+    reference = np.tile(profile, spec.breaths)
     bound = 10.0 * (abs(scenario.ipap) + abs(scenario.peep)) + 100.0
+    run = simulate(loop, reference, plant.draw_noise, bound, memory=memory,
+                   output_limits=config.output_limits)
 
-    for k in range(total):
-        r_k = profile[k % n]
-        y_k = plant.peek_measurement()
-        if not math.isfinite(y_k) or abs(y_k) > bound:
-            partial = BreathLog(scenario.name, spec.mode, ts, n,
-                                reference[:k], p_aw[:k], p_lung[:k], q_pat[:k],
-                                command[:k], complete=False)
-            raise ExperimentDiverged(
-                f"measured pressure {y_k:.3g} mbar at sample {k} exceeded the "
-                f"bound {bound:.3g}; aborting with partial log",
-                partial_log=partial,
-            )
-        u_k = controller.step(r_k, y_k)
-        lung_before = plant.state.p_lung
-        _, qp = plant.step(u_k)
-        reference[k] = r_k
-        p_aw[k] = y_k
-        p_lung[k] = lung_before
-        q_pat[k] = qp
-        command[k] = u_k
-
-    return BreathLog(scenario.name, spec.mode, ts, n,
-                     reference, p_aw, p_lung, q_pat, command)
+    k = run.samples
+    log = BreathLog(scenario.name, spec.mode, ts, n, reference[:k], *run.signals,
+                    complete=run.diverged is None)
+    if run.diverged is not None:
+        raise ExperimentDiverged(
+            f"measured pressure {run.diverged:.3g} mbar at sample {k} exceeded the "
+            f"bound {bound:.3g}; aborting with partial log",
+            partial_log=log,
+        )
+    return log
 
 
 @dataclass

@@ -296,6 +296,56 @@ class StreamingFilter:
         return y
 
 
+@dataclass
+class StateSpace:
+    """Single-input discrete system x[k+1] = a x[k] + b u[k], y[k] = c x[k] + d u[k].
+
+    a is (n, n), b is (n,), c is (outputs, n) and d is (outputs,).
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    d: np.ndarray
+
+
+def state_space(tf: DiscreteTransferFunction) -> StateSpace:
+    """The realisation StreamingFilter runs, as matrices.
+
+    The states are the pure-delay shift register on the input (oldest
+    first), then the direct form II transposed filter states.  One output.
+    """
+    order = max(len(tf.numerator_coeffs), len(tf.denominator_coeffs)) - 1
+    num = np.zeros(order + 1)
+    den = np.zeros(order + 1)
+    num[: len(tf.numerator_coeffs)] = tf.numerator_coeffs
+    den[: len(tf.denominator_coeffs)] = tf.denominator_coeffs
+    delay = tf.pure_delay
+    size = delay + order
+    a = np.zeros((size, size))
+    b = np.zeros(size)
+    # the filter input as (state row, input gain): the oldest register entry,
+    # or the input itself without a delay
+    in_row, in_gain = np.zeros(size), 0.0
+    if delay:
+        in_row[0] = 1.0
+        a[np.arange(delay - 1), np.arange(1, delay)] = 1.0
+        b[delay - 1] = 1.0
+    else:
+        in_gain = 1.0
+    # y = num[0] * input + z[0]
+    y_row, y_gain = num[0] * in_row, num[0] * in_gain
+    if order:
+        y_row[delay] += 1.0
+    # z[i]' = num[i+1] * input + z[i+1] - den[i+1] * y
+    for i in range(order):
+        a[delay + i] = num[i + 1] * in_row - den[i + 1] * y_row
+        if i + 1 < order:
+            a[delay + i, delay + i + 1] += 1.0
+        b[delay + i] = num[i + 1] * in_gain - den[i + 1] * y_gain
+    return StateSpace(a, b, y_row[None, :], np.array([y_gain]))
+
+
 # -- coefficient file I/O ---------------------------------------------------
 #
 # Plain-text format: the header "tf <sample_time> <pure_delay>", then the

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .lti import DiscreteTransferFunction
+from .lti import DiscreteTransferFunction, StateSpace
 
 
 @dataclass
@@ -105,6 +105,9 @@ class VentilatorPlant:
         self.patient = patient
         self.circuit = circuit or CircuitParameters()
         self.measurement_noise_rms = float(measurement_noise_rms)
+        if not self.measurement_noise_rms >= 0.0:
+            raise ConfigurationError(
+                f"measurement_noise_rms must be >= 0, got {measurement_noise_rms!r}")
         self._rng = np.random.default_rng(seed)
         c = self.circuit
         g_hose = 1.0 / c.r_hose
@@ -138,6 +141,16 @@ class VentilatorPlant:
         if self._pending_noise is None:
             self._pending_noise = self.measurement_noise_rms * self._rng.standard_normal()
         return self._pending_noise
+
+    def draw_noise(self, count: int) -> np.ndarray:
+        """Sensor noise for the next count samples, from the same generator.
+
+        Gives the numbers that count calls of peek_measurement() and step()
+        would add, without touching the streaming state.
+        """
+        if self.measurement_noise_rms <= 0.0:
+            return np.zeros(count)
+        return self.measurement_noise_rms * self._rng.standard_normal(count)
 
     def peek_measurement(self) -> float:
         """Measured airway pressure for the current sample, before step().
@@ -184,6 +197,49 @@ class VentilatorPlant:
         st.p_lung = self._a_lung * st.p_lung + (1.0 - self._a_lung) * self._k_dc * p_out
         st.blower_lag_state = p_out
         return measured, q_pat
+
+    def state_space(self) -> StateSpace:
+        """The recursions of step() as one state-space model, noise-free.
+
+        States, in order: the blower queue (oldest first), the blower lag
+        state, p_lung and the measurement queue (oldest first).  The input is
+        the control command.  The outputs are the measured airway pressure,
+        p_lung before the step and q_pat.  The measured pressure must not
+        depend on this sample's command, so measurement_delay_samples >= 1.
+        """
+        c = self.circuit
+        nb, nm = c.blower_delay_samples, c.measurement_delay_samples
+        if nm < 1:
+            raise ConfigurationError("the state-space model needs measurement_delay_samples >= 1")
+        n = nb + 2 + nm
+        lag, lung, measured = nb, nb + 1, nb + 2
+        a_b, a_l = self._a_blower, self._a_lung
+        # p_out and p_aw of this sample as (state row, command gain)
+        p_out, p_out_in = np.zeros(n), 0.0
+        p_out[lag] = a_b
+        if nb:
+            p_out[0] = 1.0 - a_b
+        else:
+            p_out_in = 1.0 - a_b
+        c_out, c_lung = self._g_hose / self._g_total, self._g_lung / self._g_total
+        p_aw, p_aw_in = c_out * p_out, c_out * p_out_in
+        p_aw[lung] += c_lung
+        a, b = np.zeros((n, n)), np.zeros(n)
+        for i in (*range(nb - 1), *range(measured, n - 1)):
+            a[i, i + 1] = 1.0                          # both queues move up one place
+        if nb:
+            b[nb - 1] = 1.0
+        a[lag], b[lag] = p_out, p_out_in
+        gain = (1.0 - a_l) * self._k_dc
+        a[lung], b[lung] = gain * p_out, gain * p_out_in
+        a[lung, lung] += a_l
+        a[n - 1], b[n - 1] = p_aw, p_aw_in
+        out, out_in = np.zeros((3, n)), np.zeros(3)
+        out[0, measured] = 1.0
+        out[1, lung] = 1.0
+        out[2], out_in[2] = self._g_lung * p_aw, self._g_lung * p_aw_in
+        out[2, lung] -= self._g_lung
+        return StateSpace(a, b, out, out_in)
 
     def closed_form_tf(self) -> DiscreteTransferFunction:
         """Exact transfer function from p_control to measured p_aw.

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .closed_loop import ClosedLoop, simulate
 from .errors import ConfigurationError, FitConvergenceWarning, IdentificationError
 from .lti import (
     DiscreteTransferFunction,
     FrequencyResponse,
-    StreamingFilter,
     hz_to_rad_per_sample,
     polyval_zinv,
 )
@@ -41,6 +41,14 @@ class MultisineSpec:
     periods_discarded: int = 5
     seed: int | None = 0
 
+    def __post_init__(self):
+        if not self.rms_amplitude > 0:
+            raise ConfigurationError(
+                f"rms_amplitude: excitation amplitude must be positive, got {self.rms_amplitude}")
+        for name in ("period_samples", "periods_recorded", "periods_discarded"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+
     def snapped_bins(self, sample_time: float) -> np.ndarray:
         """Requested frequencies snapped to the multisine's integer DFT bins."""
         k = np.round(np.asarray(self.bins_hz, dtype=float)
@@ -51,14 +59,16 @@ class MultisineSpec:
         return k
 
     def one_period(self, sample_time: float, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        if self.rms_amplitude <= 0:
-            raise ValueError("excitation amplitude must be positive")
+        """Snapped bins and one period of the sum of unit cosines at random phases.
+
+        The cosines are summed by one inverse real FFT and scaled to the
+        RMS amplitude.
+        """
         k = self.snapped_bins(sample_time)
         phases = rng.uniform(0.0, 2.0 * np.pi, k.size)
-        t = np.arange(self.period_samples)
-        x = np.zeros(self.period_samples)
-        for kk, ph in zip(k, phases):
-            x += np.cos(2.0 * np.pi * kk * t / self.period_samples + ph)
+        spectrum = np.zeros(self.period_samples // 2 + 1, dtype=complex)
+        spectrum[k] = 0.5 * self.period_samples * np.exp(1j * phases)
+        x = np.fft.irfft(spectrum, self.period_samples)
         x *= self.rms_amplitude / np.sqrt(np.mean(x**2))
         return k, x
 
@@ -74,9 +84,11 @@ def estimate_frf(plant, controller: DiscreteTransferFunction, operating_pressure
     the recorded integer number of periods.  `frequencies_hz`, when given,
     overrides the excitation's target bins.
 
-    `plant` is a VentilatorPlant; it is reset first, so one instance per
-    identification job.  The analytic closed loop must be stable and the
-    output is watched against a divergence bound during the run.
+    `plant` is a VentilatorPlant: the loop is simulated from rest in chunks
+    (`closed_loop.simulate`), with the sensor noise drawn from the plant's
+    generator, so one instance per identification job.  The analytic closed
+    loop must be stable and the output is watched against a divergence bound
+    during the run.
     """
     spec = excitation or MultisineSpec()
     if frequencies_hz is not None:
@@ -94,30 +106,19 @@ def estimate_frf(plant, controller: DiscreteTransferFunction, operating_pressure
     rng = np.random.default_rng(spec.seed)
     k_bins, period = spec.one_period(ts, rng)
     n_periods = spec.periods_recorded + spec.periods_discarded
-    if spec.periods_discarded < 1:
-        raise ValueError("at least one transient period must be discarded")
 
-    ctrl = StreamingFilter(controller)
-    plant.reset()
     bound = 10.0 * (abs(operating_pressure) + spec.rms_amplitude * np.sqrt(2.0 * k_bins.size)) + 10.0
     m = spec.period_samples
-    y_rec = np.empty(spec.periods_recorded * m)
-    r_rec = np.empty_like(y_rec)
+    reference = operating_pressure + np.tile(period, n_periods)
+    run = simulate(ClosedLoop(plant, controller), reference, plant.draw_noise, bound)
+    if run.diverged is not None:
+        raise IdentificationError(
+            f"output {run.diverged:.3g} mbar exceeded the divergence bound {bound:.3g} "
+            f"at sample {run.samples}; identification aborted"
+        )
     rec_at = spec.periods_discarded * m
-    total = n_periods * m
-    for idx in range(total):
-        r_k = operating_pressure + period[idx % m]
-        y_k = plant.peek_measurement()
-        if not np.isfinite(y_k) or abs(y_k) > bound:
-            raise IdentificationError(
-                f"output {y_k:.3g} mbar exceeded the divergence bound {bound:.3g} "
-                f"at sample {idx}; identification aborted"
-            )
-        u_k = ctrl.step(r_k - y_k)
-        plant.step(u_k)
-        if idx >= rec_at:
-            y_rec[idx - rec_at] = y_k
-            r_rec[idx - rec_at] = r_k
+    y_rec = run.signals[0, rec_at:]
+    r_rec = reference[rec_at:]
 
     yf = np.fft.rfft(y_rec)
     rf = np.fft.rfft(r_rec)
@@ -158,17 +159,18 @@ def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
     relative-error fit); uniform by default.
     """
     if order < 0:
-        raise ValueError("order must be >= 0")
+        raise ConfigurationError(f"order must be >= 0, got {order}")
     f = frf.frequencies_hz
     n_par = 2 * order + 1
     if 2 * len(f) < n_par:
-        raise ValueError(f"{len(f)} bins cannot determine {n_par} parameters")
+        raise ConfigurationError(
+            f"{len(f)} bins cannot determine the {n_par} parameters of an order-{order} fit")
     w = hz_to_rad_per_sample(f, frf.sample_time)
     zinv = np.exp(-1j * w)
     target = frf.values * zinv ** (-fixed_delay_samples)
     base_w = np.ones(len(f)) if weights is None else np.asarray(weights, dtype=float)
     if np.any(base_w < 0):
-        raise ValueError("weights must be nonnegative")
+        raise ConfigurationError("weights must be nonnegative")
 
     powers = np.column_stack([zinv**j for j in range(order + 1)])
 

@@ -177,14 +177,23 @@ def test_criterion_7_plant_oracle():
 
 
 def test_criterion_8_baseline_neutrality(design_outputs):
-    """Disabled add-on reproduces the benchmark trace bit for bit."""
+    """Disabled add-on reproduces the benchmark trace bit for bit.
+
+    Streaming: the controller with the loop present but disabled against the
+    benchmark's sample-by-sample loop.  Chunked: run_experiment in rc mode
+    with a learning filter that hands out zero corrections against pid mode.
+    """
+    from closed_loop_reference import reference_run
+    from ventrc.control_rt import ControllerConfig, VentilatorController
+    from ventrc.lti import DiscreteTransferFunction
+    from ventrc.plant import reference_profile
+    from ventrc.rc_design import RcFilterSet
+
     fs = design_outputs["filterset"]
-    pid_log = run_experiment(ExperimentSpec(scenario="adult", mode="pid", breaths=5))
+    pid_spec = ExperimentSpec(scenario="adult", mode="pid", breaths=5)
+    reference_log = reference_run(pid_spec)
 
     # rc mode with the loop present but disabled via the controller config
-    from ventrc.control_rt import ControllerConfig, VentilatorController
-    from ventrc.plant import reference_profile
-
     scenario, circuit = load_scenario("adult")
     plant = VentilatorPlant(scenario, circuit)
     controller = VentilatorController(ControllerConfig(
@@ -199,6 +208,16 @@ def test_criterion_8_baseline_neutrality(design_outputs):
         plant.step(u)
         command[k] = u
         p_aw[k] = y
-    identical = (np.array_equal(command, pid_log.command)
-                 and np.array_equal(p_aw, pid_log.p_aw))
-    _criterion(8, "disabled add-on is bit-identical to the benchmark", identical)
+    streaming = (np.array_equal(command, reference_log.command)
+                 and np.array_equal(p_aw, reference_log.p_aw))
+
+    silent = RcFilterSet(DiscreteTransferFunction([0.0], [1.0], 0, fs.sample_time),
+                         fs.l_shift, fs.q_kernel, fs.period_n)
+    pid_log = run_experiment(pid_spec)
+    rc_log = run_experiment(ExperimentSpec(scenario="adult", mode="rc", breaths=5,
+                                           filterset=silent, skip_stability_guard=True))
+    chunked = (np.array_equal(rc_log.command, pid_log.command)
+               and np.array_equal(rc_log.p_aw, pid_log.p_aw))
+    _criterion(8, "disabled add-on is bit-identical to the benchmark", streaming and chunked,
+               f"streaming {'identical' if streaming else 'differs'}, "
+               f"chunked {'identical' if chunked else 'differs'}")

@@ -4,7 +4,8 @@ import pytest
 
 from ventrc.cli import main
 from ventrc.rc_design import load_filterset
-from ventrc.sysid import load_frf
+from ventrc.lti import FrequencyResponse
+from ventrc.sysid import load_frf, save_frf
 
 # the noisy design-grade fit legitimately stops at the iteration cap
 pytestmark = pytest.mark.filterwarnings("ignore::ventrc.errors.FitConvergenceWarning")
@@ -165,3 +166,39 @@ def test_compare_rejects_malformed_norms(tmp_path, capsys, text, message):
     rc = main(["compare", "--baseline", str(good), "--candidate", str(bad)])
     assert rc == 1
     assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+
+IDENTIFY = ["identify", "--scenario", "adult", "--level", "peep", "--bins", "6",
+            "--periods", "2", "--discard", "1", "--period-samples", "500"]
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--discard", "0", "periods_discarded must be >= 1, got 0"),
+    ("--periods", "0", "periods_recorded must be >= 1, got 0"),
+    ("--rms", "0", "rms_amplitude: excitation amplitude must be positive, got 0.0"),
+    ("--noise-rms", "-1", "measurement_noise_rms must be >= 0, got -1.0"),
+])
+def test_identify_rejects_bad_option(tmp_path, capsys, option, value, message):
+    rc = main(IDENTIFY + ["--out", str(tmp_path / "frf.csv"), option, value])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "frf.csv").exists()
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--order", "-1"], "order must be >= 0, got -1"),
+    (["--band", "90", "95"], "0 bins cannot determine the 9 parameters of an order-4 fit"),
+])
+def test_fit_rejects_bad_request(tmp_path, capsys, options, message):
+    frf = tmp_path / "frf.csv"
+    save_frf(FrequencyResponse([1.0, 2.0, 5.0, 20.0], [1.0, 0.9, 0.7j, -0.2], 0.002), frf)
+    rc = main(["fit", "--in", str(frf), "--out", str(tmp_path / "model.coeff")] + options)
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_run_rejects_negative_noise(tmp_path, capsys):
+    rc = main(["run", "--scenario", "baby", "--mode", "pid", "--breaths", "1",
+               "--noise-rms", "-0.5", "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert "error: measurement_noise_rms must be >= 0, got -0.5" in capsys.readouterr().err

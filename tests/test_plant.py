@@ -126,6 +126,27 @@ class TestStep:
         assert peak < 100.0
 
 
+class TestSensorNoise:
+    def test_negative_noise_rejected(self):
+        _, circuit = load_scenario("adult")
+        for rms in (-0.5, math.nan):
+            with pytest.raises(ConfigurationError, match="measurement_noise_rms"):
+                VentilatorPlant(adult(), circuit, measurement_noise_rms=rms)
+
+    def test_drawn_noise_equals_streaming_draws(self):
+        # chunks of any length give the numbers peek/step add sample by sample
+        _, circuit = load_scenario("adult")
+        streaming = VentilatorPlant(adult(), circuit, measurement_noise_rms=0.03, seed=8)
+        drawn = VentilatorPlant(adult(), circuit, measurement_noise_rms=0.03, seed=8)
+        per_sample = []
+        for _ in range(300):
+            per_sample.append(streaming.peek_measurement())
+            streaming.step(0.0)
+        chunks = np.concatenate([drawn.draw_noise(m) for m in (1, 128, 7, 164)])
+        assert np.array_equal(np.array(per_sample), chunks)
+        assert np.array_equal(VentilatorPlant(adult(), circuit).draw_noise(5), np.zeros(5))
+
+
 class TestClosedFormOracle:
     @pytest.mark.parametrize("name", ["adult", "pediatric", "baby"])
     def test_matches_step_on_white_noise(self, name):

@@ -3,6 +3,7 @@ import pytest
 
 from ventrc.control_rt import benchmark_controller_tf
 from ventrc.errors import ConfigurationError, FitConvergenceWarning, IdentificationError
+from ventrc.harness import design_excitation_bins
 from ventrc.lti import DiscreteTransferFunction, FrequencyResponse, evaluate
 from ventrc.plant import VentilatorPlant, load_scenario
 from ventrc.sysid import (
@@ -49,9 +50,8 @@ class TestEstimateFrf:
 
     def test_zero_amplitude_rejected(self):
         plant, controller, _ = analytic_closed_loop()
-        spec = MultisineSpec(rms_amplitude=0.0)
         with pytest.raises(ValueError, match="amplitude"):
-            estimate_frf(plant, controller, 10.0, spec)
+            estimate_frf(plant, controller, 10.0, MultisineSpec(rms_amplitude=0.0))
 
     def test_unstable_loop_aborts(self):
         scenario, circuit = load_scenario("adult")
@@ -59,6 +59,29 @@ class TestEstimateFrf:
         hot = benchmark_controller_tf(gain=100 * 0.01257, sample_time=circuit.sample_time)
         with pytest.raises(IdentificationError, match="unstable|diverg"):
             estimate_frf(plant, hot, 10.0, MultisineSpec(seed=3))
+
+    @pytest.mark.parametrize("field, value", [
+        ("rms_amplitude", 0.0), ("rms_amplitude", -1.0), ("period_samples", 0),
+        ("periods_recorded", 0), ("periods_discarded", 0)])
+    def test_bad_excitation_fields_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            MultisineSpec(**{field: value})
+
+    def test_one_period_equals_sum_of_cosines(self):
+        # the inverse-FFT period against the cosines summed one bin at a time;
+        # k * t is reduced modulo the period first, since the rounding of
+        # arguments up to ~6000 rad alone moves the sum by ~2e-12
+        spec = MultisineSpec(bins_hz=design_excitation_bins(TS), period_samples=2000,
+                             rms_amplitude=1.5, seed=3)
+        k, x = spec.one_period(TS, np.random.default_rng(4))
+        phases = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, k.size)
+        t = np.arange(spec.period_samples)
+        loop = np.zeros(spec.period_samples)
+        for kk, ph in zip(k, phases):
+            loop += np.cos(2.0 * np.pi * (kk * t % spec.period_samples) / spec.period_samples + ph)
+        loop *= spec.rms_amplitude / np.sqrt(np.mean(loop**2))
+        assert k.size > 400
+        assert np.max(np.abs(x - loop)) <= 1e-12
 
     def test_bins_snapped_and_deduplicated(self):
         spec = MultisineSpec(bins_hz=[1.0, 1.01, 1.02, 40.0], period_samples=1000)
@@ -158,6 +181,16 @@ class TestFitRational:
         frf = FrequencyResponse([1.0, 2.0], [1.0, 1.0], TS)
         with pytest.raises(ValueError, match="bins|parameters"):
             fit_rational(frf, order=4, fixed_delay_samples=0)
+
+    @pytest.mark.parametrize("freqs, order, message", [
+        ([1.0, 2.0], -1, "order must be >= 0"),
+        ([1.0, 2.0], 4, "2 bins cannot determine the 9 parameters"),
+        ([], 4, "0 bins cannot determine the 9 parameters"),
+    ])
+    def test_bad_fit_request_is_a_configuration_error(self, freqs, order, message):
+        frf = FrequencyResponse(freqs, np.ones(len(freqs)), TS)
+        with pytest.raises(ConfigurationError, match=message):
+            fit_rational(frf, order=order, fixed_delay_samples=0)
 
 
 def test_higher_loop_gain_pulls_low_band_toward_unity():
