@@ -24,7 +24,7 @@ from .harness import (
     run_experiment,
     run_full_pipeline,
 )
-from .lti import FrequencyResponse, save_transfer_function
+from .lti import FrequencyResponse, open_input, save_transfer_function
 from .plant import VentilatorPlant, load_scenario
 from .rc_design import (
     check_stability,
@@ -44,7 +44,9 @@ def _cmd_identify(args) -> int:
         bins = design_excitation_bins(ts)
         period = round(4.0 / ts)
     else:
-        bins = np.logspace(np.log10(args.f_min), np.log10(args.f_max), args.bins)
+        # a non-positive --f-min gives NaN bins, which MultisineSpec rejects
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bins = np.logspace(np.log10(args.f_min), np.log10(args.f_max), args.bins)
         period = args.period_samples
     spec = MultisineSpec(
         bins_hz=bins, rms_amplitude=args.rms, period_samples=period,
@@ -139,7 +141,7 @@ def _cmd_run(args) -> int:
 
 def _read_norm_csv(path: Path) -> np.ndarray:
     norms = []
-    with open(path, newline="") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -43,7 +43,7 @@ class ControllerConfig:
 
     def __post_init__(self):
         if self.sample_time <= 0:
-            raise ValueError("sample_time must be positive")
+            raise ConfigurationError("sample_time must be positive")
         if self.rc_enabled and self.filterset is None:
             raise ConfigurationError("rc_enabled requires a filterset")
         if self.filterset is not None and \
@@ -53,7 +53,7 @@ class ControllerConfig:
                 f"match controller sample time {self.sample_time}"
             )
         if self.output_limits is not None and self.output_limits[0] >= self.output_limits[1]:
-            raise ValueError("output_limits must be an increasing interval")
+            raise ConfigurationError("output_limits must be an increasing interval")
 
 
 class IntegralController:
@@ -92,12 +92,13 @@ class IntegralController:
 class RepetitiveController:
     """Memory-loop realization of the repetitive correction, a chunk at a time.
 
-    Buffer length is period_n minus both forward shifts; the learning-filter
-    advance is taken between the buffer output and the loop feedback tap, the
-    robustness advance by the shortening itself.  Output is exactly zero
-    until the shortened buffer has filled once (first-breath neutrality).
-    On numeric overflow the loop latches a fault, emits zeros, and leaves the
-    outer integral controller running.
+    Buffer length is the filter set's buffer_length, period_n minus both
+    forward shifts; the learning-filter advance is taken between the buffer
+    output and the loop feedback tap, the robustness advance by the
+    shortening itself.  Output is exactly zero until the shortened buffer
+    has filled once (first-breath neutrality).  On numeric overflow the loop
+    latches a fault, emits zeros, and leaves the outer integral controller
+    running.
 
     The memory readout v(k) is the robustness-filter output of sample
     k - buffer_length, so the correction (L_c applied to v) and the loop
@@ -113,14 +114,7 @@ class RepetitiveController:
 
     def __init__(self, filterset: RcFilterSet):
         self.filterset = filterset
-        n_short = filterset.period_n - filterset.l_shift - filterset.q_kernel.forward_shift
-        if n_short <= 0:
-            raise ConfigurationError(
-                f"shift budget leaves no memory: period {filterset.period_n} - "
-                f"l_shift {filterset.l_shift} - q_shift {filterset.q_kernel.forward_shift} "
-                f"= {n_short} <= 0"
-            )
-        self.buffer_length = n_short
+        self.buffer_length = filterset.buffer_length
         lc = filterset.l_causal
         self._q_taps = np.asarray(filterset.q_kernel.taps, dtype=float)
         # the pure delay becomes leading zero taps, so lfilter's carried state holds it
@@ -268,17 +262,14 @@ def rc_transfer_function(filterset: RcFilterSet) -> DiscreteTransferFunction:
     lc = filterset.l_causal
     taps = np.asarray(filterset.q_kernel.taps, dtype=float)
     q_shift = filterset.q_kernel.forward_shift
-    n = filterset.period_n
-    n_short = n - q_shift - filterset.l_shift
-    if n_short <= 0:
-        raise ConfigurationError("shift budget leaves no memory")
-    feedback_delay = n - q_shift
+    feedback_delay = filterset.period_n - q_shift
     loop_den = np.zeros(feedback_delay + len(taps))
     loop_den[0] = 1.0
     loop_den[feedback_delay : feedback_delay + len(taps)] -= taps
     num = np.convolve(lc.numerator_coeffs, taps)
     den = np.convolve(lc.denominator_coeffs, loop_den)
-    return DiscreteTransferFunction(num, den, n_short + lc.pure_delay, lc.sample_time)
+    return DiscreteTransferFunction(num, den, filterset.buffer_length + lc.pure_delay,
+                                    lc.sample_time)
 
 
 def benchmark_controller_tf(gain: float = BENCHMARK_INTEGRAL_GAIN,

@@ -18,12 +18,7 @@ import numpy as np
 
 from . import svg
 from .closed_loop import CHUNK, ClosedLoop, simulate
-from .control_rt import (
-    BENCHMARK_INTEGRAL_GAIN,
-    ControllerConfig,
-    RepetitiveController,
-    benchmark_controller_tf,
-)
+from .control_rt import ControllerConfig, RepetitiveController, benchmark_controller_tf
 from .errors import ConfigurationError, DesignError, ExperimentDiverged
 from .lti import (
     DiscreteTransferFunction,
@@ -53,7 +48,6 @@ class ExperimentSpec:
     mode: str = "pid"                 # "pid" or "rc"
     breaths: int = 20
     filterset: RcFilterSet | str | Path | None = None
-    integral_gain: float = BENCHMARK_INTEGRAL_GAIN
     output_limits: tuple[float, float] | None = None
     measurement_noise_rms: float = 0.0
     seed: int | None = 0
@@ -101,9 +95,8 @@ class BreathLog:
         return np.sqrt(np.sum(blocks**2, axis=1))
 
 
-def _analytic_frf(plant: VentilatorPlant, gain: float,
-                  grid: np.ndarray) -> FrequencyResponse:
-    controller = benchmark_controller_tf(gain, plant.circuit.sample_time)
+def _analytic_frf(plant: VentilatorPlant, grid: np.ndarray) -> FrequencyResponse:
+    controller = benchmark_controller_tf(sample_time=plant.circuit.sample_time)
     closed = plant.closed_form_tf().cascade(controller).feedback_complementary()
     return evaluate(closed, grid)
 
@@ -132,7 +125,7 @@ def run_experiment(spec: ExperimentSpec) -> BreathLog:
             )
         if not spec.skip_stability_guard:
             plant_probe = VentilatorPlant(scenario, circuit)
-            frf = _analytic_frf(plant_probe, spec.integral_gain, default_stability_grid(ts))
+            frf = _analytic_frf(plant_probe, default_stability_grid(ts))
             report = check_stability(filterset.q_kernel, filterset.l_causal,
                                      filterset.l_shift, {scenario.name: frf})
             if not report.passed:
@@ -147,7 +140,6 @@ def run_experiment(spec: ExperimentSpec) -> BreathLog:
                             measurement_noise_rms=spec.measurement_noise_rms,
                             seed=spec.seed)
     config = ControllerConfig(
-        integral_gain=spec.integral_gain,
         sample_time=ts,
         filterset=filterset,
         rc_enabled=spec.mode == "rc" and filterset is not None,
@@ -217,8 +209,11 @@ def compare_runs(baseline: BreathLog, candidate: BreathLog) -> ComparisonTable:
     return ComparisonTable(baseline.scenario_name, b, c)
 
 
-def emit_report(log: BreathLog, out_dir, plot_breath: int | None = None) -> dict[str, Path]:
-    """Write the per-sample trace CSV, the per-breath norm CSV, and SVG plots."""
+def emit_report(log: BreathLog, out_dir) -> dict[str, Path]:
+    """Write the per-sample trace CSV, the per-breath norm CSV, and SVG plots.
+
+    The pressure plot shows the last complete breath.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{log.scenario_name}_{log.mode}"
@@ -248,7 +243,7 @@ def emit_report(log: BreathLog, out_dir, plot_breath: int | None = None) -> dict
 
     pressure_svg = out_dir / f"{stem}_pressure.svg"
     if len(norms) > 0:
-        breath = (len(norms) - 1) if plot_breath is None else plot_breath
+        breath = len(norms) - 1
         lo = breath * log.period_n
         hi = lo + log.period_n
         t = np.arange(lo, hi) * log.sample_time

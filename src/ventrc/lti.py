@@ -176,11 +176,12 @@ class FrequencyResponse:
     def __len__(self) -> int:
         return len(self.frequencies_hz)
 
-    def same_grid(self, other: "FrequencyResponse", tol: float = 1e-9) -> bool:
+    def same_grid(self, other: "FrequencyResponse") -> bool:
+        """Same sample time, and the same frequencies to within 1e-9 Hz."""
         return (
             len(self) == len(other)
             and abs(self.sample_time - other.sample_time) < 1e-15
-            and np.allclose(self.frequencies_hz, other.frequencies_hz, rtol=0.0, atol=tol)
+            and np.allclose(self.frequencies_hz, other.frequencies_hz, rtol=0.0, atol=1e-9)
         )
 
 
@@ -207,10 +208,10 @@ def evaluate(tf: DiscreteTransferFunction, frequencies_hz) -> FrequencyResponse:
     return FrequencyResponse(f, vals, tf.sample_time)
 
 
-def filter_stream(tf: DiscreteTransferFunction, input_sequence, initial_state=None) -> np.ndarray:
+def filter_stream(tf: DiscreteTransferFunction, input_sequence) -> np.ndarray:
     """Filter a sequence through a causal rational filter (direct-form recursion).
 
-    Zero initial state by default; output length equals input length.  An
+    Zero initial state; output length equals input length.  An
     unstable denominator is not an error (simulations may legitimately
     diverge) but emits an UnstableFilterWarning when the order is small
     enough to root-check cheaply.
@@ -226,10 +227,7 @@ def filter_stream(tf: DiscreteTransferFunction, input_sequence, initial_state=No
                 UnstableFilterWarning,
                 stacklevel=2,
             )
-    if initial_state is not None:
-        y = lfilter(tf.numerator_coeffs, tf.denominator_coeffs, u, zi=initial_state)[0]
-    else:
-        y = lfilter(tf.numerator_coeffs, tf.denominator_coeffs, u)
+    y = lfilter(tf.numerator_coeffs, tf.denominator_coeffs, u)
     d = tf.pure_delay
     if d > 0:
         y = np.concatenate([np.zeros(d), y[:-d] if d < len(y) else y[:0]])
@@ -353,6 +351,18 @@ def state_space(tf: DiscreteTransferFunction) -> StateSpace:
 # per line.
 
 
+def open_input(path):
+    """Open an input file for reading as text, with csv's newline handling.
+
+    A file that cannot be opened, a missing one in particular, raises
+    ConfigurationError naming the path.
+    """
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot open: {exc.strerror}") from None
+
+
 class CoefficientFile:
     """A coefficient file read whole: a header line, then "<field> <value>" lines.
 
@@ -366,7 +376,7 @@ class CoefficientFile:
 
     def __init__(self, path, header: str, array_fields: tuple[str, ...]):
         self.path = path
-        with open(path) as fh:
+        with open_input(path) as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
         if not lines:
             raise ConfigurationError(f"{path}: file is empty")

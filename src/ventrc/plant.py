@@ -256,13 +256,10 @@ class VentilatorPlant:
         return DiscreteTransferFunction(num, den, c.total_delay_samples, c.sample_time)
 
 
-def reference_profile(scenario: PatientScenario, sample_time: float,
-                      smoothing_rise_time: float | None = None) -> np.ndarray:
+def reference_profile(scenario: PatientScenario, sample_time: float) -> np.ndarray:
     """One period of the target pressure: PEEP -> IPAP -> PEEP square wave.
 
-    N = round(period/sample_time) samples.  Optional first-order smoothing of
-    the edges with the given rise time; the smoothed profile is the exact
-    periodic steady state of a one-pole filter, so it stays N-periodic.
+    N = round(period/sample_time) samples.
     """
     if sample_time <= 0:
         raise ConfigurationError("sample_time must be positive")
@@ -274,18 +271,6 @@ def reference_profile(scenario: PatientScenario, sample_time: float,
         )
     profile = np.full(n_total, float(scenario.peep))
     profile[:n_insp] = scenario.ipap
-    if smoothing_rise_time is not None and smoothing_rise_time > 0:
-        a = math.exp(-sample_time / smoothing_rise_time)
-        # periodic steady state: fixed point of the one-pole recursion over N
-        forced = 0.0
-        for x in profile:
-            forced = a * forced + (1 - a) * x
-        s = forced / (1.0 - a ** n_total)
-        out = np.empty_like(profile)
-        for k, x in enumerate(profile):
-            s = a * s + (1 - a) * x
-            out[k] = s
-        profile = out
     return profile
 
 

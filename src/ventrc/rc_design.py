@@ -4,7 +4,7 @@ Two-step design: invert the fitted complementary sensitivity with ZPETC to
 get a causal learning filter plus a forward shift, then pick a zero-phase FIR
 lowpass whose cutoff keeps |Q(1 - T*L)| below one on every patient response.
 The forward shifts are later absorbed by shortening the memory loop, so the
-shift budget l_shift + q_shift must fit inside one period.
+shift budget l_shift + q_shift must leave at least one sample of the period.
 """
 
 from __future__ import annotations
@@ -26,6 +26,12 @@ from .lti import (
 )
 from .sysid import fit_rational
 
+# the mean response is fitted only where it is trustworthy, with relative
+# (1/|T|) weighting
+FIT_BAND_HZ = (0.0, 40.0)
+# zeros with |z| >= 1 - UNSTABLE_ZERO_TOL are treated as uninvertible
+UNSTABLE_ZERO_TOL = 1e-9
+
 
 @dataclass
 class RcFilterSet:
@@ -41,10 +47,10 @@ class RcFilterSet:
             raise ConfigurationError("l_shift must be nonnegative")
         if self.period_n <= 0:
             raise ConfigurationError("period_n must be positive")
-        if self.l_shift + self.q_kernel.forward_shift > self.period_n:
+        if self.buffer_length <= 0:
             raise ConfigurationError(
                 f"shift budget violated: l_shift {self.l_shift} + q shift "
-                f"{self.q_kernel.forward_shift} exceeds period {self.period_n}"
+                f"{self.q_kernel.forward_shift} leaves no memory in period {self.period_n}"
             )
         # up to 1% DC deficit is allowed: keeping |Q| <= 1 everywhere wins
         # over exact unity when Gibbs ripple forces a rescale
@@ -56,6 +62,11 @@ class RcFilterSet:
     @property
     def sample_time(self) -> float:
         return self.l_causal.sample_time
+
+    @property
+    def buffer_length(self) -> int:
+        """Samples of memory left once both forward shifts are taken from the period."""
+        return self.period_n - self.l_shift - self.q_kernel.forward_shift
 
     def with_period(self, period_n: int) -> "RcFilterSet":
         """Same filters bound to a different period (the design is N-independent)."""
@@ -104,8 +115,7 @@ class StabilityReport:
                 writer.writerow([repr(float(f))] + [repr(float(self.magnitudes[n][i])) for n in names])
 
 
-def zpetc_invert(t_fit: DiscreteTransferFunction,
-                 unstable_zero_tol: float = 1e-9) -> tuple[DiscreteTransferFunction, int]:
+def zpetc_invert(t_fit: DiscreteTransferFunction) -> tuple[DiscreteTransferFunction, int]:
     """Approximate stable inverse of t_fit via zero-phase error compensation.
 
     The numerator is factored into an invertible part (zeros strictly inside
@@ -134,8 +144,8 @@ def zpetc_invert(t_fit: DiscreteTransferFunction,
         zeros = np.roots(core)
     else:
         zeros = np.array([])
-    inside = zeros[np.abs(zeros) < 1.0 - unstable_zero_tol]
-    kept = zeros[np.abs(zeros) >= 1.0 - unstable_zero_tol]
+    inside = zeros[np.abs(zeros) < 1.0 - UNSTABLE_ZERO_TOL]
+    kept = zeros[np.abs(zeros) >= 1.0 - UNSTABLE_ZERO_TOL]
 
     def poly_of(zs, gain):
         c = np.array([1.0 + 0j])
@@ -169,9 +179,9 @@ def design_q_fir(cutoff_hz: float, order: int, sample_time: float) -> FirKernel:
     """
     nyquist = 0.5 / sample_time
     if not (0.0 < cutoff_hz < nyquist):
-        raise ValueError(f"cutoff must lie in (0, {nyquist}) Hz, got {cutoff_hz}")
+        raise ConfigurationError(f"cutoff must lie in (0, {nyquist}) Hz, got {cutoff_hz}")
     if order <= 0 or order % 2 != 0:
-        raise ValueError(f"order must be a positive even integer, got {order}")
+        raise ConfigurationError(f"order must be a positive even integer, got {order}")
     n = np.arange(order + 1, dtype=float)
     m = n - order / 2
     wc = 2.0 * np.pi * cutoff_hz * sample_time
@@ -229,16 +239,14 @@ def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: i
 def design_pipeline(frfs: dict[str, FrequencyResponse], mean_frf: FrequencyResponse,
                     order: int = 4, delay_samples: int = 12, cutoff_hz: float = 23.0,
                     q_order: int = 50, period_n: int = 2000,
-                    min_margin: float = 0.05, fit_band_hz: tuple[float, float] = (0.0, 40.0),
-                    fit_weighting: str = "relative") -> tuple[RcFilterSet, StabilityReport]:
+                    min_margin: float = 0.05) -> tuple[RcFilterSet, StabilityReport]:
     """Chain fit -> inversion -> lowpass design -> stability check.
 
-    The parametric fit uses the mean response restricted to fit_band_hz with
-    relative (1/|T|) weighting by default, matching the band where the mean
-    is trustworthy.  Raises DesignError (with the report attached) if the
-    bound fails or the margin is below min_margin.
+    The parametric fit uses the mean response restricted to FIT_BAND_HZ with
+    relative (1/|T|) weighting.  Raises DesignError (with the report
+    attached) if the bound fails or the margin is below min_margin.
     """
-    lo, hi = fit_band_hz
+    lo, hi = FIT_BAND_HZ
     sel = (mean_frf.frequencies_hz >= lo) & (mean_frf.frequencies_hz <= hi)
     if np.count_nonzero(sel) < 2 * order + 1:
         raise ConfigurationError(
@@ -247,22 +255,12 @@ def design_pipeline(frfs: dict[str, FrequencyResponse], mean_frf: FrequencyRespo
     banded = FrequencyResponse(
         mean_frf.frequencies_hz[sel], mean_frf.values[sel], mean_frf.sample_time
     )
-    if fit_weighting == "relative":
-        weights = 1.0 / np.abs(banded.values)
-    elif fit_weighting == "uniform":
-        weights = None
-    else:
-        raise ValueError(f"unknown fit_weighting {fit_weighting!r}")
-    t_fit = fit_rational(banded, order, delay_samples, weights=weights)
+    t_fit = fit_rational(banded, order, delay_samples, weights=1.0 / np.abs(banded.values))
     l_causal, l_shift = zpetc_invert(t_fit)
     q_kernel = design_q_fir(cutoff_hz, q_order, mean_frf.sample_time)
-    if l_shift + q_kernel.forward_shift > period_n:
-        raise ConfigurationError(
-            f"shift budget violated: {l_shift} + {q_kernel.forward_shift} > {period_n}"
-        )
-    report = check_stability(q_kernel, l_causal, l_shift, frfs)
     filterset = RcFilterSet(l_causal, l_shift, q_kernel, period_n)
     filterset.t_fit = t_fit
+    report = check_stability(q_kernel, l_causal, l_shift, frfs)
     if not report.passed:
         raise DesignError(
             f"stability bound failed: overall max {report.overall_max:.4f} >= 1",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,8 +21,14 @@ from .lti import (
     DiscreteTransferFunction,
     FrequencyResponse,
     hz_to_rad_per_sample,
+    open_input,
     polyval_zinv,
 )
+
+# the rational fit stops when the relative parameter change falls below
+# FIT_TOLERANCE, or after FIT_MAX_ITERATIONS passes
+FIT_MAX_ITERATIONS = 50
+FIT_TOLERANCE = 1e-8
 
 
 def default_excitation_bins() -> np.ndarray:
@@ -42,6 +48,11 @@ class MultisineSpec:
     seed: int | None = 0
 
     def __post_init__(self):
+        bins = np.asarray(self.bins_hz, dtype=float)
+        bad = bins[~(np.isfinite(bins) & (bins > 0))]
+        if bad.size:
+            raise ConfigurationError(
+                f"bins_hz: excitation frequencies must be finite and positive, got {bad[0]}")
         if not self.rms_amplitude > 0:
             raise ConfigurationError(
                 f"rms_amplitude: excitation amplitude must be positive, got {self.rms_amplitude}")
@@ -74,15 +85,13 @@ class MultisineSpec:
 
 
 def estimate_frf(plant, controller: DiscreteTransferFunction, operating_pressure: float,
-                 excitation: MultisineSpec | None = None,
-                 frequencies_hz=None) -> FrequencyResponse:
+                 excitation: MultisineSpec | None = None) -> FrequencyResponse:
     """Estimate the closed-loop response from reference to measured pressure.
 
     The loop (benchmark feedback controller, repetitive add-on off) is driven
     at reference = operating_pressure + multisine, transient periods are
     discarded, and the FRF value at each excited bin is DFT(y)/DFT(r) over
-    the recorded integer number of periods.  `frequencies_hz`, when given,
-    overrides the excitation's target bins.
+    the recorded integer number of periods.
 
     `plant` is a VentilatorPlant: the loop is simulated from rest in chunks
     (`closed_loop.simulate`), with the sensor noise drawn from the plant's
@@ -91,8 +100,6 @@ def estimate_frf(plant, controller: DiscreteTransferFunction, operating_pressure
     during the run.
     """
     spec = excitation or MultisineSpec()
-    if frequencies_hz is not None:
-        spec = replace(spec, bins_hz=np.asarray(frequencies_hz, dtype=float))
     ts = plant.circuit.sample_time
     if plant.circuit.measurement_delay_samples < 1:
         raise IdentificationError("identification needs measurement_delay_samples >= 1")
@@ -142,8 +149,7 @@ def average_frf(responses) -> FrequencyResponse:
 
 
 def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
-                 weights=None, max_iterations: int = 50,
-                 tolerance: float = 1e-8) -> DiscreteTransferFunction:
+                 weights=None) -> DiscreteTransferFunction:
     """Fit num/den of the given order to an FRF with the delay factored out.
 
     The measured response is multiplied by e^{+iw*d} first, then iterative
@@ -194,7 +200,7 @@ def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
     best = None
     prev_params = None
     residual_history = []
-    for _ in range(max_iterations):
+    for _ in range(FIT_MAX_ITERATIONS):
         sol = solve(base_w / np.abs(den_prev))
         num = sol[: order + 1]
         den = np.concatenate([[1.0], sol[order + 1 :]])
@@ -207,13 +213,13 @@ def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
             residual_history.append(res)
         if prev_params is not None:
             change = np.linalg.norm(sol - prev_params) / max(np.linalg.norm(sol), 1e-300)
-            if change < tolerance:
+            if change < FIT_TOLERANCE:
                 break
         prev_params = sol
         den_prev = den_val
     else:
         warnings.warn(
-            f"rational fit did not converge in {max_iterations} iterations; "
+            f"rational fit did not converge in {FIT_MAX_ITERATIONS} iterations; "
             "returning best iterate",
             FitConvergenceWarning,
             stacklevel=2,
@@ -263,7 +269,7 @@ def save_frf(frf: FrequencyResponse, path) -> None:
 
 def load_frf(path, sample_time: float = 0.002) -> FrequencyResponse:
     freqs, values = [], []
-    with open(path, newline="") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

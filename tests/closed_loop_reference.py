@@ -33,7 +33,6 @@ def reference_run(spec, filterset=None) -> BreathLog:
                             measurement_noise_rms=spec.measurement_noise_rms,
                             seed=spec.seed)
     controller = VentilatorController(ControllerConfig(
-        integral_gain=spec.integral_gain,
         sample_time=ts,
         filterset=filterset,
         rc_enabled=spec.mode == "rc",

@@ -87,6 +87,21 @@ def test_design_fails_loudly_on_high_cutoff(pipeline_dir, tmp_path, capsys):
     assert "design failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--q-order", "3"], "order must be a positive even integer, got 3"),
+    (["--cutoff-hz", "0"], "cutoff must lie in (0, 250.0) Hz, got 0.0"),
+    # the design's l_shift 13 plus the q shift 25 fill the whole period
+    (["--period-n", "38"], "shift budget violated: l_shift 13 + q shift 25 leaves no "
+                           "memory in period 38"),
+])
+def test_design_rejects_bad_request(pipeline_dir, tmp_path, capsys, options, message):
+    out = tmp_path / "rc.filterset"
+    rc = main(["design", "--frf-dir", str(pipeline_dir), "--out", str(out)] + options)
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_stability_command(pipeline_dir, tmp_path, capsys):
     report = tmp_path / "report.csv"
     rc = main(["check-stability", "--filterset", str(pipeline_dir / "rc_adult.filterset"),
@@ -157,12 +172,14 @@ def test_run_rejects_bad_scenario_value(tmp_path, capsys):
     ("breath,error_norm\n1,2.5\n2\n",
      "line 3: no number in column 'error_norm', got ['2']"),
     ("breath,error_norm\n", "no rows after the header"),
+    (None, "cannot open: No such file or directory"),
 ])
 def test_compare_rejects_malformed_norms(tmp_path, capsys, text, message):
     good = tmp_path / "good.csv"
     good.write_text("breath,error_norm\n1,2.5\n2,1.5\n")
     bad = tmp_path / "bad.csv"
-    bad.write_text(text)
+    if text is not None:  # None: the file is missing
+        bad.write_text(text)
     rc = main(["compare", "--baseline", str(good), "--candidate", str(bad)])
     assert rc == 1
     assert f"error: {bad}: {message}" in capsys.readouterr().err
@@ -177,6 +194,8 @@ IDENTIFY = ["identify", "--scenario", "adult", "--level", "peep", "--bins", "6",
     ("--periods", "0", "periods_recorded must be >= 1, got 0"),
     ("--rms", "0", "rms_amplitude: excitation amplitude must be positive, got 0.0"),
     ("--noise-rms", "-1", "measurement_noise_rms must be >= 0, got -1.0"),
+    ("--f-min", "0", "bins_hz: excitation frequencies must be finite and positive, got nan"),
+    ("--f-min", "-1", "bins_hz: excitation frequencies must be finite and positive, got nan"),
 ])
 def test_identify_rejects_bad_option(tmp_path, capsys, option, value, message):
     rc = main(IDENTIFY + ["--out", str(tmp_path / "frf.csv"), option, value])

@@ -112,9 +112,8 @@ class TestRepetitiveController:
 
     def test_budget_violation_rejected(self):
         lc = DiscreteTransferFunction([1.0], [1.0], 0, TS)
-        fs = RcFilterSet(lc, 5, design_q_fir(60.0, 10, TS), period_n=10)
         with pytest.raises(ConfigurationError, match="memory|budget"):
-            RepetitiveController(fs)
+            RepetitiveController(RcFilterSet(lc, 5, design_q_fir(60.0, 10, TS), period_n=10))
 
     def test_overflow_trips_fault_and_disables(self):
         rc = RepetitiveController(trivial_filterset(period_n=4))

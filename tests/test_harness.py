@@ -129,7 +129,7 @@ class TestRepetitiveRuns:
                                            lc.denominator_coeffs,
                                            lc.pure_delay, lc.sample_time)
         scenario, circuit = load_scenario("adult")
-        frf = _analytic_frf(VentilatorPlant(scenario, circuit), 0.01257,
+        frf = _analytic_frf(VentilatorPlant(scenario, circuit),
                             default_stability_grid(circuit.sample_time))
         report = check_stability(fs.q_kernel, flipped, fs.l_shift, {"adult": frf})
         assert not report.passed

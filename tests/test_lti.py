@@ -213,12 +213,14 @@ def test_coefficient_file_round_trip(tmp_path):
     (lambda lines: lines[:-3] + ["0.0"] + lines[-2:],
      "denominator leading (z^0) coefficient must be nonzero"),
     (lambda lines: ["tf -0.002 7"] + lines[1:], "sample_time must be positive, got -0.002"),
+    (None, "cannot open: No such file or directory"),
 ])
 def test_truncated_coefficient_file_fails_closed(tmp_path, edit, message):
     path = tmp_path / "filt.coeff"
-    save_transfer_function(DiscreteTransferFunction([0.25, -0.125], [1.0, -0.5, 0.25], 7, TS),
-                           path)
-    path.write_text("".join(ln + "\n" for ln in edit(path.read_text().splitlines())))
+    if edit is not None:  # None: the file is missing
+        save_transfer_function(
+            DiscreteTransferFunction([0.25, -0.125], [1.0, -0.5, 0.25], 7, TS), path)
+        path.write_text("".join(ln + "\n" for ln in edit(path.read_text().splitlines())))
     with pytest.raises(ConfigurationError) as exc:
         load_transfer_function(path)
     assert str(exc.value) == f"{path}: {message}"

@@ -212,14 +212,6 @@ class TestReferenceProfile:
         with pytest.raises(ConfigurationError):
             reference_profile(adult(), sample_time=10.0)
 
-    def test_smoothing_stays_periodic(self):
-        profile = reference_profile(adult(), TS, smoothing_rise_time=0.05)
-        assert len(profile) == 2000
-        assert profile.min() >= 5.0 - 1e-9 and profile.max() <= 15.0 + 1e-9
-        # periodic steady state: first sample continues from the last
-        a = math.exp(-TS / 0.05)
-        assert profile[0] == pytest.approx(a * profile[-1] + (1 - a) * 15.0, abs=1e-12)
-
 
 class TestScenarioFiles:
     def test_builtin_adult_values(self):

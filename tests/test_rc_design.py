@@ -162,8 +162,10 @@ class TestFilterSet:
 
     def test_budget_violation_rejected(self):
         lc = DiscreteTransferFunction([1.0], [1.0], 0, TS)
-        with pytest.raises(ConfigurationError, match="budget"):
-            RcFilterSet(lc, 30, design_q_fir(23.0, 50, TS), period_n=40)
+        for l_shift in (30, 15):  # 15 + q shift 25 leaves no memory in 40
+            with pytest.raises(ConfigurationError, match="budget"):
+                RcFilterSet(lc, l_shift, design_q_fir(23.0, 50, TS), period_n=40)
+        assert RcFilterSet(lc, 14, design_q_fir(23.0, 50, TS), period_n=40).buffer_length == 1
 
     def test_asymmetric_kernel_rejected(self):
         lc = DiscreteTransferFunction([1.0], [1.0], 0, TS)
@@ -205,15 +207,19 @@ class TestFilterSet:
     (lambda lines: [ln.replace("q_shift 25", "q_shift 24") for ln in lines],
      "field 'q_shift' is 24, but 51 q_taps give 25"),
     (lambda lines: [ln.replace("l_shift 13", "l_shift 1990") for ln in lines],
-     "shift budget violated: l_shift 1990 + q shift 25 exceeds period 2000"),
+     "shift budget violated: l_shift 1990 + q shift 25 leaves no memory in period 2000"),
+    (lambda lines: [ln.replace("l_shift 13", "l_shift 1975") for ln in lines],
+     "shift budget violated: l_shift 1975 + q shift 25 leaves no memory in period 2000"),
     (lambda lines: lines[:lines.index("l_den 2") + 1] + ["0.0"] + lines[lines.index("l_den 2") + 2:],
      "denominator leading (z^0) coefficient must be nonzero"),
+    (None, "cannot open: No such file or directory"),
 ])
 def test_truncated_filterset_fails_closed(tmp_path, edit, message):
     path = tmp_path / "rc.filterset"
-    lc = DiscreteTransferFunction([1.0, 0.2], [1.0, -0.3], 0, TS)
-    save_filterset(RcFilterSet(lc, 13, design_q_fir(23.0, 50, TS), 2000), path)
-    path.write_text("".join(ln + "\n" for ln in edit(path.read_text().splitlines())))
+    if edit is not None:  # None: the file is missing
+        lc = DiscreteTransferFunction([1.0, 0.2], [1.0, -0.3], 0, TS)
+        save_filterset(RcFilterSet(lc, 13, design_q_fir(23.0, 50, TS), 2000), path)
+        path.write_text("".join(ln + "\n" for ln in edit(path.read_text().splitlines())))
     with pytest.raises(ConfigurationError) as exc:
         load_filterset(path)
     assert str(exc.value) == f"{path}: {message}"

@@ -62,7 +62,8 @@ class TestEstimateFrf:
 
     @pytest.mark.parametrize("field, value", [
         ("rms_amplitude", 0.0), ("rms_amplitude", -1.0), ("period_samples", 0),
-        ("periods_recorded", 0), ("periods_discarded", 0)])
+        ("periods_recorded", 0), ("periods_discarded", 0), ("bins_hz", [0.0, 2.0]),
+        ("bins_hz", [-1.0, 2.0]), ("bins_hz", [np.nan, 2.0]), ("bins_hz", [2.0, np.inf])])
     def test_bad_excitation_fields_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             MultisineSpec(**{field: value})
@@ -90,9 +91,9 @@ class TestEstimateFrf:
 
     def test_explicit_frequency_grid_overrides_spec(self):
         plant, controller, _ = analytic_closed_loop()
-        spec = MultisineSpec(periods_recorded=2, periods_discarded=1, seed=5)
-        frf = estimate_frf(plant, controller, 10.0, spec,
-                           frequencies_hz=[2.0, 11.0, 30.0])
+        spec = MultisineSpec(bins_hz=[2.0, 11.0, 30.0], periods_recorded=2,
+                             periods_discarded=1, seed=5)
+        frf = estimate_frf(plant, controller, 10.0, spec)
         assert np.allclose(frf.frequencies_hz, [2.0, 11.0, 30.0])
 
 
@@ -247,11 +248,13 @@ def test_frf_csv_round_trip(tmp_path):
      "line 3: fields ['frequency_hz', 'real', 'imag'] must be numbers, got ['2.0', '-0.5', '']"),
     (lambda lines: ["frequency_hz,real"] + lines[1:],
      "expected header ['frequency_hz', 'real', 'imag'], got ['frequency_hz', 'real']"),
+    (None, "cannot open: No such file or directory"),
 ])
 def test_truncated_frf_csv_fails_closed(tmp_path, edit, message):
     path = tmp_path / "resp.csv"
-    save_frf(FrequencyResponse([0.5, 2.0, 30.0], [1 + 2j, -0.5 + 0.25j, 0.001j], TS), path)
-    path.write_text("".join(ln + "\n" for ln in edit(path.read_text().splitlines())))
+    if edit is not None:  # None: the file is missing
+        save_frf(FrequencyResponse([0.5, 2.0, 30.0], [1 + 2j, -0.5 + 0.25j, 0.001j], TS), path)
+        path.write_text("".join(ln + "\n" for ln in edit(path.read_text().splitlines())))
     with pytest.raises(ConfigurationError) as exc:
         load_frf(path, sample_time=TS)
     assert str(exc.value) == f"{path}: {message}"
