@@ -7,7 +7,6 @@ from .errors import (
     FitConvergenceWarning,
     IdentificationError,
     SingularityError,
-    UnstableFilterWarning,
     VentrcError,
 )
 from .lti import (
@@ -17,7 +16,6 @@ from .lti import (
     FrequencyResponse,
     StreamingFilter,
     evaluate,
-    filter_stream,
 )
 from .plant import (
     CircuitParameters,

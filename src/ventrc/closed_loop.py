@@ -7,17 +7,9 @@ noise, the error the controller integrates apart from the noise-free
 measurement.  Its outputs are the measured airway pressure (noise-free), the
 lung pressure before the step, the patient flow and the command.
 
-Over a chunk of m samples the outputs and the final state follow from the
-start state and the chunk's inputs alone.  This is the lifted
-("supervector") form of iterative learning control:
-
-    [y[0..m-1]; x[m]] = [[O, T], [A^m, G]] [x[0]; v[0..m-1]]
-
-with O the stacked C A^j, T the lower block-triangular Toeplitz matrix of
-the Markov parameters and G = [A^(m-1) B ... B].  `simulate` precomputes
-that matrix once and advances a whole chunk with one product.  Where a
-chunk holds an event, it rebuilds the exact state at the event's sample and
-goes on from there:
+`simulate` advances it a chunk at a time with one lifted product
+(`lti.LiftedSystem`).  Where a chunk holds an event, it rebuilds the exact
+state at the event's sample and goes on from there:
 
 - a command outside the actuator limits is clamped, and integration
   stops, one sample at a time until the command is back inside them;
@@ -36,13 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .lti import DiscreteTransferFunction, state_space
+from .lti import CHUNK, DiscreteTransferFunction, LiftedSystem, StateSpace, state_space
 
-CHUNK = 128
 OUTPUTS = ("p_aw", "p_lung", "q_pat", "command")
 
 
-class ClosedLoop:
+class ClosedLoop(LiftedSystem):
     """The plant under a linear controller, lifted over chunks of up to `chunk` samples.
 
     `plant` is a VentilatorPlant (its coefficients are read, its streaming
@@ -51,8 +42,6 @@ class ClosedLoop:
     """
 
     def __init__(self, plant, controller: DiscreteTransferFunction, chunk: int = CHUNK):
-        if chunk < 1:
-            raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
         p, k = plant.state_space(), state_space(controller)
         n_p = len(p.b)
         n = n_p + len(k.b)
@@ -71,47 +60,11 @@ class ClosedLoop:
         c[:3, :n_p] += p.c
         c[3] = u_row
         d = np.append(p.d * u_in, u_in)
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self.chunk = chunk
+        super().__init__(StateSpace(a, b, c, d), chunk)
         # the state that holds the command, if the command is one state alone
         unit = np.flatnonzero(c[3])
         self.command_state = int(unit[0]) if (
             len(unit) == 1 and c[3, unit[0]] == 1.0 and d[3] == 0.0) else None
-
-        powers = np.empty((chunk + 1, n, n))
-        powers[0] = np.eye(n)
-        for j in range(chunk):
-            powers[j + 1] = a @ powers[j]
-        ab = powers[:chunk] @ b                               # A^i B
-        markov = np.vstack([d, ab[: chunk - 1] @ c.T])        # D, C B, C A B, ...
-        lag = np.arange(chunk)[:, None] - np.arange(chunk)[None, :]
-        toeplitz = np.where((lag >= 0)[:, :, None], markov[np.maximum(lag, 0)], 0.0)
-        q = len(OUTPUTS)
-        self._powers = powers
-        self._gamma = np.ascontiguousarray(ab[::-1].T)        # columns A^(m-1-i) B
-        self._lifted = np.block([
-            [(c @ powers[:chunk]).reshape(chunk * q, n),
-             toeplitz.transpose(0, 2, 1).reshape(chunk * q, chunk)],
-            [powers[chunk], self._gamma],
-        ])
-
-    @property
-    def order(self) -> int:
-        return len(self.b)
-
-    def run(self, x: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Outputs (len(v), 4) of up to `chunk` samples from state x, and the state after."""
-        m, n, q = len(v), self.order, len(OUTPUTS)
-        xv = np.concatenate([x, v])
-        if m == self.chunk:
-            z = self._lifted @ xv
-            return z[: m * q].reshape(m, q), z[m * q:]
-        return (self._lifted[: m * q, : n + m] @ xv).reshape(m, q), self.advance(x, v)
-
-    def advance(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The state after up to `chunk` samples of input v from state x."""
-        m = len(v)
-        return self._powers[m] @ x + self._gamma[:, self.chunk - m:] @ v
 
 
 @dataclass

@@ -19,12 +19,12 @@ to get wrong here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .lti import DiscreteTransferFunction
+from .lti import DiscreteTransferFunction, LiftedSystem, state_space
 from .rc_design import RcFilterSet
 
 BENCHMARK_INTEGRAL_GAIN = 0.01257
@@ -83,11 +83,6 @@ class IntegralController:
         self._y_prev = out
         return out
 
-    def reset(self) -> None:
-        self._y_prev = 0.0
-        self._e_prev = 0.0
-        self.windup_active = False
-
 
 class RepetitiveController:
     """Memory-loop realization of the repetitive correction, a chunk at a time.
@@ -106,10 +101,12 @@ class RepetitiveController:
     only loop inputs that already exist.  corrections(m) therefore hands out
     the next m corrections before their errors are known, and
     take_errors(errors) later takes those samples' errors.  The robustness
-    FIR runs over the inputs taken so far at the next corrections() call.
-    step() is the same loop one sample at a time: it hands out a whole
-    buffer_length of corrections whenever none are left, so its numeric
-    work happens once per memory block.
+    FIR runs over the inputs taken so far at the next corrections() call,
+    and the learning filter runs through `lti.LiftedSystem`, carrying its
+    state; its pure delay is an offset into the memory.  step() is the same
+    loop one sample at a time: it hands out a whole buffer_length of
+    corrections whenever none are left, so its numeric work happens once
+    per memory block.
     """
 
     def __init__(self, filterset: RcFilterSet):
@@ -117,9 +114,9 @@ class RepetitiveController:
         self.buffer_length = filterset.buffer_length
         lc = filterset.l_causal
         self._q_taps = np.asarray(filterset.q_kernel.taps, dtype=float)
-        # the pure delay becomes leading zero taps, so lfilter's carried state holds it
-        self._l_num = np.concatenate([np.zeros(lc.pure_delay), lc.numerator_coeffs])
-        self._l_den = lc.denominator_coeffs
+        # the learning filter's pure delay is read from further back in the memory
+        self._l_delay = lc.pure_delay
+        self._learning = LiftedSystem(state_space(replace(lc, pure_delay=0)))
         self.reset()
 
     def step(self, error: float) -> float:
@@ -138,8 +135,6 @@ class RepetitiveController:
         itself latches when take_errors reaches that sample.  All zeros once
         the loop has faulted.
         """
-        from scipy.signal import lfilter
-
         if self.fault:
             return np.zeros(m)
         ahead = len(self._feedback)
@@ -147,12 +142,11 @@ class RepetitiveController:
             raise ValueError(f"{ahead} corrections are pending; {m} more would exceed "
                              f"the memory of {self.buffer_length} samples")
         self._filter_inputs()
-        # self._memory holds v for the buffer_length + l_shift samples before
-        # the first pending one
-        l_shift = self.filterset.l_shift
-        correction, self._l_state = lfilter(
-            self._l_num, self._l_den, self._memory[ahead + l_shift: ahead + l_shift + m],
-            zi=self._l_state)
+        # self._memory[i] is v of sample p - lag + i, p the first pending sample
+        lag = len(self._memory) - self.buffer_length
+        start = ahead + lag - self._l_delay
+        y, self._l_state = self._learning.run(self._l_state, self._memory[start: start + m])
+        correction = y[:, 0]
         if self._overflow is not None:
             correction[:] = 0.0
         else:
@@ -161,7 +155,8 @@ class RepetitiveController:
                 at = int(np.argmax(over))
                 self._overflow = (ahead + at, correction[at])
                 correction[at:] = 0.0
-        self._feedback = np.concatenate([self._feedback, self._memory[ahead: ahead + m]])
+        start = ahead + lag - self.filterset.l_shift
+        self._feedback = np.concatenate([self._feedback, self._memory[start: start + m]])
         self._handed_out = np.concatenate([self._handed_out, correction])
         return correction
 
@@ -217,8 +212,8 @@ class RepetitiveController:
     def reset(self) -> None:
         self._inputs: list[np.ndarray] = []       # loop inputs e + w not yet filtered
         self._input_history = np.zeros(len(self._q_taps) - 1)
-        self._memory = np.zeros(self.buffer_length + self.filterset.l_shift)
-        self._l_state = np.zeros(max(len(self._l_num), len(self._l_den)) - 1)
+        self._memory = np.zeros(self.buffer_length + max(self.filterset.l_shift, self._l_delay))
+        self._l_state = np.zeros(self._learning.order)
         self._feedback = np.zeros(0)              # of the handed-out samples
         self._handed_out = np.zeros(0)
         self._overflow: tuple[int, float] | None = None   # (pending index, value)
@@ -244,11 +239,6 @@ class VentilatorController:
         e = reference - measurement
         total = e if self.rc is None else e + self.rc.step(e)
         return self.pid.step(total)
-
-    def reset(self) -> None:
-        self.pid.reset()
-        if self.rc is not None:
-            self.rc.reset()
 
 
 def rc_transfer_function(filterset: RcFilterSet) -> DiscreteTransferFunction:

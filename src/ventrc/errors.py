@@ -33,9 +33,5 @@ class ExperimentDiverged(VentrcError, RuntimeError):
         self.partial_log = partial_log
 
 
-class UnstableFilterWarning(UserWarning):
-    """A filtering operation was asked to run with an unstable denominator."""
-
-
 class FitConvergenceWarning(UserWarning):
     """Rational fitting stopped before meeting its convergence target."""

@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import svg
-from .closed_loop import CHUNK, ClosedLoop, simulate
+from .closed_loop import ClosedLoop, simulate
 from .control_rt import ControllerConfig, RepetitiveController, benchmark_controller_tf
 from .errors import ConfigurationError, DesignError, ExperimentDiverged
 from .lti import (
+    CHUNK,
     DiscreteTransferFunction,
     FirKernel,
     FrequencyResponse,
@@ -80,10 +81,6 @@ class BreathLog:
     @property
     def error(self) -> np.ndarray:
         return self.reference - self.p_aw
-
-    @property
-    def breath_boundaries(self) -> np.ndarray:
-        return np.arange(0, len(self.reference) + 1, self.period_n)
 
     @property
     def breath_norms(self) -> np.ndarray:

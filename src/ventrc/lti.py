@@ -9,16 +9,15 @@ appear internally (see :func:`hz_to_rad_per_sample`).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularityError, UnstableFilterWarning
+from .errors import ConfigurationError, SingularityError
 
-# Denominators above this order are not root-checked in filter_stream (the
-# companion-matrix eigensolve gets expensive and the result is only a warning).
-_STABILITY_CHECK_MAX_ORDER = 64
+CHUNK = 128
+# a LiftedSystem's powers A^0..A^chunk and lifted matrix stay within this
+LIFT_BUDGET_BYTES = 8 << 20
 
 
 def hz_to_rad_per_sample(frequencies_hz, sample_time: float) -> np.ndarray:
@@ -33,14 +32,6 @@ def polyval_zinv(coeffs, zinv) -> np.ndarray:
     for c in np.asarray(coeffs)[::-1]:
         out = out * zinv + c
     return out
-
-
-def _trim_trailing(coeffs, tol: float = 0.0) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=float)
-    n = len(c)
-    while n > 1 and abs(c[n - 1]) <= tol:
-        n -= 1
-    return c[:n]
 
 
 @dataclass
@@ -76,7 +67,7 @@ class DiscreteTransferFunction:
 
     def poles(self) -> np.ndarray:
         """Roots of the denominator in the z plane."""
-        den = _trim_trailing(self.denominator_coeffs)
+        den = np.trim_zeros(self.denominator_coeffs, "b")
         if len(den) == 1:
             return np.array([])
         return np.roots(den)
@@ -208,34 +199,6 @@ def evaluate(tf: DiscreteTransferFunction, frequencies_hz) -> FrequencyResponse:
     return FrequencyResponse(f, vals, tf.sample_time)
 
 
-def filter_stream(tf: DiscreteTransferFunction, input_sequence) -> np.ndarray:
-    """Filter a sequence through a causal rational filter (direct-form recursion).
-
-    Zero initial state; output length equals input length.  An
-    unstable denominator is not an error (simulations may legitimately
-    diverge) but emits an UnstableFilterWarning when the order is small
-    enough to root-check cheaply.
-    """
-    from scipy.signal import lfilter
-
-    u = np.asarray(input_sequence, dtype=float)
-    den = _trim_trailing(tf.denominator_coeffs)
-    if len(den) - 1 <= _STABILITY_CHECK_MAX_ORDER and len(den) > 1:
-        if np.any(np.abs(np.roots(den)) > 1.0 + 1e-9):
-            warnings.warn(
-                "filter denominator has poles outside the unit circle; output may diverge",
-                UnstableFilterWarning,
-                stacklevel=2,
-            )
-    y = lfilter(tf.numerator_coeffs, tf.denominator_coeffs, u)
-    d = tf.pure_delay
-    if d > 0:
-        y = np.concatenate([np.zeros(d), y[:-d] if d < len(y) else y[:0]])
-        if len(y) < len(u):  # input shorter than the delay
-            y = np.concatenate([y, np.zeros(len(u) - len(y))])[: len(u)]
-    return y
-
-
 class DelayLine:
     """Fixed-capacity FIFO: step() returns the sample inserted `capacity` steps ago.
 
@@ -269,8 +232,8 @@ class DelayLine:
 class StreamingFilter:
     """Per-sample direct-form II transposed realization of a causal tf.
 
-    Single-owner stateful counterpart of filter_stream; the pure delay is a
-    FIFO on the input.
+    Single-owner, one sample per call; the pure delay is a FIFO on the
+    input.
     """
 
     def __init__(self, tf: DiscreteTransferFunction):
@@ -342,6 +305,68 @@ def state_space(tf: DiscreteTransferFunction) -> StateSpace:
             a[delay + i, delay + i + 1] += 1.0
         b[delay + i] = num[i + 1] * in_gain - den[i + 1] * y_gain
     return StateSpace(a, b, y_row[None, :], np.array([y_gain]))
+
+
+class LiftedSystem:
+    """A StateSpace advanced a chunk of m samples at a time by one product.
+
+    This is the lifted ("supervector") form of iterative learning control,
+    [y[0..m-1]; x[m]] = [[O, T], [A^m, G]] [x[0]; u[0..m-1]], with O the
+    stacked C A^j, T the lower block-triangular Toeplitz matrix of the Markov
+    parameters and G = [A^(m-1) B ... B].  A chunk shorter than `chunk` uses
+    the leading rows and columns.  `chunk` is cut where the powers
+    A^0..A^chunk and the lifted matrix would exceed LIFT_BUDGET_BYTES.
+    """
+
+    def __init__(self, ss: StateSpace, chunk: int = CHUNK):
+        if chunk < 1:
+            raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
+        a, b, c, d = ss.a, ss.b, ss.c, ss.d
+        n, q = len(b), len(d)
+        while chunk > 1 and 8 * ((chunk + 1) * n * n + (chunk * q + n) * (n + chunk)) \
+                > LIFT_BUDGET_BYTES:
+            chunk -= 1
+        self.a, self.b, self.c, self.d = a, b, c, d
+        self.chunk = chunk
+        powers = np.empty((chunk + 1, n, n))
+        powers[0] = np.eye(n)
+        for j in range(chunk):
+            powers[j + 1] = a @ powers[j]
+        ab = powers[:chunk] @ b                               # A^i B
+        markov = np.vstack([d, ab[: chunk - 1] @ c.T])        # D, C B, C A B, ...
+        lag = np.arange(chunk)[:, None] - np.arange(chunk)[None, :]
+        toeplitz = np.where((lag >= 0)[:, :, None], markov[np.maximum(lag, 0)], 0.0)
+        self._powers = powers
+        self._gamma = np.ascontiguousarray(ab[::-1].T)        # columns A^(m-1-i) B
+        self._lifted = np.block([
+            [(c @ powers[:chunk]).reshape(chunk * q, n),
+             toeplitz.transpose(0, 2, 1).reshape(chunk * q, chunk)],
+            [powers[chunk], self._gamma],
+        ])
+
+    @property
+    def order(self) -> int:
+        return len(self.b)
+
+    def run(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Outputs (len(u), outputs) from state x, and the state after."""
+        m, n, q = len(u), self.order, len(self.d)
+        if m > self.chunk:
+            pieces = []
+            for at in range(0, m, self.chunk):
+                y, x = self.run(x, u[at: at + self.chunk])
+                pieces.append(y)
+            return np.concatenate(pieces), x
+        xu = np.concatenate([x, u])
+        if m == self.chunk:
+            z = self._lifted @ xu
+            return z[: m * q].reshape(m, q), z[m * q:]
+        return (self._lifted[: m * q, : n + m] @ xu).reshape(m, q), self.advance(x, u)
+
+    def advance(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """The state after up to `chunk` samples of input u from state x."""
+        m = len(u)
+        return self._powers[m] @ x + self._gamma[:, self.chunk - m:] @ u
 
 
 # -- coefficient file I/O ---------------------------------------------------

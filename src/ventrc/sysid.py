@@ -166,6 +166,8 @@ def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
     """
     if order < 0:
         raise ConfigurationError(f"order must be >= 0, got {order}")
+    if fixed_delay_samples < 0:
+        raise ConfigurationError(f"fixed_delay_samples must be >= 0, got {fixed_delay_samples}")
     f = frf.frequencies_hz
     n_par = 2 * order + 1
     if 2 * len(f) < n_par:
@@ -293,4 +295,7 @@ def load_frf(path, sample_time: float = 0.002) -> FrequencyResponse:
             values.append(complex(re_, im))
     if not freqs:
         raise ConfigurationError(f"{path}: no {FRF_HEADER} rows after the header")
-    return FrequencyResponse(np.array(freqs), np.array(values), sample_time)
+    try:
+        return FrequencyResponse(np.array(freqs), np.array(values), sample_time)
+    except ValueError as exc:
+        raise ConfigurationError(f"{path} (sample_time {sample_time}): {exc}") from None

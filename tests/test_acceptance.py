@@ -12,9 +12,11 @@ import pytest
 
 from ventrc.control_rt import RepetitiveController, benchmark_controller_tf, rc_transfer_function
 from ventrc.harness import ExperimentSpec, compare_runs, run_experiment
-from ventrc.lti import evaluate, filter_stream
+from ventrc.lti import evaluate
 from ventrc.plant import VentilatorPlant, load_scenario
 from ventrc.sysid import MultisineSpec, estimate_frf
+
+from filter_reference import filter_stream
 
 SCENARIOS = ("adult", "pediatric", "baby")
 

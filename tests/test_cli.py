@@ -93,12 +93,16 @@ def test_design_fails_loudly_on_high_cutoff(pipeline_dir, tmp_path, capsys):
     # the design's l_shift 13 plus the q shift 25 fill the whole period
     (["--period-n", "38"], "shift budget violated: l_shift 13 + q shift 25 leaves no "
                            "memory in period 38"),
+    (["--delay", "-1"], "fixed_delay_samples must be >= 0, got -1"),
+    # the FRFs reach 250 Hz, above the Nyquist frequency of 4 ms sampling
+    (["--sample-time", "0.004"], "{frf_dir}/frf_adult_ipap.csv (sample_time 0.004): "
+                                 "frequencies must lie in (0, 125.0] Hz"),
 ])
 def test_design_rejects_bad_request(pipeline_dir, tmp_path, capsys, options, message):
     out = tmp_path / "rc.filterset"
     rc = main(["design", "--frf-dir", str(pipeline_dir), "--out", str(out)] + options)
     assert rc == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {message.format(frf_dir=pipeline_dir)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -207,13 +211,17 @@ def test_identify_rejects_bad_option(tmp_path, capsys, option, value, message):
 @pytest.mark.parametrize("options, message", [
     (["--order", "-1"], "order must be >= 0, got -1"),
     (["--band", "90", "95"], "0 bins cannot determine the 9 parameters of an order-4 fit"),
+    (["--delay", "-1"], "fixed_delay_samples must be >= 0, got -1"),
+    (["--sample-time", "0"], "{frf} (sample_time 0.0): sample_time must be positive"),
 ])
 def test_fit_rejects_bad_request(tmp_path, capsys, options, message):
     frf = tmp_path / "frf.csv"
     save_frf(FrequencyResponse([1.0, 2.0, 5.0, 20.0], [1.0, 0.9, 0.7j, -0.2], 0.002), frf)
-    rc = main(["fit", "--in", str(frf), "--out", str(tmp_path / "model.coeff")] + options)
+    out = tmp_path / "model.coeff"
+    rc = main(["fit", "--in", str(frf), "--out", str(out)] + options)
     assert rc == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {message.format(frf=frf)}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_rejects_negative_noise(tmp_path, capsys):

@@ -119,6 +119,24 @@ def test_chunk_length_does_not_change_the_run(chunk):
         assert np.max(np.abs(run.signals[row] - getattr(ref, name))) <= 1e-9
 
 
+@pytest.mark.parametrize("mode", ["pid", "rc"])
+def test_long_delay_loop_runs_in_bounded_memory(design_outputs, tmp_path, mode):
+    # 150 + 150 samples of loop delay make the loop order 303; the engine cuts
+    # its chunk to keep its arrays small, and the run (which diverges within
+    # two breaths) still matches the reference sample for sample
+    scenario, circuit = load_scenario("adult")
+    assert ClosedLoop(VentilatorPlant(scenario, circuit), benchmark_controller_tf()).chunk == 128
+    circuit = replace(circuit, blower_delay_samples=150, measurement_delay_samples=150)
+    path = tmp_path / "long_delay.cfg"
+    save_scenario(scenario, circuit, path)
+    loop = ClosedLoop(VentilatorPlant(scenario, circuit), benchmark_controller_tf())
+    held = sum(v.nbytes for v in vars(loop).values() if isinstance(v, np.ndarray))
+    assert loop.order == 303 and held < 16 * 2**20
+    spec = make_spec(path, mode, bound_filterset(design_outputs, scenario, circuit), breaths=2)
+    engine, ref = run_both(spec)
+    assert_matches(engine, ref, mode)
+
+
 def test_zero_corrections_are_the_pid_computation(design_outputs):
     # an rc loop whose learning filter is zero hands out exact zeros: the
     # whole run is pid bit for bit

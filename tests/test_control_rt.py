@@ -18,10 +18,11 @@ from ventrc.control_rt import (
 )
 from ventrc.errors import ConfigurationError
 from ventrc.harness import ExperimentSpec, run_experiment
-from ventrc.lti import DiscreteTransferFunction, FirKernel, filter_stream
+from ventrc.lti import DiscreteTransferFunction, FirKernel
 from ventrc.plant import load_scenario, reference_profile
 from ventrc.rc_design import RcFilterSet, design_q_fir
 
+from filter_reference import filter_stream
 from rc_reference import ReferenceRepetitiveController
 
 TS = 0.002
@@ -192,7 +193,10 @@ def test_designed_filterset_equivalence(design_outputs):
 # A filter set is drawn as plain numbers so that @example can pin the regimes
 # that exercise the block bookkeeping: robustness taps longer than a memory
 # block, a learning-filter advance longer than a block, a learning filter
-# with pure delay and one of order 0.
+# with pure delay and one of order 0, and a full-length period whose
+# learning-filter delay (300) exceeds both its advance and the 128-sample
+# chunk of the lifted learning filter, with a memory (1989 samples) that is
+# no multiple of that chunk.
 
 
 def build_filterset(half_taps, l_num, l_poles, l_delay, l_shift, n_short):
@@ -224,6 +228,7 @@ LONG_TAPS = ([0.9, 0.7, 0.5, 0.3, 0.2, 0.1], [1.0, 0.4], [0.5], 0, 3, 2)
 LONG_ADVANCE = ([0.8, 0.3], [1.0, -0.3, 0.2], [0.6, -0.4], 0, 25, 4)
 DELAYED_LC = ([0.6, 0.4, 0.1], [0.7, 0.2], [0.3], 3, 5, 7)
 ORDER_0_LC = ([1.0, 0.5], [1.3], [], 0, 0, 5)
+LONG_DELAY_LC = ([0.6, 0.3], [0.5, 0.2], [0.4], 300, 10, 1989)
 RAMP = [math.sin(0.37 * k) for k in range(120)]
 
 
@@ -233,6 +238,7 @@ RAMP = [math.sin(0.37 * k) for k in range(120)]
 @example((LONG_ADVANCE, RAMP))
 @example((DELAYED_LC, RAMP))
 @example((ORDER_0_LC, RAMP))
+@example((LONG_DELAY_LC, [math.sin(0.37 * k) for k in range(6000)]))
 def test_block_loop_matches_references(case):
     params, errors = case
     fs = build_filterset(*params)

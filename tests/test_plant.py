@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from ventrc.errors import ConfigurationError
-from ventrc.lti import filter_stream
 from ventrc.plant import (
     CircuitParameters,
     PatientScenario,
@@ -15,6 +14,8 @@ from ventrc.plant import (
     reference_profile,
     save_scenario,
 )
+
+from filter_reference import filter_stream
 
 TS = 0.002
 
