@@ -46,7 +46,6 @@ from .control_rt import (
     RepetitiveController,
     VentilatorController,
     benchmark_controller_tf,
-    rc_transfer_function,
 )
 from .harness import (
     BreathLog,

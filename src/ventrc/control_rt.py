@@ -6,14 +6,15 @@ loop feedback passes through the causal robustness taps, enters a delay line
 shortened by the combined forward shifts (the only realizable placement of
 the non-causal advances), and is read out through the causal learning filter.
 Both controllers take one error per call.  The memory loop also works a
-chunk at a time: its output at sample k depends on the error only up to
+block at a time: its output at sample k depends on the error only up to
 k - buffer_length, so the corrections of up to buffer_length samples are
-known before their errors arrive.  Only the order of the floating-point
-sums differs from a sample-by-sample loop.  The output equals
-offline filtering by the loop's rational transfer function to float
-rounding; dedicated tests pin that equivalence and the agreement with a
-sample-by-sample reference, since the shift bookkeeping is the easiest thing
-to get wrong here.
+known before their errors arrive.  One block is out at a time: the next is
+handed out only once every error of the last has been taken.  Only the
+order of the floating-point sums differs from a sample-by-sample loop.  The
+output equals offline filtering by the loop's rational transfer function to
+float rounding; dedicated tests pin that equivalence and the agreement with
+a sample-by-sample reference, since the shift bookkeeping is the easiest
+thing to get wrong here.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ OVERFLOW_LIMIT = 1e12
 
 @dataclass
 class ControllerConfig:
-    """Benchmark gain, timing, optional repetitive add-on, optional saturation."""
+    """Timing, optional repetitive add-on, optional saturation."""
 
-    integral_gain: float = BENCHMARK_INTEGRAL_GAIN
     sample_time: float = 0.002
     filterset: RcFilterSet | None = None
     rc_enabled: bool = False
@@ -63,10 +63,9 @@ class IntegralController:
     clamped (windup flag exposed).
     """
 
-    def __init__(self, gain: float = BENCHMARK_INTEGRAL_GAIN, sample_time: float = 0.002,
+    def __init__(self, gain: float = BENCHMARK_INTEGRAL_GAIN,
                  output_limits: tuple[float, float] | None = None):
         self.gain = gain
-        self.sample_time = sample_time
         self.output_limits = output_limits
         self.windup_active = False
         self._y_prev = 0.0
@@ -85,7 +84,7 @@ class IntegralController:
 
 
 class RepetitiveController:
-    """Memory-loop realization of the repetitive correction, a chunk at a time.
+    """Memory-loop realization of the repetitive correction, a block at a time.
 
     Buffer length is the filter set's buffer_length, period_n minus both
     forward shifts; the learning-filter advance is taken between the buffer
@@ -97,16 +96,16 @@ class RepetitiveController:
 
     The memory readout v(k) is the robustness-filter output of sample
     k - buffer_length, so the correction (L_c applied to v) and the loop
-    feedback (v delayed by l_shift) of the next buffer_length samples read
-    only loop inputs that already exist.  corrections(m) therefore hands out
-    the next m corrections before their errors are known, and
-    take_errors(errors) later takes those samples' errors.  The robustness
-    FIR runs over the inputs taken so far at the next corrections() call,
-    and the learning filter runs through `lti.LiftedSystem`, carrying its
-    state; its pure delay is an offset into the memory.  step() is the same
-    loop one sample at a time: it hands out a whole buffer_length of
-    corrections whenever none are left, so its numeric work happens once
-    per memory block.
+    feedback w (v delayed by l_shift) of the next buffer_length samples read
+    only loop inputs that already exist.  One block is out at a time:
+    corrections(m) hands out the next m <= buffer_length corrections before
+    their errors are known, once every error of the last block has been
+    taken; take_errors(errors) takes the oldest pending errors, reading w
+    from the memory, which does not change until the next hand-out.  That
+    hand-out runs the robustness FIR over the inputs taken, and the learning
+    filter through `lti.LiftedSystem`, carrying its state; its pure delay is
+    an offset into the memory.  step() is the same loop one sample at a
+    time, handing out a whole buffer_length block when the last is used up.
     """
 
     def __init__(self, filterset: RcFilterSet):
@@ -117,48 +116,45 @@ class RepetitiveController:
         # the learning filter's pure delay is read from further back in the memory
         self._l_delay = lc.pure_delay
         self._learning = LiftedSystem(state_space(replace(lc, pure_delay=0)))
-        self.reset()
+        self._l_state = np.zeros(self._learning.order)
+        self._inputs: list[np.ndarray] = []       # loop inputs e + w not yet filtered
+        self._input_history = np.zeros(len(self._q_taps) - 1)
+        self._memory = np.zeros(self.buffer_length + max(filterset.l_shift, self._l_delay))
+        self._block = np.zeros(0)     # the handed-out corrections, unclipped
+        self._overflow = 0            # index in _block of the first overflowing correction
+        self._pending = 0             # samples of _block whose errors are not taken yet
+        self.fault = False
+        self.sample_count = 0
 
     def step(self, error: float) -> float:
         if self.fault:
             return 0.0
-        if not len(self._feedback):
+        if not self._pending:
             self.corrections(self.buffer_length)
-        out = float(self._handed_out[0])
+        out = float(self._block[len(self._block) - self._pending])
         return 0.0 if self.take_errors((error,)) is not None else out
 
     def corrections(self, m: int) -> np.ndarray:
         """Corrections of the next m samples, before their errors are known.
 
-        At most buffer_length samples may be handed out and not yet taken.
-        From an overflowing correction on the values are zero; the fault
-        itself latches when take_errors reaches that sample.  All zeros once
-        the loop has faulted.
+        m may not exceed buffer_length, and every error of the block handed
+        out before must have been taken.  From an overflowing correction on
+        the values are zero; the fault itself latches when take_errors
+        reaches that sample.  All zeros once the loop has faulted.
         """
         if self.fault:
             return np.zeros(m)
-        ahead = len(self._feedback)
-        if m < 0 or ahead + m > self.buffer_length:
-            raise ValueError(f"{ahead} corrections are pending; {m} more would exceed "
-                             f"the memory of {self.buffer_length} samples")
+        if self._pending or not 0 <= m <= self.buffer_length:
+            raise ValueError(f"{self._pending} corrections are pending; cannot hand out {m} "
+                             f"more from the memory of {self.buffer_length} samples")
         self._filter_inputs()
-        # self._memory[i] is v of sample p - lag + i, p the first pending sample
-        lag = len(self._memory) - self.buffer_length
-        start = ahead + lag - self._l_delay
+        # _memory[-buffer_length] is v of the block's first sample
+        start = len(self._memory) - self.buffer_length - self._l_delay
         y, self._l_state = self._learning.run(self._l_state, self._memory[start: start + m])
-        correction = y[:, 0]
-        if self._overflow is not None:
-            correction[:] = 0.0
-        else:
-            over = ~(np.abs(correction) <= OVERFLOW_LIMIT)
-            if over.any():
-                at = int(np.argmax(over))
-                self._overflow = (ahead + at, correction[at])
-                correction[at:] = 0.0
-        start = ahead + lag - self.filterset.l_shift
-        self._feedback = np.concatenate([self._feedback, self._memory[start: start + m]])
-        self._handed_out = np.concatenate([self._handed_out, correction])
-        return correction
+        self._block, self._pending = y[:, 0], m
+        over = ~(np.abs(self._block) <= OVERFLOW_LIMIT)
+        self._overflow = int(np.argmax(over)) if over.any() else m
+        return np.concatenate([self._block[:self._overflow], np.zeros(m - self._overflow)])
 
     def take_errors(self, errors) -> int | None:
         """Take the errors of the oldest handed-out samples, in order.
@@ -171,22 +167,21 @@ class RepetitiveController:
             return None
         errors = np.asarray(errors, dtype=float)
         n = len(errors)
-        if n > len(self._feedback):
-            raise ValueError(f"{n} errors for {len(self._feedback)} handed-out corrections")
-        loop_in = errors + self._feedback[:n]
+        if n > self._pending:
+            raise ValueError(f"{n} errors for {self._pending} handed-out corrections")
+        taken = len(self._block) - self._pending
+        start = len(self._memory) - self.buffer_length - self.filterset.l_shift + taken
+        loop_in = errors + self._memory[start: start + n]
         over = ~(np.abs(loop_in) <= OVERFLOW_LIMIT)
         at_input = int(np.argmax(over)) if over.any() else n
-        at_output = self._overflow[0] if self._overflow is not None else n
+        at_output = self._overflow - taken
         at = min(at_input, at_output)
         if at < n:
             self.sample_count += at + 1
-            self._trip_fault(loop_in[at] if at_input <= at_output else self._overflow[1])
+            self._trip_fault(loop_in[at] if at_input <= at_output else self._block[self._overflow])
             return at
         self._inputs.append(loop_in)
-        self._feedback = self._feedback[n:]
-        self._handed_out = self._handed_out[n:]
-        if self._overflow is not None:
-            self._overflow = (self._overflow[0] - n, self._overflow[1])
+        self._pending -= n
         self.sample_count += n
         return None
 
@@ -209,17 +204,6 @@ class RepetitiveController:
             stacklevel=4,
         )
 
-    def reset(self) -> None:
-        self._inputs: list[np.ndarray] = []       # loop inputs e + w not yet filtered
-        self._input_history = np.zeros(len(self._q_taps) - 1)
-        self._memory = np.zeros(self.buffer_length + max(self.filterset.l_shift, self._l_delay))
-        self._l_state = np.zeros(self._learning.order)
-        self._feedback = np.zeros(0)              # of the handed-out samples
-        self._handed_out = np.zeros(0)
-        self._overflow: tuple[int, float] | None = None   # (pending index, value)
-        self.fault = False
-        self.sample_count = 0
-
 
 class VentilatorController:
     """Benchmark integral controller with the repetitive correction ahead of it.
@@ -231,35 +215,13 @@ class VentilatorController:
 
     def __init__(self, config: ControllerConfig):
         self.config = config
-        self.pid = IntegralController(config.integral_gain, config.sample_time,
-                                      config.output_limits)
+        self.pid = IntegralController(output_limits=config.output_limits)
         self.rc = RepetitiveController(config.filterset) if config.rc_enabled else None
 
     def step(self, reference: float, measurement: float) -> float:
         e = reference - measurement
         total = e if self.rc is None else e + self.rc.step(e)
         return self.pid.step(total)
-
-
-def rc_transfer_function(filterset: RcFilterSet) -> DiscreteTransferFunction:
-    """Rational transfer function of the memory loop, for offline evaluation.
-
-    Composes L_c, the robustness taps, and the shortened delay into one
-    num/den pair with the remaining loop delay in the pure-delay field.  The
-    denominator carries the full period, so this is an analysis tool, not a
-    runtime path.
-    """
-    lc = filterset.l_causal
-    taps = np.asarray(filterset.q_kernel.taps, dtype=float)
-    q_shift = filterset.q_kernel.forward_shift
-    feedback_delay = filterset.period_n - q_shift
-    loop_den = np.zeros(feedback_delay + len(taps))
-    loop_den[0] = 1.0
-    loop_den[feedback_delay : feedback_delay + len(taps)] -= taps
-    num = np.convolve(lc.numerator_coeffs, taps)
-    den = np.convolve(lc.denominator_coeffs, loop_den)
-    return DiscreteTransferFunction(num, den, filterset.buffer_length + lc.pure_delay,
-                                    lc.sample_time)
 
 
 def benchmark_controller_tf(gain: float = BENCHMARK_INTEGRAL_GAIN,

@@ -9,7 +9,6 @@ normalized by breath length.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,6 +26,7 @@ from .lti import (
     FrequencyResponse,
     evaluate,
     save_transfer_function,
+    write_table,
 )
 from .plant import VentilatorPlant, load_scenario, reference_profile
 from .rc_design import (
@@ -145,7 +145,7 @@ def run_experiment(spec: ExperimentSpec) -> BreathLog:
     memory = RepetitiveController(filterset) if config.rc_enabled else None
     # rc and pid share the chunk schedule whenever the memory holds a chunk
     chunk = CHUNK if memory is None else min(CHUNK, memory.buffer_length)
-    loop = ClosedLoop(plant, benchmark_controller_tf(config.integral_gain, ts), chunk)
+    loop = ClosedLoop(plant, benchmark_controller_tf(sample_time=ts), chunk)
     reference = np.tile(profile, spec.breaths)
     bound = 10.0 * (abs(scenario.ipap) + abs(scenario.peep)) + 100.0
     run = simulate(loop, reference, plant.draw_noise, bound, memory=memory,
@@ -187,12 +187,9 @@ class ComparisonTable:
         self.converged_ratio = float(np.mean(tail))
 
     def save_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["breath", "baseline_norm", "candidate_norm", "ratio"])
-            for i, (b, c, r) in enumerate(zip(self.baseline_norms,
-                                              self.candidate_norms, self.ratios), 1):
-                writer.writerow([i, repr(float(b)), repr(float(c)), repr(float(r))])
+        write_table(path, ["breath", "baseline_norm", "candidate_norm", "ratio"],
+                    [np.arange(1, len(self.ratios) + 1), self.baseline_norms,
+                     self.candidate_norms, self.ratios])
 
 
 def compare_runs(baseline: BreathLog, candidate: BreathLog) -> ComparisonTable:
@@ -217,25 +214,15 @@ def emit_report(log: BreathLog, out_dir) -> dict[str, Path]:
     paths = {}
 
     trace = out_dir / f"{stem}_trace.csv"
-    with open(trace, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "time_s", "reference", "p_aw", "p_lung",
-                         "q_pat", "command"])
-        for k in range(len(log.reference)):
-            writer.writerow([
-                k, repr(k * log.sample_time), repr(float(log.reference[k])),
-                repr(float(log.p_aw[k])), repr(float(log.p_lung[k])),
-                repr(float(log.q_pat[k])), repr(float(log.command[k])),
-            ])
+    samples = np.arange(len(log.reference))
+    write_table(trace, ["sample", "time_s", "reference", "p_aw", "p_lung", "q_pat", "command"],
+                [samples, samples * log.sample_time, log.reference, log.p_aw, log.p_lung,
+                 log.q_pat, log.command])
     paths["trace"] = trace
 
     norms = log.breath_norms
     norms_path = out_dir / f"{stem}_breath_norms.csv"
-    with open(norms_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["breath", "error_norm"])
-        for i, v in enumerate(norms, 1):
-            writer.writerow([i, repr(float(v))])
+    write_table(norms_path, ["breath", "error_norm"], [np.arange(1, len(norms) + 1), norms])
     paths["norms"] = norms_path
 
     pressure_svg = out_dir / f"{stem}_pressure.svg"

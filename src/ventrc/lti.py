@@ -9,6 +9,7 @@ appear internally (see :func:`hz_to_rad_per_sample`).
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,6 +387,18 @@ def open_input(path):
         return open(path, newline="")
     except OSError as exc:
         raise ConfigurationError(f"{path}: cannot open: {exc.strerror}") from None
+
+
+def write_table(path, header, columns) -> None:
+    """Write a CSV file: the header, then one row per element of the columns.
+
+    Each value is written as the repr of its Python number (`.tolist()`), so
+    floats read back exactly and integer columns stay integers.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*(map(repr, column.tolist()) for column in columns)))
 
 
 class CoefficientFile:

@@ -39,8 +39,12 @@ class PatientScenario:
     name: str = "scenario"
 
     def __post_init__(self):
-        if self.r_lung <= 0 or self.c_lung <= 0:
+        # written so that NaN fails too
+        if not (self.r_lung > 0 and self.c_lung > 0):
             raise ValueError("r_lung and c_lung must be positive")
+        for name in ("respiratory_rate", "t_insp", "t_exp"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         period = 60.0 / self.respiratory_rate
         if abs(self.t_insp + self.t_exp - period) > 1e-9:
             raise ValueError(
@@ -68,13 +72,14 @@ class CircuitParameters:
     sample_time: float = 0.002     # s
 
     def __post_init__(self):
-        if self.r_hose <= 0 or self.r_leak <= 0:
+        # written so that NaN fails too; an infinite leak resistance is no leak
+        if not (self.r_hose > 0 and self.r_leak > 0):
             raise ValueError("r_hose and r_leak must be positive")
-        if self.blower_time_constant < 0:
+        if not self.blower_time_constant >= 0:
             raise ValueError("blower_time_constant must be nonnegative")
         if self.blower_delay_samples < 0 or self.measurement_delay_samples < 0:
             raise ValueError("delay sample counts must be nonnegative")
-        if self.sample_time <= 0:
+        if not self.sample_time > 0:
             raise ValueError("sample_time must be positive")
 
     @property

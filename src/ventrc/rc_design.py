@@ -9,7 +9,6 @@ shift budget l_shift + q_shift must leave at least one sample of the period.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,6 +22,7 @@ from .lti import (
     FrequencyResponse,
     evaluate,
     hz_to_rad_per_sample,
+    write_table,
 )
 from .sysid import fit_rational
 
@@ -107,12 +107,8 @@ class StabilityReport:
         return "\n".join(lines)
 
     def save_csv(self, path) -> None:
-        names = list(self.magnitudes)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["frequency_hz"] + names)
-            for i, f in enumerate(self.frequencies_hz):
-                writer.writerow([repr(float(f))] + [repr(float(self.magnitudes[n][i])) for n in names])
+        write_table(path, ["frequency_hz", *self.magnitudes],
+                    [self.frequencies_hz, *self.magnitudes.values()])
 
 
 def zpetc_invert(t_fit: DiscreteTransferFunction) -> tuple[DiscreteTransferFunction, int]:

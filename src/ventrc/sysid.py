@@ -23,6 +23,7 @@ from .lti import (
     hz_to_rad_per_sample,
     open_input,
     polyval_zinv,
+    write_table,
 )
 
 # the rational fit stops when the relative parameter change falls below
@@ -262,11 +263,7 @@ FRF_HEADER = ["frequency_hz", "real", "imag"]
 
 
 def save_frf(frf: FrequencyResponse, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FRF_HEADER)
-        for f, v in zip(frf.frequencies_hz, frf.values):
-            writer.writerow([repr(float(f)), repr(float(v.real)), repr(float(v.imag))])
+    write_table(path, FRF_HEADER, [frf.frequencies_hz, frf.values.real, frf.values.imag])
 
 
 def load_frf(path, sample_time: float = 0.002) -> FrequencyResponse:

@@ -2,8 +2,8 @@
 streaming and lifted filters are checked against.
 
 scipy's direct-form recursion holds filters of any order, among them the
-order-2000+ `rc_transfer_function` of a memory loop, which no lifted
-state-space engine can hold.
+order-2000+ transfer function of a memory loop (`rc_transfer_function`,
+below), which no lifted state-space engine can hold.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ventrc.lti import DiscreteTransferFunction
+from ventrc.rc_design import RcFilterSet
 
 # Denominators above this order are not root-checked in filter_stream (the
 # companion-matrix eigensolve gets expensive and the result is only a warning).
@@ -48,3 +49,24 @@ def filter_stream(tf: DiscreteTransferFunction, input_sequence) -> np.ndarray:
         if len(y) < len(u):  # input shorter than the delay
             y = np.concatenate([y, np.zeros(len(u) - len(y))])[: len(u)]
     return y
+
+
+def rc_transfer_function(filterset: RcFilterSet) -> DiscreteTransferFunction:
+    """Rational transfer function of the memory loop, for offline evaluation.
+
+    Composes L_c, the robustness taps, and the shortened delay into one
+    num/den pair with the remaining loop delay in the pure-delay field.  The
+    denominator carries the full period, so this is an analysis tool, not a
+    runtime path.
+    """
+    lc = filterset.l_causal
+    taps = np.asarray(filterset.q_kernel.taps, dtype=float)
+    q_shift = filterset.q_kernel.forward_shift
+    feedback_delay = filterset.period_n - q_shift
+    loop_den = np.zeros(feedback_delay + len(taps))
+    loop_den[0] = 1.0
+    loop_den[feedback_delay : feedback_delay + len(taps)] -= taps
+    num = np.convolve(lc.numerator_coeffs, taps)
+    den = np.convolve(lc.denominator_coeffs, loop_den)
+    return DiscreteTransferFunction(num, den, filterset.buffer_length + lc.pure_delay,
+                                    lc.sample_time)

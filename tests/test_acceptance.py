@@ -10,13 +10,13 @@ import warnings
 import numpy as np
 import pytest
 
-from ventrc.control_rt import RepetitiveController, benchmark_controller_tf, rc_transfer_function
+from ventrc.control_rt import RepetitiveController, benchmark_controller_tf
 from ventrc.harness import ExperimentSpec, compare_runs, run_experiment
 from ventrc.lti import evaluate
 from ventrc.plant import VentilatorPlant, load_scenario
 from ventrc.sysid import MultisineSpec, estimate_frf
 
-from filter_reference import filter_stream
+from filter_reference import filter_stream, rc_transfer_function
 
 SCENARIOS = ("adult", "pediatric", "baby")
 

@@ -14,7 +14,6 @@ from ventrc.control_rt import (
     RepetitiveController,
     VentilatorController,
     benchmark_controller_tf,
-    rc_transfer_function,
 )
 from ventrc.errors import ConfigurationError
 from ventrc.harness import ExperimentSpec, run_experiment
@@ -22,7 +21,7 @@ from ventrc.lti import DiscreteTransferFunction, FirKernel
 from ventrc.plant import load_scenario, reference_profile
 from ventrc.rc_design import RcFilterSet, design_q_fir
 
-from filter_reference import filter_stream
+from filter_reference import filter_stream, rc_transfer_function
 from rc_reference import ReferenceRepetitiveController
 
 TS = 0.002
@@ -123,6 +122,38 @@ class TestRepetitiveController:
         assert rc.fault
         assert all(v == 0.0 for v in [rc.step(1.0) for _ in range(8)])
         assert all(np.isfinite(out))
+
+    def test_one_block_out_at_a_time(self):
+        rc = RepetitiveController(synthetic_filterset())
+        rc.corrections(10)
+        assert rc.take_errors(np.zeros(4)) is None
+        with pytest.raises(ValueError, match="6 corrections are pending"):
+            rc.corrections(1)
+        with pytest.raises(ValueError, match="7 errors for 6 handed-out corrections"):
+            rc.take_errors(np.zeros(7))
+        assert rc.take_errors(np.zeros(6)) is None
+        with pytest.raises(ValueError, match="pending"):
+            rc.corrections(rc.buffer_length + 1)
+        assert len(rc.corrections(rc.buffer_length)) == rc.buffer_length
+
+    def test_blocks_taken_piecewise_match_step(self):
+        # blocks of uneven length, their errors taken in uneven pieces
+        fs = synthetic_filterset(period_n=64)
+        rng = np.random.default_rng(5)
+        errors = rng.normal(size=64 * 8)
+        stepper = RepetitiveController(fs)
+        stepped = np.array([stepper.step(e) for e in errors])
+        blocks = RepetitiveController(fs)
+        out, k = [], 0
+        while k < len(errors):
+            m = min(int(rng.integers(1, blocks.buffer_length + 1)), len(errors) - k)
+            out.append(blocks.corrections(m))
+            while m:
+                piece = min(int(rng.integers(1, 8)), m)
+                assert blocks.take_errors(errors[k: k + piece]) is None
+                k, m = k + piece, m - piece
+        out = np.concatenate(out)
+        assert np.max(np.abs(out - stepped)) <= 1e-12 * (1.0 + np.max(np.abs(stepped)))
 
     def test_shift_by_period_time_invariance(self):
         fs = synthetic_filterset(period_n=64)

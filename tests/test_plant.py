@@ -263,6 +263,19 @@ class TestScenarioFiles:
     ("r_hose = 5.0", "r_hose = -5.0", "r_hose and r_leak must be positive"),
     ("blower_delay_samples = 6", "blower_delay_samples = 6.5",
      "field 'blower_delay_samples': '6.5' is not a valid int"),
+    # zero and NaN values fail closed instead of dividing by zero or running on
+    ("respiratory_rate = 15", "respiratory_rate = 0", "respiratory_rate must be positive, got 0.0"),
+    ("respiratory_rate = 15", "respiratory_rate = nan",
+     "respiratory_rate must be positive, got nan"),
+    ("t_insp = 1.5", "t_insp = nan", "t_insp must be positive, got nan"),
+    ("t_exp = 2.5", "t_exp = nan", "t_exp must be positive, got nan"),
+    ("sample_time = 0.002", "sample_time = nan", "sample_time must be positive"),
+    ("blower_time_constant = 0.01", "blower_time_constant = nan",
+     "blower_time_constant must be nonnegative"),
+    ("r_lung = 5.0", "r_lung = nan", "r_lung and c_lung must be positive"),
+    ("c_lung = 0.05", "c_lung = nan", "r_lung and c_lung must be positive"),
+    ("r_hose = 5.0", "r_hose = nan", "r_hose and r_leak must be positive"),
+    ("r_leak = 50.0", "r_leak = nan", "r_hose and r_leak must be positive"),
 ])
 def test_bad_scenario_file_fails_closed(tmp_path, old, new, message):
     path = tmp_path / "bad.cfg"
