@@ -41,7 +41,6 @@ from .rc_design import (
 )
 from .control_rt import (
     BENCHMARK_INTEGRAL_GAIN,
-    ControllerConfig,
     IntegralController,
     RepetitiveController,
     VentilatorController,

@@ -27,10 +27,8 @@ from .harness import (
 from .lti import FrequencyResponse, open_input, save_transfer_function
 from .plant import VentilatorPlant, load_scenario
 from .rc_design import (
-    check_stability,
-    design_pipeline,
-    load_filterset,
-    save_filterset,
+    FIT_BAND_HZ, FIT_DELAY_SAMPLES, FIT_ORDER, MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER,
+    check_stability, design_pipeline, load_filterset, save_filterset,
 )
 from .sysid import MultisineSpec, average_frf, estimate_frf, fit_rational, load_frf, save_frf
 
@@ -225,24 +223,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("fit", help="fit a rational model to an FRF csv")
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--delay", type=int, default=12)
+    p.add_argument("--order", type=int, default=FIT_ORDER)
+    p.add_argument("--delay", type=int, default=FIT_DELAY_SAMPLES)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--sample-time", type=float, default=0.002)
-    p.add_argument("--band", type=float, nargs=2, default=(0.0, 40.0),
+    p.add_argument("--band", type=float, nargs=2, default=FIT_BAND_HZ,
                    metavar=("LO", "HI"))
     p.add_argument("--weighting", choices=["uniform", "relative"], default="relative")
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("design", help="synthesize the filter set and check stability")
     p.add_argument("--frf-dir", required=True)
-    p.add_argument("--order", type=int, default=4)
-    p.add_argument("--delay", type=int, default=12)
-    p.add_argument("--cutoff-hz", type=float, default=23.0)
-    p.add_argument("--q-order", type=int, default=50)
+    p.add_argument("--order", type=int, default=FIT_ORDER)
+    p.add_argument("--delay", type=int, default=FIT_DELAY_SAMPLES)
+    p.add_argument("--cutoff-hz", type=float, default=Q_CUTOFF_HZ)
+    p.add_argument("--q-order", type=int, default=Q_ORDER)
     p.add_argument("--period-n", type=int, default=2000)
-    p.add_argument("--min-margin", type=float, default=0.05)
+    p.add_argument("--min-margin", type=float, default=MIN_MARGIN)
     p.add_argument("--sample-time", type=float, default=0.002)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_design)
@@ -275,9 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-rms", type=float, default=0.01,
                    help="sensor noise during identification, mbar RMS")
     p.add_argument("--periods", type=int, default=16)
-    p.add_argument("--cutoff-hz", type=float, default=23.0)
-    p.add_argument("--q-order", type=int, default=50)
-    p.add_argument("--min-margin", type=float, default=0.05)
+    p.add_argument("--cutoff-hz", type=float, default=Q_CUTOFF_HZ)
+    p.add_argument("--q-order", type=int, default=Q_ORDER)
+    p.add_argument("--min-margin", type=float, default=MIN_MARGIN)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_all)
 

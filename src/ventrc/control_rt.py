@@ -20,40 +20,15 @@ thing to get wrong here.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import ConfigurationError
 from .lti import DiscreteTransferFunction, LiftedSystem, state_space
 from .rc_design import RcFilterSet
 
 BENCHMARK_INTEGRAL_GAIN = 0.01257
 OVERFLOW_LIMIT = 1e12
-
-
-@dataclass
-class ControllerConfig:
-    """Timing, optional repetitive add-on, optional saturation."""
-
-    sample_time: float = 0.002
-    filterset: RcFilterSet | None = None
-    rc_enabled: bool = False
-    output_limits: tuple[float, float] | None = None
-
-    def __post_init__(self):
-        if self.sample_time <= 0:
-            raise ConfigurationError("sample_time must be positive")
-        if self.rc_enabled and self.filterset is None:
-            raise ConfigurationError("rc_enabled requires a filterset")
-        if self.filterset is not None and \
-                abs(self.filterset.sample_time - self.sample_time) > 1e-15:
-            raise ConfigurationError(
-                f"filterset sample time {self.filterset.sample_time} does not "
-                f"match controller sample time {self.sample_time}"
-            )
-        if self.output_limits is not None and self.output_limits[0] >= self.output_limits[1]:
-            raise ConfigurationError("output_limits must be an increasing interval")
 
 
 class IntegralController:
@@ -208,15 +183,16 @@ class RepetitiveController:
 class VentilatorController:
     """Benchmark integral controller with the repetitive correction ahead of it.
 
-    Per sample: e = reference - measurement; the correction (zero when
-    disabled) adds to e before integration, so a disabled add-on reproduces
-    the benchmark trace bit for bit.
+    Per sample: e = reference - measurement; the correction adds to e before
+    integration.  The add-on runs exactly when a filter set is given; without
+    one the controller is the benchmark, and a correction of zero reproduces
+    the benchmark trace bit for bit.  output_limits saturate the command.
     """
 
-    def __init__(self, config: ControllerConfig):
-        self.config = config
-        self.pid = IntegralController(output_limits=config.output_limits)
-        self.rc = RepetitiveController(config.filterset) if config.rc_enabled else None
+    def __init__(self, filterset: RcFilterSet | None = None,
+                 output_limits: tuple[float, float] | None = None):
+        self.pid = IntegralController(output_limits=output_limits)
+        self.rc = None if filterset is None else RepetitiveController(filterset)
 
     def step(self, reference: float, measurement: float) -> float:
         e = reference - measurement

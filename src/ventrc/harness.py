@@ -17,7 +17,7 @@ import numpy as np
 
 from . import svg
 from .closed_loop import ClosedLoop, simulate
-from .control_rt import ControllerConfig, RepetitiveController, benchmark_controller_tf
+from .control_rt import RepetitiveController, benchmark_controller_tf
 from .errors import ConfigurationError, DesignError, ExperimentDiverged
 from .lti import (
     CHUNK,
@@ -30,15 +30,13 @@ from .lti import (
 )
 from .plant import VentilatorPlant, load_scenario, reference_profile
 from .rc_design import (
-    RcFilterSet,
-    StabilityReport,
-    check_stability,
-    default_stability_grid,
-    design_pipeline,
-    load_filterset,
-    save_filterset,
+    FIT_DELAY_SAMPLES, FIT_ORDER, MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER, RcFilterSet, StabilityReport,
+    check_stability, default_stability_grid, design_pipeline, load_filterset, save_filterset,
 )
 from .sysid import MultisineSpec, average_frf, estimate_frf, save_frf
+
+# the built-in patients that run_full_pipeline identifies, designs for and runs
+SCENARIOS = ("adult", "pediatric", "baby")
 
 
 @dataclass
@@ -61,6 +59,9 @@ class ExperimentSpec:
             raise ConfigurationError("breaths must be >= 1")
         if self.mode == "rc" and self.filterset is None:
             raise ConfigurationError("rc mode needs a filterset")
+        limits = self.output_limits   # written so that NaN fails too
+        if limits is not None and not (np.shape(limits) == (2,) and limits[0] < limits[1]):
+            raise ConfigurationError(f"output_limits must be a pair lo < hi, got {limits!r}")
 
 
 @dataclass
@@ -109,20 +110,24 @@ def run_experiment(spec: ExperimentSpec) -> BreathLog:
     ts = circuit.sample_time
     profile = reference_profile(scenario, ts)
     n = len(profile)
+    plant = VentilatorPlant(scenario, circuit,
+                            measurement_noise_rms=spec.measurement_noise_rms,
+                            seed=spec.seed)
 
-    filterset = None
+    memory = None
     if spec.mode == "rc":
         filterset = spec.filterset
         if not isinstance(filterset, RcFilterSet):
             filterset = load_filterset(filterset)
-        if filterset.period_n != n:
+        # written so that a NaN sample time fails too
+        if filterset.period_n != n or not abs(filterset.sample_time - ts) <= 1e-15:
             raise ConfigurationError(
-                f"filterset period {filterset.period_n} does not match scenario "
-                f"period {n} for {scenario.name}"
+                f"filterset (period {filterset.period_n}, sample time "
+                f"{filterset.sample_time} s) does not match scenario {scenario.name} "
+                f"(period {n}, sample time {ts} s)"
             )
         if not spec.skip_stability_guard:
-            plant_probe = VentilatorPlant(scenario, circuit)
-            frf = _analytic_frf(plant_probe, default_stability_grid(ts))
+            frf = _analytic_frf(plant, default_stability_grid(ts))
             report = check_stability(filterset.q_kernel, filterset.l_causal,
                                      filterset.l_shift, {scenario.name: frf})
             if not report.passed:
@@ -132,24 +137,14 @@ def run_experiment(spec: ExperimentSpec) -> BreathLog:
                     "repetitive loop (pass skip_stability_guard to override)",
                     report=report,
                 )
-
-    plant = VentilatorPlant(scenario, circuit,
-                            measurement_noise_rms=spec.measurement_noise_rms,
-                            seed=spec.seed)
-    config = ControllerConfig(
-        sample_time=ts,
-        filterset=filterset,
-        rc_enabled=spec.mode == "rc" and filterset is not None,
-        output_limits=spec.output_limits,
-    )
-    memory = RepetitiveController(filterset) if config.rc_enabled else None
+        memory = RepetitiveController(filterset)
     # rc and pid share the chunk schedule whenever the memory holds a chunk
     chunk = CHUNK if memory is None else min(CHUNK, memory.buffer_length)
     loop = ClosedLoop(plant, benchmark_controller_tf(sample_time=ts), chunk)
     reference = np.tile(profile, spec.breaths)
     bound = 10.0 * (abs(scenario.ipap) + abs(scenario.peep)) + 100.0
     run = simulate(loop, reference, plant.draw_noise, bound, memory=memory,
-                   output_limits=config.output_limits)
+                   output_limits=spec.output_limits)
 
     k = run.samples
     log = BreathLog(scenario.name, spec.mode, ts, n, reference[:k], *run.signals,
@@ -279,14 +274,13 @@ class PipelineResult:
     files: dict[str, Path]
 
 
-def run_full_pipeline(out_dir, scenarios=("adult", "pediatric", "baby"),
-                      breaths: int = 20, fit_order: int = 4, delay_samples: int = 12,
-                      cutoff_hz: float = 23.0, q_order: int = 50,
-                      identification_noise_rms: float = 0.01,
+def run_full_pipeline(out_dir, breaths: int = 20, cutoff_hz: float = Q_CUTOFF_HZ,
+                      q_order: int = Q_ORDER, identification_noise_rms: float = 0.01,
                       identification_periods: int = 16, seed: int = 0,
-                      min_margin: float = 0.05, echo=print) -> PipelineResult:
-    """The whole workflow: identify x(2 per scenario) -> average -> fit ->
-    design -> stability checks -> run pid and rc per scenario -> compare.
+                      min_margin: float = MIN_MARGIN) -> PipelineResult:
+    """The whole workflow on SCENARIOS: identify x(2 per scenario) -> average
+    -> fit -> design -> stability checks -> run pid and rc per scenario ->
+    compare.  Progress is printed.
 
     Identification runs with the sensor-noise hook on (design-grade realism:
     the high-frequency scatter is what forces the robustness filter, exactly
@@ -297,7 +291,7 @@ def run_full_pipeline(out_dir, scenarios=("adult", "pediatric", "baby"),
     out_dir.mkdir(parents=True, exist_ok=True)
     files: dict[str, Path] = {}
 
-    loaded = {name: load_scenario(name) for name in scenarios}
+    loaded = {name: load_scenario(name) for name in SCENARIOS}
     ts = next(iter(loaded.values()))[1].sample_time
     controller_tf = benchmark_controller_tf(sample_time=ts)
     spec = MultisineSpec(
@@ -308,8 +302,8 @@ def run_full_pipeline(out_dir, scenarios=("adult", "pediatric", "baby"),
         seed=seed,
     )
 
-    echo("identifying complementary-sensitivity responses "
-         f"({len(scenarios)} scenarios x 2 levels)...")
+    print("identifying complementary-sensitivity responses "
+          f"({len(SCENARIOS)} scenarios x 2 levels)...")
     frfs = {}
     job = 0
     for name, (scenario, circuit) in loaded.items():
@@ -330,12 +324,11 @@ def run_full_pipeline(out_dir, scenarios=("adult", "pediatric", "baby"),
     save_frf(mean_frf, mean_path)
     files["frf_mean"] = mean_path
 
-    echo(f"fitting order-{fit_order} model with {delay_samples}-sample delay "
-         "and synthesizing the filter set...")
-    first_period = len(reference_profile(loaded[scenarios[0]][0], ts))
+    print(f"fitting order-{FIT_ORDER} model with {FIT_DELAY_SAMPLES}-sample delay "
+          "and synthesizing the filter set...")
+    first_period = len(reference_profile(loaded[SCENARIOS[0]][0], ts))
     filterset, report = design_pipeline(
-        frfs, mean_frf, order=fit_order, delay_samples=delay_samples,
-        cutoff_hz=cutoff_hz, q_order=q_order, period_n=first_period,
+        frfs, mean_frf, cutoff_hz=cutoff_hz, q_order=q_order, period_n=first_period,
         min_margin=min_margin,
     )
     t_fit = filterset.t_fit
@@ -351,10 +344,10 @@ def run_full_pipeline(out_dir, scenarios=("adult", "pediatric", "baby"),
     report_path = out_dir / "stability_report.csv"
     report.save_csv(report_path)
     files["stability_report"] = report_path
-    echo("stability without robustness filter (expected to fail):")
-    echo(report_no_q.summary())
-    echo(f"stability with the {cutoff_hz:g} Hz / order-{q_order} filter:")
-    echo(report.summary())
+    print("stability without robustness filter (expected to fail):")
+    print(report_no_q.summary())
+    print(f"stability with the {cutoff_hz:g} Hz / order-{q_order} filter:")
+    print(report.summary())
 
     logs: dict[tuple[str, str], BreathLog] = {}
     comparisons: dict[str, ComparisonTable] = {}
@@ -365,7 +358,7 @@ def run_full_pipeline(out_dir, scenarios=("adult", "pediatric", "baby"),
         save_filterset(fs, fs_path)
         files[f"filterset_{name}"] = fs_path
         for mode in ("pid", "rc"):
-            echo(f"running {name} / {mode} for {breaths} breaths...")
+            print(f"running {name} / {mode} for {breaths} breaths...")
             log = run_experiment(ExperimentSpec(
                 scenario=name, mode=mode, breaths=breaths,
                 filterset=fs if mode == "rc" else None, seed=seed,
@@ -376,7 +369,7 @@ def run_full_pipeline(out_dir, scenarios=("adult", "pediatric", "baby"),
         comparisons[name] = comparison
         emit_comparison_report(logs[(name, "pid")], logs[(name, "rc")],
                                comparison, out_dir / name)
-        echo(f"  {name}: converged rc/pid norm ratio = {comparison.converged_ratio:.4f}")
+        print(f"  {name}: converged rc/pid norm ratio = {comparison.converged_ratio:.4f}")
 
     return PipelineResult(frfs, mean_frf, t_fit, filterset, report_no_q, report,
                           logs, comparisons, files)

@@ -10,6 +10,7 @@ appear internally (see :func:`hz_to_rad_per_sample`).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,14 @@ LIFT_BUDGET_BYTES = 8 << 20
 def hz_to_rad_per_sample(frequencies_hz, sample_time: float) -> np.ndarray:
     """Convert frequency in Hz to radians per sample for a given sample time."""
     return 2.0 * np.pi * np.asarray(frequencies_hz, dtype=float) * sample_time
+
+
+def check_sample_time(sample_time: float) -> None:
+    """Raise ValueError unless 0 < sample_time < inf; NaN fails too."""
+    if not sample_time > 0:
+        raise ValueError(f"sample_time must be positive, got {sample_time}")
+    if sample_time == math.inf:
+        raise ValueError(f"sample_time must be finite, got {sample_time}")
 
 
 def polyval_zinv(coeffs, zinv) -> np.ndarray:
@@ -51,8 +60,7 @@ class DiscreteTransferFunction:
     def __post_init__(self):
         num = np.atleast_1d(np.asarray(self.numerator_coeffs, dtype=float))
         den = np.atleast_1d(np.asarray(self.denominator_coeffs, dtype=float))
-        if self.sample_time <= 0:
-            raise ValueError(f"sample_time must be positive, got {self.sample_time}")
+        check_sample_time(self.sample_time)
         if self.pure_delay < 0 or int(self.pure_delay) != self.pure_delay:
             raise ValueError(f"pure_delay must be a nonnegative integer, got {self.pure_delay}")
         if den.size == 0 or abs(den[0]) < 1e-300:
@@ -155,8 +163,7 @@ class FrequencyResponse:
     def __post_init__(self):
         self.frequencies_hz = np.atleast_1d(np.asarray(self.frequencies_hz, dtype=float))
         self.values = np.atleast_1d(np.asarray(self.values, dtype=complex))
-        if self.sample_time <= 0:
-            raise ValueError("sample_time must be positive")
+        check_sample_time(self.sample_time)
         if len(self.frequencies_hz) != len(self.values):
             raise ValueError("frequencies and values must have equal length")
         nyq = 0.5 / self.sample_time
@@ -372,9 +379,10 @@ class LiftedSystem:
 
 # -- coefficient file I/O ---------------------------------------------------
 #
-# Plain-text format: the header "tf <sample_time> <pure_delay>", then the
-# "num <k>" and "den <m>" section markers, each followed by one coefficient
-# per line.
+# Plain-text format: a header line, "<field> <value>" lines, and arrays, each
+# a "<field> <count>" line followed by one number per line.  A transfer
+# function has the header "tf <sample_time> <pure_delay>" and the arrays
+# "num" and "den".
 
 
 def open_input(path):
@@ -464,19 +472,35 @@ class CoefficientFile:
         return self._arrays[field]
 
 
-def save_transfer_function(tf: DiscreteTransferFunction, path) -> None:
+def write_coefficient_file(path, header: str, scalars: dict, arrays: dict) -> None:
+    """Write a file that CoefficientFile(path, header, tuple(arrays)) reads back.
+
+    Scalars fill the header's "<name>" words, the rest get "<field> <value>"
+    lines; integers are written as integers and other numbers as the repr
+    of their float, so they read back exactly.  Each array follows as a
+    "<field> <count>" line and one number per line.
+    """
+    text = {name: str(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
+            for name, v in scalars.items()}
+    lines = [" ".join(text.pop(w[1:-1]) if w.startswith("<") else w for w in header.split())]
+    lines += [f"{name} {value}" for name, value in text.items()]
+    for name, values in arrays.items():
+        lines += [f"{name} {len(values)}", *(repr(float(v)) for v in values)]
     with open(path, "w") as fh:
-        fh.write(f"tf {float(tf.sample_time)!r} {tf.pure_delay}\n")
-        fh.write(f"num {len(tf.numerator_coeffs)}\n")
-        for c in tf.numerator_coeffs:
-            fh.write(f"{float(c)!r}\n")
-        fh.write(f"den {len(tf.denominator_coeffs)}\n")
-        for c in tf.denominator_coeffs:
-            fh.write(f"{float(c)!r}\n")
+        fh.write("".join(line + "\n" for line in lines))
+
+
+TF_HEADER = "tf <sample_time> <pure_delay>"
+
+
+def save_transfer_function(tf: DiscreteTransferFunction, path) -> None:
+    write_coefficient_file(path, TF_HEADER,
+                           {"sample_time": tf.sample_time, "pure_delay": tf.pure_delay},
+                           {"num": tf.numerator_coeffs, "den": tf.denominator_coeffs})
 
 
 def load_transfer_function(path) -> DiscreteTransferFunction:
-    f = CoefficientFile(path, "tf <sample_time> <pure_delay>", ("num", "den"))
+    f = CoefficientFile(path, TF_HEADER, ("num", "den"))
     num, den = f.array("num"), f.array("den")
     pure_delay, sample_time = f.scalar("pure_delay", int), f.scalar("sample_time", float)
     try:

@@ -52,8 +52,8 @@ class PatientScenario:
                 f"60/respiratory_rate = {period} s"
             )
         # equality allowed so a flat (zero-amplitude) profile is constructible
-        if not (self.ipap >= self.peep >= 0):
-            raise ValueError("require ipap >= peep >= 0")
+        if not (math.inf > self.ipap >= self.peep >= 0):
+            raise ValueError("require a finite ipap >= peep >= 0")
 
     @property
     def period_s(self) -> float:
@@ -81,6 +81,8 @@ class CircuitParameters:
             raise ValueError("delay sample counts must be nonnegative")
         if not self.sample_time > 0:
             raise ValueError("sample_time must be positive")
+        if self.sample_time == math.inf:
+            raise ValueError("sample_time must be finite")
 
     @property
     def total_delay_samples(self) -> int:

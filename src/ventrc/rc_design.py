@@ -22,6 +22,7 @@ from .lti import (
     FrequencyResponse,
     evaluate,
     hz_to_rad_per_sample,
+    write_coefficient_file,
     write_table,
 )
 from .sysid import fit_rational
@@ -29,6 +30,14 @@ from .sysid import fit_rational
 # the mean response is fitted only where it is trustworthy, with relative
 # (1/|T|) weighting
 FIT_BAND_HZ = (0.0, 40.0)
+# the paper's design choices, the defaults of every design entry point: the
+# fit order and the loop delay in samples, the robustness filter's cutoff
+# and order, and how far below one the small-gain bound must stay
+FIT_ORDER = 4
+FIT_DELAY_SAMPLES = 12
+Q_CUTOFF_HZ = 23.0
+Q_ORDER = 50
+MIN_MARGIN = 0.05
 # zeros with |z| >= 1 - UNSTABLE_ZERO_TOL are treated as uninvertible
 UNSTABLE_ZERO_TOL = 1e-9
 
@@ -233,9 +242,10 @@ def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: i
 
 
 def design_pipeline(frfs: dict[str, FrequencyResponse], mean_frf: FrequencyResponse,
-                    order: int = 4, delay_samples: int = 12, cutoff_hz: float = 23.0,
-                    q_order: int = 50, period_n: int = 2000,
-                    min_margin: float = 0.05) -> tuple[RcFilterSet, StabilityReport]:
+                    order: int = FIT_ORDER, delay_samples: int = FIT_DELAY_SAMPLES,
+                    cutoff_hz: float = Q_CUTOFF_HZ, q_order: int = Q_ORDER,
+                    period_n: int = 2000,
+                    min_margin: float = MIN_MARGIN) -> tuple[RcFilterSet, StabilityReport]:
     """Chain fit -> inversion -> lowpass design -> stability check.
 
     The parametric fit uses the mean response restricted to FIT_BAND_HZ with
@@ -272,32 +282,25 @@ def design_pipeline(frfs: dict[str, FrequencyResponse], mean_frf: FrequencyRespo
 
 # -- filter-set persistence ---------------------------------------------------
 #
-# Plain-text sections: header, learning-filter numerator/denominator, shifts,
-# robustness taps, period.
+# A coefficient file (lti.write_coefficient_file): the timing and shifts, then
+# the learning-filter numerator and denominator and the robustness taps.
+
+FILTERSET_HEADER = "ventrc-filterset v1"
 
 
 def save_filterset(filterset: RcFilterSet, path) -> None:
     lc = filterset.l_causal
-    with open(path, "w") as fh:
-        fh.write("ventrc-filterset v1\n")
-        fh.write(f"sample_time {float(lc.sample_time)!r}\n")
-        fh.write(f"period_n {filterset.period_n}\n")
-        fh.write(f"l_shift {filterset.l_shift}\n")
-        fh.write(f"l_delay {lc.pure_delay}\n")
-        fh.write(f"q_shift {filterset.q_kernel.forward_shift}\n")
-        fh.write(f"l_num {len(lc.numerator_coeffs)}\n")
-        for c in lc.numerator_coeffs:
-            fh.write(f"{float(c)!r}\n")
-        fh.write(f"l_den {len(lc.denominator_coeffs)}\n")
-        for c in lc.denominator_coeffs:
-            fh.write(f"{float(c)!r}\n")
-        fh.write(f"q_taps {len(filterset.q_kernel.taps)}\n")
-        for t in filterset.q_kernel.taps:
-            fh.write(f"{float(t)!r}\n")
+    write_coefficient_file(
+        path, FILTERSET_HEADER,
+        {"sample_time": lc.sample_time, "period_n": filterset.period_n,
+         "l_shift": filterset.l_shift, "l_delay": lc.pure_delay,
+         "q_shift": filterset.q_kernel.forward_shift},
+        {"l_num": lc.numerator_coeffs, "l_den": lc.denominator_coeffs,
+         "q_taps": filterset.q_kernel.taps})
 
 
 def load_filterset(path) -> RcFilterSet:
-    f = CoefficientFile(path, "ventrc-filterset v1", ("l_num", "l_den", "q_taps"))
+    f = CoefficientFile(path, FILTERSET_HEADER, ("l_num", "l_den", "q_taps"))
     l_num, l_den, q_taps = f.array("l_num"), f.array("l_den"), f.array("q_taps")
     l_delay, sample_time = f.scalar("l_delay", int, default=0), f.scalar("sample_time", float)
     l_shift, q_shift = f.scalar("l_shift", int), f.scalar("q_shift", int)

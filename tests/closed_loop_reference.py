@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ventrc.control_rt import ControllerConfig, VentilatorController
+from ventrc.control_rt import VentilatorController
 from ventrc.errors import ExperimentDiverged, IdentificationError
 from ventrc.harness import BreathLog
 from ventrc.lti import FrequencyResponse, StreamingFilter
@@ -32,12 +32,8 @@ def reference_run(spec, filterset=None) -> BreathLog:
     plant = VentilatorPlant(scenario, circuit,
                             measurement_noise_rms=spec.measurement_noise_rms,
                             seed=spec.seed)
-    controller = VentilatorController(ControllerConfig(
-        sample_time=ts,
-        filterset=filterset,
-        rc_enabled=spec.mode == "rc",
-        output_limits=spec.output_limits,
-    ))
+    controller = VentilatorController(filterset if spec.mode == "rc" else None,
+                                      spec.output_limits)
 
     total = spec.breaths * n
     reference = np.empty(total)

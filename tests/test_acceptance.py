@@ -181,25 +181,26 @@ def test_criterion_7_plant_oracle():
 def test_criterion_8_baseline_neutrality(design_outputs):
     """Disabled add-on reproduces the benchmark trace bit for bit.
 
-    Streaming: the controller with the loop present but disabled against the
-    benchmark's sample-by-sample loop.  Chunked: run_experiment in rc mode
-    with a learning filter that hands out zero corrections against pid mode.
+    Both halves run the loop with a learning filter that hands out zero
+    corrections.  Streaming: the controller against the benchmark's
+    sample-by-sample loop.  Chunked: run_experiment in rc mode against pid
+    mode.
     """
     from closed_loop_reference import reference_run
-    from ventrc.control_rt import ControllerConfig, VentilatorController
+    from ventrc.control_rt import VentilatorController
     from ventrc.lti import DiscreteTransferFunction
     from ventrc.plant import reference_profile
     from ventrc.rc_design import RcFilterSet
 
     fs = design_outputs["filterset"]
+    silent = RcFilterSet(DiscreteTransferFunction([0.0], [1.0], 0, fs.sample_time),
+                         fs.l_shift, fs.q_kernel, fs.period_n)
     pid_spec = ExperimentSpec(scenario="adult", mode="pid", breaths=5)
     reference_log = reference_run(pid_spec)
 
-    # rc mode with the loop present but disabled via the controller config
     scenario, circuit = load_scenario("adult")
     plant = VentilatorPlant(scenario, circuit)
-    controller = VentilatorController(ControllerConfig(
-        sample_time=circuit.sample_time, filterset=fs, rc_enabled=False))
+    controller = VentilatorController(silent)
     profile = reference_profile(scenario, circuit.sample_time)
     n = len(profile)
     command = np.empty(5 * n)
@@ -213,8 +214,6 @@ def test_criterion_8_baseline_neutrality(design_outputs):
     streaming = (np.array_equal(command, reference_log.command)
                  and np.array_equal(p_aw, reference_log.p_aw))
 
-    silent = RcFilterSet(DiscreteTransferFunction([0.0], [1.0], 0, fs.sample_time),
-                         fs.l_shift, fs.q_kernel, fs.period_n)
     pid_log = run_experiment(pid_spec)
     rc_log = run_experiment(ExperimentSpec(scenario="adult", mode="rc", breaths=5,
                                            filterset=silent, skip_stability_guard=True))

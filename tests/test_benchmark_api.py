@@ -85,8 +85,11 @@ def test_worker_design_path(tmp_path):
 
 
 def test_worker_run_path(tmp_path):
-    # worker.closed_loop_round and the run_experiment span
-    log = run_experiment(ExperimentSpec(scenario="baby", mode="pid", breaths=2))
+    # worker.closed_loop_round and the run_experiment span, on the
+    # limited_noisy workload's run inputs
+    log = run_experiment(ExperimentSpec(
+        scenario="baby", mode="pid", breaths=2, output_limits=tuple(worker_constant("LIMITS")),
+        measurement_noise_rms=worker_constant("NOISE_RMS")))
     assert log.mode == "pid"
     for name in worker_constant("LOG_FIELDS"):
         assert np.shape(getattr(log, name)) == log.reference.shape

@@ -213,6 +213,7 @@ def test_identify_rejects_bad_option(tmp_path, capsys, option, value, message):
     (["--band", "90", "95"], "0 bins cannot determine the 9 parameters of an order-4 fit"),
     (["--delay", "-1"], "fixed_delay_samples must be >= 0, got -1"),
     (["--sample-time", "0"], "{frf} (sample_time 0.0): sample_time must be positive"),
+    (["--sample-time", "nan"], "{frf} (sample_time nan): sample_time must be positive"),
 ])
 def test_fit_rejects_bad_request(tmp_path, capsys, options, message):
     frf = tmp_path / "frf.csv"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ventrc.control_rt import (
     BENCHMARK_INTEGRAL_GAIN,
-    ControllerConfig,
     IntegralController,
     RepetitiveController,
     VentilatorController,
@@ -184,26 +183,25 @@ class TestVentilatorController:
         rng = np.random.default_rng(6)
         refs = rng.uniform(0, 20, 400)
         meas = rng.uniform(0, 20, 400)
-        plain = VentilatorController(ControllerConfig())
-        off = VentilatorController(ControllerConfig(filterset=synthetic_filterset(),
-                                                    rc_enabled=False))
+        plain = VentilatorController()
+        # the add-on present, with a learning filter that hands out zero corrections
+        fs = synthetic_filterset()
+        silent = RcFilterSet(DiscreteTransferFunction([0.0], [1.0], 0, TS),
+                             fs.l_shift, fs.q_kernel, fs.period_n)
+        off = VentilatorController(silent)
         for r, y in zip(refs, meas):
             assert plain.step(r, y) == off.step(r, y)
 
     def test_zero_inputs_frozen(self):
-        ctrl = VentilatorController(ControllerConfig(filterset=synthetic_filterset(),
-                                                     rc_enabled=True))
+        ctrl = VentilatorController(synthetic_filterset())
         assert all(ctrl.step(0.0, 0.0) == 0.0 for _ in range(300))
 
     def test_sample_time_mismatch_rejected(self):
+        # the adult scenario's period at half its sample time
         lc = DiscreteTransferFunction([1.0], [1.0], 0, 0.001)
-        fs = RcFilterSet(lc, 0, FirKernel([1.0]), 100)
+        fs = RcFilterSet(lc, 0, FirKernel([1.0]), 2000)
         with pytest.raises(ConfigurationError, match="sample time"):
-            ControllerConfig(sample_time=0.002, filterset=fs, rc_enabled=True)
-
-    def test_rc_requires_filterset(self):
-        with pytest.raises(ConfigurationError):
-            ControllerConfig(rc_enabled=True)
+            run_experiment(ExperimentSpec(scenario="adult", mode="rc", breaths=1, filterset=fs))
 
 
 def test_designed_filterset_equivalence(design_outputs):

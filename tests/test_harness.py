@@ -1,3 +1,4 @@
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -30,6 +31,12 @@ class TestExperimentSpec:
     def test_zero_breaths_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentSpec(scenario="adult", mode="pid", breaths=0)
+
+    @pytest.mark.parametrize("limits", [
+        (math.nan, 40.0), (0.0, math.nan), (0.0, 40.0, 1.0), (0.0,), (40.0, 0.0), 40.0])
+    def test_bad_output_limits_rejected(self, limits):
+        with pytest.raises(ConfigurationError, match="output_limits"):
+            ExperimentSpec(scenario="adult", mode="pid", output_limits=limits)
 
 
 class TestBenchmarkRuns:

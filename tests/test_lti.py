@@ -214,6 +214,8 @@ def test_coefficient_file_round_trip(tmp_path):
     (lambda lines: lines[:-3] + ["0.0"] + lines[-2:],
      "denominator leading (z^0) coefficient must be nonzero"),
     (lambda lines: ["tf -0.002 7"] + lines[1:], "sample_time must be positive, got -0.002"),
+    (lambda lines: ["tf nan 7"] + lines[1:], "sample_time must be positive, got nan"),
+    (lambda lines: ["tf inf 7"] + lines[1:], "sample_time must be finite, got inf"),
     (None, "cannot open: No such file or directory"),
 ])
 def test_truncated_coefficient_file_fails_closed(tmp_path, edit, message):

@@ -1,10 +1,12 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from ventrc.errors import ConfigurationError
+from ventrc.harness import ExperimentSpec, run_experiment
 from ventrc.plant import (
     CircuitParameters,
     PatientScenario,
@@ -286,3 +288,21 @@ def test_bad_scenario_file_fails_closed(tmp_path, old, new, message):
     with pytest.raises(ConfigurationError) as exc:
         load_scenario(path)
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("field", [
+    "r_lung", "c_lung", "respiratory_rate", "peep", "ipap", "t_insp", "t_exp",
+    "r_hose", "r_leak", "blower_time_constant", "sample_time"])
+def test_scenario_value_sweep_fails_closed_or_runs(tmp_path, field, value):
+    # each float field of a saved scenario at an extreme value either fails as
+    # a ConfigurationError naming the path and the field, or runs cleanly
+    # (a RuntimeWarning fails the suite)
+    path = tmp_path / "swept.cfg"
+    save_scenario(adult(), CircuitParameters(), path)
+    path.write_text(re.sub(rf"^{field} = .*$", f"{field} = {value}", path.read_text(),
+                           flags=re.MULTILINE))
+    try:
+        run_experiment(ExperimentSpec(scenario=path, mode="pid", breaths=1))
+    except ConfigurationError as exc:
+        assert str(exc).startswith(f"{path}: ") and field in str(exc)

@@ -212,6 +212,8 @@ class TestFilterSet:
      "shift budget violated: l_shift 1975 + q shift 25 leaves no memory in period 2000"),
     (lambda lines: lines[:lines.index("l_den 2") + 1] + ["0.0"] + lines[lines.index("l_den 2") + 2:],
      "denominator leading (z^0) coefficient must be nonzero"),
+    (lambda lines: [ln.replace("sample_time 0.002", "sample_time nan") for ln in lines],
+     "sample_time must be positive, got nan"),
     (None, "cannot open: No such file or directory"),
 ])
 def test_truncated_filterset_fails_closed(tmp_path, edit, message):
