@@ -8,7 +8,6 @@ is nonzero on stability-check failure or experiment divergence.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
@@ -17,6 +16,11 @@ import numpy as np
 from .control_rt import benchmark_controller_tf
 from .errors import ConfigurationError, DesignError, ExperimentDiverged, VentrcError
 from .harness import (
+    BREATHS,
+    IDENT_NOISE_RMS,
+    IDENT_PERIODS,
+    NORMS_HEADER,
+    SEED,
     ComparisonTable,
     ExperimentSpec,
     design_excitation_bins,
@@ -24,7 +28,7 @@ from .harness import (
     run_experiment,
     run_full_pipeline,
 )
-from .lti import FrequencyResponse, open_input, save_transfer_function
+from .lti import FrequencyResponse, read_table, save_transfer_function
 from .plant import VentilatorPlant, load_scenario
 from .rc_design import (
     FIT_BAND_HZ, FIT_DELAY_SAMPLES, FIT_ORDER, MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER,
@@ -76,7 +80,12 @@ def _load_frf_dir(frf_dir: Path, sample_time: float):
     paths = [p for p in paths if p.stem != "frf_mean"]
     if not paths:
         raise VentrcError(f"no frf_*.csv files in {frf_dir}")
-    return {p.stem.removeprefix("frf_"): load_frf(p, sample_time) for p in paths}
+    frfs = {p.stem.removeprefix("frf_"): load_frf(p, sample_time) for p in paths}
+    first = next(iter(frfs.values()))
+    for path, frf in zip(paths, frfs.values()):
+        if not frf.same_grid(first):
+            raise ConfigurationError(f"{path}: frequency grid differs from that of {paths[0]}")
+    return frfs
 
 
 def _cmd_design(args) -> int:
@@ -137,31 +146,9 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _read_norm_csv(path: Path) -> np.ndarray:
-    norms = []
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigurationError(f"{path}: file is empty")
-        if "error_norm" not in header:
-            raise ConfigurationError(f"{path}: no 'error_norm' column in header {header}")
-        col = header.index("error_norm")
-        for row in reader:
-            try:
-                norms.append(float(row[col]))
-            except (IndexError, ValueError):
-                raise ConfigurationError(
-                    f"{path}: line {reader.line_num}: no number in column 'error_norm', "
-                    f"got {row}") from None
-    if not norms:
-        raise ConfigurationError(f"{path}: no rows after the header")
-    return np.array(norms)
-
-
 def _cmd_compare(args) -> int:
-    base = _read_norm_csv(Path(args.baseline))
-    cand = _read_norm_csv(Path(args.candidate))
+    _, base = read_table(args.baseline, NORMS_HEADER)
+    _, cand = read_table(args.candidate, NORMS_HEADER)
     if len(base) != len(cand):
         print(f"breath counts differ: {len(base)} vs {len(cand)}", file=sys.stderr)
         return 1
@@ -219,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sensor noise hook, mbar RMS (default off)")
     p.add_argument("--dense-grid", action="store_true",
                    help="use the design-grade dense grid up to Nyquist")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SEED)
     p.set_defaults(func=_cmd_identify)
 
     p = sub.add_parser("fit", help="fit a rational model to an FRF csv")
@@ -254,11 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="closed-loop experiment on one scenario")
     p.add_argument("--scenario", required=True)
     p.add_argument("--mode", choices=["pid", "rc"], required=True)
-    p.add_argument("--breaths", type=int, default=20)
+    p.add_argument("--breaths", type=int, default=BREATHS)
     p.add_argument("--filterset")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--noise-rms", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SEED)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("compare", help="per-breath ratios between two norm csvs")
@@ -269,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("all", help="identify -> fit -> design -> check -> run -> compare")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--breaths", type=int, default=20)
-    p.add_argument("--noise-rms", type=float, default=0.01,
+    p.add_argument("--breaths", type=int, default=BREATHS)
+    p.add_argument("--noise-rms", type=float, default=IDENT_NOISE_RMS,
                    help="sensor noise during identification, mbar RMS")
-    p.add_argument("--periods", type=int, default=16)
+    p.add_argument("--periods", type=int, default=IDENT_PERIODS)
     p.add_argument("--cutoff-hz", type=float, default=Q_CUTOFF_HZ)
     p.add_argument("--q-order", type=int, default=Q_ORDER)
     p.add_argument("--min-margin", type=float, default=MIN_MARGIN)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=SEED)
     p.set_defaults(func=_cmd_all)
 
     return parser

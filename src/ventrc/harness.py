@@ -37,6 +37,14 @@ from .sysid import MultisineSpec, average_frf, estimate_frf, save_frf
 
 # the built-in patients that run_full_pipeline identifies, designs for and runs
 SCENARIOS = ("adult", "pediatric", "baby")
+# the defaults of `ventrc run` and `ventrc all`: breaths per run, the seed,
+# and the sensor noise (mbar RMS) and recorded periods of identification
+BREATHS = 20
+SEED = 0
+IDENT_NOISE_RMS = 0.01
+IDENT_PERIODS = 16
+# the per-breath norm CSV that emit_report writes and `ventrc compare` reads
+NORMS_HEADER = ("breath", "error_norm")
 
 
 @dataclass
@@ -45,11 +53,11 @@ class ExperimentSpec:
 
     scenario: str | Path
     mode: str = "pid"                 # "pid" or "rc"
-    breaths: int = 20
+    breaths: int = BREATHS
     filterset: RcFilterSet | str | Path | None = None
     output_limits: tuple[float, float] | None = None
     measurement_noise_rms: float = 0.0
-    seed: int | None = 0
+    seed: int | None = SEED
     skip_stability_guard: bool = False
 
     def __post_init__(self):
@@ -217,7 +225,7 @@ def emit_report(log: BreathLog, out_dir) -> dict[str, Path]:
 
     norms = log.breath_norms
     norms_path = out_dir / f"{stem}_breath_norms.csv"
-    write_table(norms_path, ["breath", "error_norm"], [np.arange(1, len(norms) + 1), norms])
+    write_table(norms_path, NORMS_HEADER, [np.arange(1, len(norms) + 1), norms])
     paths["norms"] = norms_path
 
     pressure_svg = out_dir / f"{stem}_pressure.svg"
@@ -274,9 +282,9 @@ class PipelineResult:
     files: dict[str, Path]
 
 
-def run_full_pipeline(out_dir, breaths: int = 20, cutoff_hz: float = Q_CUTOFF_HZ,
-                      q_order: int = Q_ORDER, identification_noise_rms: float = 0.01,
-                      identification_periods: int = 16, seed: int = 0,
+def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTOFF_HZ,
+                      q_order: int = Q_ORDER, identification_noise_rms: float = IDENT_NOISE_RMS,
+                      identification_periods: int = IDENT_PERIODS, seed: int = SEED,
                       min_margin: float = MIN_MARGIN) -> PipelineResult:
     """The whole workflow on SCENARIOS: identify x(2 per scenario) -> average
     -> fit -> design -> stability checks -> run pid and rc per scenario ->

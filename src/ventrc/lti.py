@@ -409,6 +409,49 @@ def write_table(path, header, columns) -> None:
         writer.writerows(zip(*(map(repr, column.tolist()) for column in columns)))
 
 
+def read_table(path, header) -> np.ndarray:
+    """The columns of a CSV file that write_table(path, header, ...) wrote.
+
+    Returns a float array with one row per column.  The header must match
+    exactly, blank lines are skipped, and every other line needs one number
+    per column.  An empty file, a wrong header, a row of the wrong width, a
+    value that is not a number and a file with no rows all raise
+    ConfigurationError naming the path, and the line where there is one.
+    """
+    header = list(header)
+    rows = []
+    with open_input(path) as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got is None:
+            raise ConfigurationError(f"{path}: file is empty")
+        if [h.strip() for h in got] != header:
+            raise ConfigurationError(f"{path}: expected header {header}, got {got}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ConfigurationError(f"{path}: line {reader.line_num}: expected "
+                                         f"{len(header)} fields {header}, got {row}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError:
+                raise ConfigurationError(f"{path}: line {reader.line_num}: fields {header} "
+                                         f"must be numbers, got {row}") from None
+    if not rows:
+        raise ConfigurationError(f"{path}: no {header} rows after the header")
+    return np.array(rows).T.copy()
+
+
+def parse_field(path, field: str, text: str, kind):
+    """kind(text), or a ConfigurationError naming the path, the field and the text."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigurationError(
+            f"{path}: field {field!r}: {text!r} is not a valid {kind.__name__}") from None
+
+
 class CoefficientFile:
     """A coefficient file read whole: a header line, then "<field> <value>" lines.
 
@@ -443,28 +486,20 @@ class CoefficientFile:
                 self._scalars[name] = value
                 idx += 1
                 continue
-            count = self._parse(name, value, int)
+            count = parse_field(path, name, value, int)
             body = lines[idx + 1 : idx + 1 + max(count, 0)]
             if count < 0 or len(body) < count:
                 raise ConfigurationError(
                     f"{path}: field {name!r} declares {count} values, the file has {len(body)}")
-            self._arrays[name] = [self._parse(name, v, float) for v in body]
+            self._arrays[name] = [parse_field(path, name, v, float) for v in body]
             idx += 1 + count
-
-    def _parse(self, field: str, text: str, kind):
-        try:
-            return kind(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"{self.path}: field {field!r}: {text!r} is not a valid {kind.__name__}"
-            ) from None
 
     def scalar(self, field: str, kind, default=None):
         if field not in self._scalars:
             if default is not None:
                 return default
             raise ConfigurationError(f"{self.path}: missing field {field!r}")
-        return self._parse(field, self._scalars[field], kind)
+        return parse_field(self.path, field, self._scalars[field], kind)
 
     def array(self, field: str) -> list[float]:
         if field not in self._arrays:

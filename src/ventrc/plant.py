@@ -16,13 +16,13 @@ from __future__ import annotations
 import configparser
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .lti import DiscreteTransferFunction, StateSpace
+from .lti import DiscreteTransferFunction, StateSpace, parse_field
 
 
 @dataclass
@@ -42,6 +42,9 @@ class PatientScenario:
         # written so that NaN fails too
         if not (self.r_lung > 0 and self.c_lung > 0):
             raise ValueError("r_lung and c_lung must be positive")
+        for name in ("r_lung", "c_lung"):
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite")
         for name in ("respiratory_rate", "t_insp", "t_exp"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -81,8 +84,9 @@ class CircuitParameters:
             raise ValueError("delay sample counts must be nonnegative")
         if not self.sample_time > 0:
             raise ValueError("sample_time must be positive")
-        if self.sample_time == math.inf:
-            raise ValueError("sample_time must be finite")
+        for name in ("r_hose", "blower_time_constant", "sample_time"):
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"{name} must be finite")
 
     @property
     def total_delay_samples(self) -> int:
@@ -287,6 +291,12 @@ def reference_profile(scenario: PatientScenario, sample_time: float) -> np.ndarr
 # canonical files (adult.cfg, pediatric.cfg, baby.cfg) ship with the package.
 
 _SCENARIO_DIR = Path(__file__).parent / "scenarios"
+# the fields of each section, in the order save_scenario writes them
+SCENARIO_SECTIONS = {
+    "patient": ("name", "r_lung", "c_lung"),
+    "ventilator": ("respiratory_rate", "peep", "ipap", "t_insp", "t_exp"),
+    "circuit": tuple(f.name for f in fields(CircuitParameters)),
+}
 
 
 def builtin_scenario_path(name: str) -> Path:
@@ -307,79 +317,34 @@ def resolve_scenario_path(name_or_path) -> Path:
 
 def load_scenario(path) -> tuple[PatientScenario, CircuitParameters]:
     path = resolve_scenario_path(path)
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         if not cp.read(path):
             raise ConfigurationError(f"cannot read scenario file {path}")
-        pat = cp["patient"]
-        vent = cp["ventilator"]
-    except (KeyError, configparser.Error) as exc:
+    except configparser.Error as exc:
         raise ConfigurationError(f"scenario file {path} is incomplete: {exc}") from exc
-    circ = cp["circuit"] if cp.has_section("circuit") else {}
-    defaults = CircuitParameters()
-
-    def number(section, field, kind=float, default=None):
-        text = section.get(field)
-        if text is None:
-            if default is None:
-                raise ConfigurationError(f"{path}: missing field {field!r}")
-            return default
-        try:
-            return kind(text)
-        except ValueError:
-            raise ConfigurationError(
-                f"{path}: field {field!r}: {text!r} is not a valid {kind.__name__}") from None
-
+    # an omitted field takes its default, whose type is the field's: the file
+    # name for the patient's name, CircuitParameters' for the circuit; every
+    # other field is a float and must be given
+    values = {"name": Path(path).stem, **vars(CircuitParameters())}
+    for section, names in SCENARIO_SECTIONS.items():
+        entries = cp[section] if cp.has_section(section) else {}
+        for name in names:
+            if name in entries:
+                values[name] = parse_field(path, name, entries[name], type(values.get(name, 0.0)))
+            elif name not in values:
+                raise ConfigurationError(f"{path}: missing field {name!r}")
     try:
-        scenario = PatientScenario(
-            r_lung=number(pat, "r_lung"),
-            c_lung=number(pat, "c_lung"),
-            respiratory_rate=number(vent, "respiratory_rate"),
-            peep=number(vent, "peep"),
-            ipap=number(vent, "ipap"),
-            t_insp=number(vent, "t_insp"),
-            t_exp=number(vent, "t_exp"),
-            name=pat.get("name", Path(path).stem),
-        )
-        circuit = CircuitParameters(
-            r_hose=number(circ, "r_hose", float, defaults.r_hose),
-            r_leak=number(circ, "r_leak", float, defaults.r_leak),
-            blower_time_constant=number(circ, "blower_time_constant", float,
-                                        defaults.blower_time_constant),
-            blower_delay_samples=number(circ, "blower_delay_samples", int,
-                                        defaults.blower_delay_samples),
-            measurement_delay_samples=number(circ, "measurement_delay_samples", int,
-                                             defaults.measurement_delay_samples),
-            sample_time=number(circ, "sample_time", float, defaults.sample_time),
-        )
-    except ConfigurationError:
-        raise
-    except (ValueError, configparser.Error) as exc:
+        circuit = CircuitParameters(**{n: values.pop(n) for n in SCENARIO_SECTIONS["circuit"]})
+        return PatientScenario(**values), circuit
+    except ValueError as exc:
         raise ConfigurationError(f"{path}: {exc}") from None
-    return scenario, circuit
 
 
 def save_scenario(scenario: PatientScenario, circuit: CircuitParameters, path) -> None:
-    cp = configparser.ConfigParser()
-    cp["patient"] = {
-        "name": scenario.name,
-        "r_lung": repr(scenario.r_lung),
-        "c_lung": repr(scenario.c_lung),
-    }
-    cp["ventilator"] = {
-        "respiratory_rate": repr(scenario.respiratory_rate),
-        "peep": repr(scenario.peep),
-        "ipap": repr(scenario.ipap),
-        "t_insp": repr(scenario.t_insp),
-        "t_exp": repr(scenario.t_exp),
-    }
-    cp["circuit"] = {
-        "r_hose": repr(circuit.r_hose),
-        "r_leak": repr(circuit.r_leak),
-        "blower_time_constant": repr(circuit.blower_time_constant),
-        "blower_delay_samples": str(circuit.blower_delay_samples),
-        "measurement_delay_samples": str(circuit.measurement_delay_samples),
-        "sample_time": repr(circuit.sample_time),
-    }
+    values = {**vars(scenario), **vars(circuit)}
+    cp = configparser.ConfigParser(interpolation=None)
+    for section, names in SCENARIO_SECTIONS.items():
+        cp[section] = {name: str(values[name]) for name in names}
     with open(path, "w") as fh:
         cp.write(fh)

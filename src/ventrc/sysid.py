@@ -9,7 +9,6 @@ linear least squares with the transport delay factored out analytically.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 
@@ -21,8 +20,8 @@ from .lti import (
     DiscreteTransferFunction,
     FrequencyResponse,
     hz_to_rad_per_sample,
-    open_input,
     polyval_zinv,
+    read_table,
     write_table,
 )
 
@@ -267,32 +266,10 @@ def save_frf(frf: FrequencyResponse, path) -> None:
 
 
 def load_frf(path, sample_time: float = 0.002) -> FrequencyResponse:
-    freqs, values = [], []
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigurationError(f"{path}: file is empty")
-        if [h.strip() for h in header] != FRF_HEADER:
-            raise ConfigurationError(f"{path}: expected header {FRF_HEADER}, got {header}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(FRF_HEADER):
-                raise ConfigurationError(
-                    f"{path}: line {reader.line_num}: expected {len(FRF_HEADER)} fields "
-                    f"{FRF_HEADER}, got {row}")
-            try:
-                f, re_, im = map(float, row)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path}: line {reader.line_num}: fields {FRF_HEADER} must be "
-                    f"numbers, got {row}") from None
-            freqs.append(f)
-            values.append(complex(re_, im))
-    if not freqs:
-        raise ConfigurationError(f"{path}: no {FRF_HEADER} rows after the header")
+    freqs, real, imag = read_table(path, FRF_HEADER)
+    values = real.astype(complex)
+    values.imag = imag
     try:
-        return FrequencyResponse(np.array(freqs), np.array(values), sample_time)
+        return FrequencyResponse(freqs, values, sample_time)
     except ValueError as exc:
         raise ConfigurationError(f"{path} (sample_time {sample_time}): {exc}") from None

@@ -9,7 +9,9 @@ import pytest
 
 from ventrc.control_rt import benchmark_controller_tf
 from ventrc.errors import FitConvergenceWarning
-from ventrc.harness import ExperimentSpec, design_excitation_bins, run_experiment
+from ventrc.harness import (
+    IDENT_NOISE_RMS, IDENT_PERIODS, ExperimentSpec, design_excitation_bins, run_experiment,
+)
 from ventrc.lti import FirKernel
 from ventrc.plant import VentilatorPlant, load_scenario, reference_profile
 from ventrc.rc_design import check_stability, design_pipeline
@@ -17,7 +19,6 @@ from ventrc.sysid import MultisineSpec, average_frf, estimate_frf
 
 SCENARIOS = ("adult", "pediatric", "baby")
 DESIGN_SEED = 0
-IDENT_NOISE_RMS = 0.01   # mbar, sensor-noise hook during design-grade identification
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +35,7 @@ def design_outputs(scenario_table):
     spec = MultisineSpec(
         bins_hz=design_excitation_bins(ts),
         period_samples=round(4.0 / ts),
-        periods_recorded=16,
+        periods_recorded=IDENT_PERIODS,
         periods_discarded=5,
         seed=DESIGN_SEED,
     )

@@ -2,9 +2,12 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ventrc.cli import main
-from ventrc.rc_design import load_filterset
-from ventrc.lti import FrequencyResponse
+from ventrc.cli import build_parser, main
+from ventrc.harness import BREATHS, IDENT_NOISE_RMS, IDENT_PERIODS, NORMS_HEADER, SEED
+from ventrc.rc_design import load_filterset, save_filterset
+from ventrc.lti import (
+    FrequencyResponse, load_transfer_function, read_table, save_transfer_function, write_table,
+)
 from ventrc.sysid import load_frf, save_frf
 
 # the noisy design-grade fit legitimately stops at the iteration cap
@@ -34,6 +37,40 @@ def test_all_exit_code_and_artifacts(pipeline_dir):
         assert (sub / f"{scenario}_rc_breath_norms.csv").exists()
         assert (sub / f"{scenario}_comparison.csv").exists()
         ET.parse(sub / f"{scenario}_rc_pressure.svg")
+
+
+def test_written_files_read_back_bit_for_bit(pipeline_dir, tmp_path):
+    # each file that ventrc reads back is rewritten byte for byte from what its
+    # reader returns, so the reader loses no bit of any number
+    def rewrite(path, write):
+        copy = tmp_path / path.name
+        write(copy)
+        assert copy.read_bytes() == path.read_bytes(), path
+
+    frf_paths = sorted(pipeline_dir.glob("frf_*.csv"))
+    norm_paths = sorted(pipeline_dir.glob("*/*_breath_norms.csv"))
+    filterset_paths = sorted(pipeline_dir.glob("rc_*.filterset"))
+    assert (len(frf_paths), len(norm_paths), len(filterset_paths)) == (7, 6, 3)
+    for path in frf_paths:
+        rewrite(path, lambda copy: save_frf(load_frf(path), copy))
+    for path in norm_paths:
+        breath, norms = read_table(path, NORMS_HEADER)
+        rewrite(path, lambda copy: write_table(copy, NORMS_HEADER, [breath.astype(int), norms]))
+    for path in filterset_paths:
+        rewrite(path, lambda copy: save_filterset(load_filterset(path), copy))
+    tfit = pipeline_dir / "tfit.coeff"
+    rewrite(tfit, lambda copy: save_transfer_function(load_transfer_function(tfit), copy))
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["all", "--out-dir", "out"],
+     {"breaths": BREATHS, "noise_rms": IDENT_NOISE_RMS, "periods": IDENT_PERIODS, "seed": SEED}),
+    (["run", "--scenario", "adult", "--mode", "pid", "--out-dir", "out"],
+     {"breaths": BREATHS, "seed": SEED}),
+])
+def test_parser_defaults_are_the_harness_constants(argv, expected):
+    args = vars(build_parser().parse_args(argv))
+    assert {name: args[name] for name in expected} == expected
 
 
 def test_identify_writes_frf(tmp_path):
@@ -106,6 +143,21 @@ def test_design_rejects_bad_request(pipeline_dir, tmp_path, capsys, options, mes
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["design", "check-stability"])
+def test_mismatched_frf_grids_rejected(pipeline_dir, tmp_path, capsys, command):
+    first, second = tmp_path / "frf_a.csv", tmp_path / "frf_b.csv"
+    lines = (pipeline_dir / "frf_adult_peep.csv").read_text().splitlines(keepends=True)
+    first.write_text("".join(lines))
+    second.write_text("".join(lines[:-1]))   # one bin short
+    options = {"design": ["--out", str(tmp_path / "rc.filterset")],
+               "check-stability": ["--filterset", str(pipeline_dir / "rc_adult.filterset")]}
+    rc = main([command, "--frf-dir", str(tmp_path)] + options[command])
+    assert rc == 1
+    assert (f"error: {second}: frequency grid differs from that of {first}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "rc.filterset").exists()
+
+
 def test_check_stability_command(pipeline_dir, tmp_path, capsys):
     report = tmp_path / "report.csv"
     rc = main(["check-stability", "--filterset", str(pipeline_dir / "rc_adult.filterset"),
@@ -172,10 +224,10 @@ def test_run_rejects_bad_scenario_value(tmp_path, capsys):
 
 @pytest.mark.parametrize("text, message", [
     ("", "file is empty"),
-    ("breath,norm\n1,2.5\n", "no 'error_norm' column in header ['breath', 'norm']"),
+    ("breath,norm\n1,2.5\n", "expected header ['breath', 'error_norm'], got ['breath', 'norm']"),
     ("breath,error_norm\n1,2.5\n2\n",
-     "line 3: no number in column 'error_norm', got ['2']"),
-    ("breath,error_norm\n", "no rows after the header"),
+     "line 3: expected 2 fields ['breath', 'error_norm'], got ['2']"),
+    ("breath,error_norm\n", "no ['breath', 'error_norm'] rows after the header"),
     (None, "cannot open: No such file or directory"),
 ])
 def test_compare_rejects_malformed_norms(tmp_path, capsys, text, message):

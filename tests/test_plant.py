@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ventrc.errors import ConfigurationError
 from ventrc.harness import ExperimentSpec, run_experiment
@@ -244,6 +246,30 @@ class TestScenarioFiles:
         assert back_s == scenario
         assert back_c == circuit
 
+    @settings(deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_round_trip_of_valid_values(self, tmp_path, data):
+        positive = st.floats(1e-6, 1e6)
+        rate = data.draw(st.floats(1.0, 120.0))
+        period = 60.0 / rate
+        t_insp = data.draw(st.floats(0.01, 0.99)) * period
+        peep = data.draw(st.floats(0.0, 100.0))
+        name = data.draw(st.text("abXY09_-.;% ", max_size=12).filter(lambda n: n == n.strip()))
+        scenario = PatientScenario(
+            r_lung=data.draw(positive), c_lung=data.draw(positive), respiratory_rate=rate,
+            peep=peep, ipap=peep + data.draw(st.floats(0.0, 100.0)),
+            t_insp=t_insp, t_exp=period - t_insp, name=name)
+        circuit = CircuitParameters(
+            r_hose=data.draw(positive), r_leak=data.draw(positive | st.just(math.inf)),
+            blower_time_constant=data.draw(st.floats(0.0, 1.0)),
+            blower_delay_samples=data.draw(st.integers(0, 50)),
+            measurement_delay_samples=data.draw(st.integers(0, 50)),
+            sample_time=data.draw(positive))
+        path = tmp_path / "drawn.cfg"
+        save_scenario(scenario, circuit, path)
+        assert load_scenario(path) == (scenario, circuit)
+
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError, match="built-ins"):
             builtin_scenario_path("elephant")
@@ -278,6 +304,13 @@ class TestScenarioFiles:
     ("c_lung = 0.05", "c_lung = nan", "r_lung and c_lung must be positive"),
     ("r_hose = 5.0", "r_hose = nan", "r_hose and r_leak must be positive"),
     ("r_leak = 50.0", "r_leak = nan", "r_hose and r_leak must be positive"),
+    # infinite values that cut the blower off the patient or the lung off
+    # (an infinite leak resistance is no leak and stays legal)
+    ("r_hose = 5.0", "r_hose = inf", "r_hose must be finite"),
+    ("blower_time_constant = 0.01", "blower_time_constant = inf",
+     "blower_time_constant must be finite"),
+    ("r_lung = 5.0", "r_lung = inf", "r_lung must be finite"),
+    ("c_lung = 0.05", "c_lung = inf", "c_lung must be finite"),
 ])
 def test_bad_scenario_file_fails_closed(tmp_path, old, new, message):
     path = tmp_path / "bad.cfg"
