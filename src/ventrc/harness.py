@@ -45,6 +45,8 @@ IDENT_NOISE_RMS = 0.01
 IDENT_PERIODS = 16
 # the per-breath norm CSV that emit_report writes and `ventrc compare` reads
 NORMS_HEADER = ("breath", "error_norm")
+# the per-sample trace CSV that emit_report writes
+TRACE_HEADER = ("sample", "time_s", "reference", "p_aw", "p_lung", "q_pat", "command")
 
 
 @dataclass
@@ -218,9 +220,8 @@ def emit_report(log: BreathLog, out_dir) -> dict[str, Path]:
 
     trace = out_dir / f"{stem}_trace.csv"
     samples = np.arange(len(log.reference))
-    write_table(trace, ["sample", "time_s", "reference", "p_aw", "p_lung", "q_pat", "command"],
-                [samples, samples * log.sample_time, log.reference, log.p_aw, log.p_lung,
-                 log.q_pat, log.command])
+    write_table(trace, TRACE_HEADER, [samples, samples * log.sample_time, log.reference,
+                                      log.p_aw, log.p_lung, log.q_pat, log.command])
     paths["trace"] = trace
 
     norms = log.breath_norms

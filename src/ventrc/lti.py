@@ -20,6 +20,9 @@ from .errors import ConfigurationError, SingularityError
 CHUNK = 128
 # a LiftedSystem's powers A^0..A^chunk and lifted matrix stay within this
 LIFT_BUDGET_BYTES = 8 << 20
+# write_table formats this many rows at a time, so the text it holds stays
+# small whatever the length of the table
+TABLE_BLOCK_ROWS = 1024
 
 
 def hz_to_rad_per_sample(frequencies_hz, sample_time: float) -> np.ndarray:
@@ -401,12 +404,20 @@ def write_table(path, header, columns) -> None:
     """Write a CSV file: the header, then one row per element of the columns.
 
     Each value is written as the repr of its Python number (`.tolist()`), so
-    floats read back exactly and integer columns stay integers.
+    floats read back exactly and integer columns stay integers.  The bytes
+    are csv.writer's.  The header goes through csv.writer, so a field that
+    needs quoting gets it.  The repr of a number holds no comma, space,
+    quote or line break, so a block of a column is formatted by one repr of
+    its list, split at ", ", and each row is its fields joined by commas and
+    ended by CRLF, as csv.writer would write it.
     """
+    rows = min((len(column) for column in columns), default=0)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*(map(repr, column.tolist()) for column in columns)))
+        csv.writer(fh).writerow(header)
+        for start in range(0, rows, TABLE_BLOCK_ROWS):
+            block = slice(start, start + TABLE_BLOCK_ROWS)
+            fields = [repr(column[block].tolist())[1:-1].split(", ") for column in columns]
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*fields))
 
 
 def read_table(path, header) -> np.ndarray:

@@ -315,14 +315,29 @@ def resolve_scenario_path(name_or_path) -> Path:
     return builtin_scenario_path(p.stem if p.suffix == ".cfg" else str(name_or_path))
 
 
+def _parse_failure(exc: configparser.Error) -> str:
+    """Where and what configparser could not parse, on one line."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"line {exc.lineno}: {exc.line.strip()!r} comes before any [section] header"
+    if isinstance(exc, configparser.ParsingError):
+        return "; ".join(f"line {lineno}: {line} is not a 'field = value' line"
+                         for lineno, line in exc.errors)
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"line {exc.lineno}: field {exc.option!r} appears twice in [{exc.section}]"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: section [{exc.section}] appears twice"
+    return " ".join(str(exc).split())
+
+
 def load_scenario(path) -> tuple[PatientScenario, CircuitParameters]:
     path = resolve_scenario_path(path)
     cp = configparser.ConfigParser(interpolation=None)
     try:
         if not cp.read(path):
-            raise ConfigurationError(f"cannot read scenario file {path}")
+            raise ConfigurationError(f"{path}: cannot read scenario file")
     except configparser.Error as exc:
-        raise ConfigurationError(f"scenario file {path} is incomplete: {exc}") from exc
+        raise ConfigurationError(
+            f"{path}: cannot parse scenario file: {_parse_failure(exc)}") from None
     # an omitted field takes its default, whose type is the field's: the file
     # name for the patient's name, CircuitParameters' for the circuit; every
     # other field is a float and must be given

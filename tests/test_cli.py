@@ -3,7 +3,9 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from ventrc.cli import build_parser, main
-from ventrc.harness import BREATHS, IDENT_NOISE_RMS, IDENT_PERIODS, NORMS_HEADER, SEED
+from ventrc.harness import (
+    BREATHS, IDENT_NOISE_RMS, IDENT_PERIODS, NORMS_HEADER, SEED, TRACE_HEADER,
+)
 from ventrc.rc_design import load_filterset, save_filterset
 from ventrc.lti import (
     FrequencyResponse, load_transfer_function, read_table, save_transfer_function, write_table,
@@ -49,13 +51,18 @@ def test_written_files_read_back_bit_for_bit(pipeline_dir, tmp_path):
 
     frf_paths = sorted(pipeline_dir.glob("frf_*.csv"))
     norm_paths = sorted(pipeline_dir.glob("*/*_breath_norms.csv"))
+    trace_paths = sorted(pipeline_dir.glob("*/*_trace.csv"))
     filterset_paths = sorted(pipeline_dir.glob("rc_*.filterset"))
-    assert (len(frf_paths), len(norm_paths), len(filterset_paths)) == (7, 6, 3)
+    assert ((len(frf_paths), len(norm_paths), len(trace_paths), len(filterset_paths))
+            == (7, 6, 6, 3))
     for path in frf_paths:
         rewrite(path, lambda copy: save_frf(load_frf(path), copy))
     for path in norm_paths:
         breath, norms = read_table(path, NORMS_HEADER)
         rewrite(path, lambda copy: write_table(copy, NORMS_HEADER, [breath.astype(int), norms]))
+    for path in trace_paths:
+        sample, *signals = read_table(path, TRACE_HEADER)
+        rewrite(path, lambda copy: write_table(copy, TRACE_HEADER, [sample.astype(int), *signals]))
     for path in filterset_paths:
         rewrite(path, lambda copy: save_filterset(load_filterset(path), copy))
     tfit = pipeline_dir / "tfit.coeff"

@@ -1,4 +1,5 @@
-"""Every name that a module of the package imports is used in it."""
+"""Every name that a module of the package imports is used in it, and only
+lti imports csv."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,24 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that source imports from outside itself."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_imported_modules_are_found():
+    source = "from csv import writer\nimport os.path\nfrom .lti import write_table\n"
+    assert imported_modules(source) == {"csv", "os"}
+
+
+def test_only_lti_imports_csv():
+    # lti.write_table and lti.read_table are the one CSV writer and reader
+    assert [p.name for p in MODULES if "csv" in imported_modules(p.read_text())] == ["lti.py"]

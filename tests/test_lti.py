@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import ventrc
 from ventrc.errors import ConfigurationError, SingularityError
@@ -13,12 +16,15 @@ from ventrc.lti import (
     DiscreteTransferFunction,
     FirKernel,
     StreamingFilter,
+    TABLE_BLOCK_ROWS,
     evaluate,
     load_transfer_function,
     save_transfer_function,
+    write_table,
 )
 
 from filter_reference import UnstableFilterWarning, filter_stream
+from table_reference import write_table as reference_write_table
 
 TS = 0.002
 KI = 0.01257
@@ -227,6 +233,44 @@ def test_truncated_coefficient_file_fails_closed(tmp_path, edit, message):
     with pytest.raises(ConfigurationError) as exc:
         load_transfer_function(path)
     assert str(exc.value) == f"{path}: {message}"
+
+
+# floats whose repr takes each of its forms: signed zero, the non-finite
+# values, a subnormal, and the switches to and from exponent notation
+TABLE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-05, 1e-04,
+                123456789.125, -2.5e-300]
+
+
+@st.composite
+def tables(draw):
+    """A header and columns of one length, long enough to span several blocks."""
+    rows = draw(st.integers(0, 3 * TABLE_BLOCK_ROWS))
+    columns = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            values = draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=8))
+        else:
+            values = draw(st.lists(st.sampled_from(TABLE_FLOATS) | st.floats(),
+                                   min_size=1, max_size=8))
+        columns.append(np.resize(np.array(values), rows))
+    header = draw(st.lists(st.text(st.sampled_from('ab_ ,"\n'), max_size=5),
+                           min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+@settings(deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tables())
+@example((["sample", "value"], [np.arange(0), np.zeros(0)]))
+@example((["value"], [np.array(TABLE_FLOATS)]))
+@example((["sample", "value"], [np.arange(2 * TABLE_BLOCK_ROWS + 3),
+                                np.resize(np.array(TABLE_FLOATS), 2 * TABLE_BLOCK_ROWS + 3)]))
+@example((["a,b", 'say "x"', " pad "], [np.arange(3), np.ones(3), -np.zeros(3)]))
+def test_write_table_writes_the_csv_writer_bytes(tmp_path, table):
+    header, columns = table
+    write_table(tmp_path / "table.csv", header, columns)
+    reference_write_table(tmp_path / "reference.csv", header, columns)
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 RC_RUN_PROBE = """

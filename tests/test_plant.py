@@ -311,6 +311,15 @@ class TestScenarioFiles:
      "blower_time_constant must be finite"),
     ("r_lung = 5.0", "r_lung = inf", "r_lung must be finite"),
     ("c_lung = 0.05", "c_lung = inf", "c_lung must be finite"),
+    # files that configparser cannot parse fail on one line that names the line
+    ("r_lung = 5.0", "r_lung = 5.0\nr_lung = 6.0",
+     "cannot parse scenario file: line 4: field 'r_lung' appears twice in [patient]"),
+    ("[patient]\n", "",
+     "cannot parse scenario file: line 1: 'name = adult' comes before any [section] header"),
+    ("c_lung = 0.05", "c_lung 0.05",
+     "cannot parse scenario file: line 4: 'c_lung 0.05\\n' is not a 'field = value' line"),
+    ("[circuit]", "[patient]",
+     "cannot parse scenario file: line 13: section [patient] appears twice"),
 ])
 def test_bad_scenario_file_fails_closed(tmp_path, old, new, message):
     path = tmp_path / "bad.cfg"
