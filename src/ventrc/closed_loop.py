@@ -1,4 +1,4 @@
-"""Exact simulation of the plant in closed loop, a chunk of samples at a time.
+"""Exact simulation of the plant in closed loop, a block of samples at a time.
 
 The plant (`VentilatorPlant.state_space`) and the controller's realisation
 (`lti.state_space`) form one discrete system x[k+1] = A x[k] + B v[k],
@@ -7,9 +7,12 @@ noise, the error the controller integrates apart from the noise-free
 measurement.  Its outputs are the measured airway pressure (noise-free), the
 lung pressure before the step, the patient flow and the command.
 
-`simulate` advances it a chunk at a time with one lifted product
-(`lti.LiftedSystem`).  Where a chunk holds an event, it rebuilds the exact
-state at the event's sample and goes on from there:
+`simulate` advances it a block of whole chunks at a time through the lifted
+form (`lti.LiftedSystem`), which runs up to BATCH chunks in two matrix-matrix
+products.  A block is BATCH chunks without the repetitive loop, and as many
+whole chunks as its memory hands out in one piece with it, so that each
+block takes one hand-out of corrections.  Where a block holds an event, it
+rebuilds the exact state at the event's sample and goes on from there:
 
 - a command outside the actuator limits is clamped, and integration
   stops, one sample at a time until the command is back inside them;
@@ -17,8 +20,13 @@ state at the event's sample and goes on from there:
   sample on;
 - a measurement beyond the divergence bound ends the run at that sample.
 
-Only the order of the floating-point sums differs from stepping the
-streaming objects; tests pin the two together.
+pid and rc share the block rule's chunks: chunk boundaries lie at multiples
+of the chunk length in either kind of block (after an event the run first
+finishes the event's chunk), and each chunk's products have BATCH rows
+however many chunks share them.  So a chunk's bits do not depend on the
+block it falls in, and an rc run is bit-identical to pid until its memory
+first fills.  Only the order of the floating-point sums differs from
+stepping the streaming objects; tests pin the two together.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .lti import CHUNK, DiscreteTransferFunction, LiftedSystem, StateSpace, state_space
+from .lti import BATCH, CHUNK, DiscreteTransferFunction, LiftedSystem, StateSpace, state_space
 
 OUTPUTS = ("p_aw", "p_lung", "q_pat", "command")
 
@@ -95,21 +103,30 @@ def simulate(loop: ClosedLoop, reference: np.ndarray, noise, bound: float, memor
     noise(m) returns the next m sensor-noise samples.  A measurement that is
     not finite or exceeds `bound` in magnitude ends the run.  memory
     supplies the repetitive correction: `corrections(m)` for the next
-    m <= loop.chunk samples before their errors exist, then
+    m <= memory.buffer_length samples before their errors exist, then
     `take_errors(errors)`, which returns the index of a faulting sample (the
     correction is zero from there on) or None.  output_limits clamps the
     command, which must then be a state of the loop, and stops integrating
     while clamped.
+
+    The reference is taken a block at a time (see the module docstring):
+    BATCH chunks without memory, and with it the whole chunks of
+    buffer_length, at most BATCH, with one hand-out of corrections.
     """
     if output_limits is not None and loop.command_state is None:
         raise ConfigurationError("output limits need a controller whose command is one state")
+    chunk = loop.chunk
+    chunks = BATCH if memory is None else min(BATCH, memory.buffer_length // chunk)
+    if chunks < 1:
+        raise ConfigurationError(f"the repetitive loop's memory of {memory.buffer_length} "
+                                 f"samples holds no whole chunk of {chunk} samples")
     total = len(reference)
     signals = np.empty((len(OUTPUTS), total))
     x = np.zeros(loop.order)
     stepping = False           # inside a clamp episode: one sample at a time
     k = 0
     while k < total:
-        m = min(loop.chunk, total - k)
+        m = min(chunks * chunk, total - k)
         r = reference[k: k + m]
         c = memory.corrections(m) if memory is not None else np.zeros(m)
         n = noise(m)
@@ -134,8 +151,10 @@ def simulate(loop: ClosedLoop, reference: np.ndarray, noise, bound: float, memor
                 j += 1
                 continue
 
-            y, x_end = loop.run(x, v[j:])
-            measured = y[:, 0] + n[j:]
+            # to the end of the block, or of the chunk an event left
+            last = m if j % chunk == 0 else min(m, j - j % chunk + chunk)
+            y, x_end = loop.run(x, v[j: last])
+            measured = y[:, 0] + n[j: last]
             stop = _first(~(np.abs(measured) <= bound))
             clamp = len(measured)
             if output_limits is not None:
@@ -157,7 +176,8 @@ def simulate(loop: ClosedLoop, reference: np.ndarray, noise, bound: float, memor
             signals[0, k + j: k + j + end] = measured[:end]
             if end == len(measured):
                 x = x_end
-                break
+                j = last
+                continue
             if end == stop:
                 return LoopRun(signals[:, : k + j + end], float(measured[end]))
             x = loop.advance(x, v[j: j + end])

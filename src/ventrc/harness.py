@@ -112,9 +112,9 @@ def _analytic_frf(plant: VentilatorPlant, grid: np.ndarray) -> FrequencyResponse
 def run_experiment(spec: ExperimentSpec) -> BreathLog:
     """Simulate breaths * N samples of the closed loop; deterministic given seed.
 
-    The loop runs in chunks through `closed_loop.simulate`; the streaming
-    objects (`VentilatorPlant.step`, `VentilatorController.step`) are its
-    sample-by-sample reference.
+    The loop runs a block of chunks at a time through `closed_loop.simulate`;
+    the streaming objects (`VentilatorPlant.step`, `VentilatorController.step`)
+    are its sample-by-sample reference.
     """
     scenario, circuit = load_scenario(spec.scenario)
     ts = circuit.sample_time

@@ -10,6 +10,7 @@ appear internally (see :func:`hz_to_rad_per_sample`).
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,8 @@ import numpy as np
 from .errors import ConfigurationError, SingularityError
 
 CHUNK = 128
+# LiftedSystem runs this many whole chunks per pair of matrix-matrix products
+BATCH = 16
 # a LiftedSystem's powers A^0..A^chunk and lifted matrix stay within this
 LIFT_BUDGET_BYTES = 8 << 20
 # write_table formats this many rows at a time, so the text it holds stays
@@ -319,14 +322,24 @@ def state_space(tf: DiscreteTransferFunction) -> StateSpace:
 
 
 class LiftedSystem:
-    """A StateSpace advanced a chunk of m samples at a time by one product.
+    """A StateSpace advanced a chunk of m samples at a time by matrix products.
 
     This is the lifted ("supervector") form of iterative learning control,
     [y[0..m-1]; x[m]] = [[O, T], [A^m, G]] [x[0]; u[0..m-1]], with O the
     stacked C A^j, T the lower block-triangular Toeplitz matrix of the Markov
-    parameters and G = [A^(m-1) B ... B].  A chunk shorter than `chunk` uses
-    the leading rows and columns.  `chunk` is cut where the powers
-    A^0..A^chunk and the lifted matrix would exceed LIFT_BUDGET_BYTES.
+    parameters and G = [A^(m-1) B ... B].  `chunk` is cut where the powers
+    A^0..A^chunk and the lifted matrix would exceed LIFT_BUDGET_BYTES; the
+    object keeps the powers, G and [O T].
+
+    An input is split into whole chunks from its first sample on, and a
+    shorter rest.  The whole chunks go BATCH at a time, each chunk a row of
+    a matrix U: one product U G^T gives every chunk's drive G u_j, a loop of
+    n x n products the chunk boundary states x_(j+1) = A^m x_j + G u_j, and
+    one product [X U] [O T]^T every output.  The products always have BATCH
+    rows, the unused ones zero, so the bits of a chunk's results do not
+    depend on how many chunks share its product: calls that split an input
+    at chunk multiples give the same bits as one call.  The rest uses the
+    leading rows and columns of [O T], and A^r and G's last r columns.
     """
 
     def __init__(self, ss: StateSpace, chunk: int = CHUNK):
@@ -349,11 +362,10 @@ class LiftedSystem:
         toeplitz = np.where((lag >= 0)[:, :, None], markov[np.maximum(lag, 0)], 0.0)
         self._powers = powers
         self._gamma = np.ascontiguousarray(ab[::-1].T)        # columns A^(m-1-i) B
-        self._lifted = np.block([
-            [(c @ powers[:chunk]).reshape(chunk * q, n),
-             toeplitz.transpose(0, 2, 1).reshape(chunk * q, chunk)],
-            [powers[chunk], self._gamma],
-        ])
+        # [O T] transposed, so that [X U] [O T]^T reads it in memory order
+        self._outputs_t = np.ascontiguousarray(np.hstack([
+            (c @ powers[:chunk]).reshape(chunk * q, n),
+            toeplitz.transpose(0, 2, 1).reshape(chunk * q, chunk)]).T)
 
     @property
     def order(self) -> int:
@@ -361,23 +373,43 @@ class LiftedSystem:
 
     def run(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Outputs (len(u), outputs) from state x, and the state after."""
-        m, n, q = len(u), self.order, len(self.d)
-        if m > self.chunk:
-            pieces = []
-            for at in range(0, m, self.chunk):
-                y, x = self.run(x, u[at: at + self.chunk])
-                pieces.append(y)
-            return np.concatenate(pieces), x
-        xu = np.concatenate([x, u])
-        if m == self.chunk:
-            z = self._lifted @ xu
-            return z[: m * q].reshape(m, q), z[m * q:]
-        return (self._lifted[: m * q, : n + m] @ xu).reshape(m, q), self.advance(x, u)
+        m, n, q = self.chunk, self.order, len(self.d)
+        whole = len(u) - len(u) % m
+        y = np.empty((len(u), q))
+        for start in range(0, whole, BATCH * m):
+            stop = min(start + BATCH * m, whole)
+            xu, x = self._batch(x, u[start: stop])
+            y[start: stop] = (xu @ self._outputs_t)[: (stop - start) // m].reshape(-1, q)
+        rest = len(u) - whole
+        if rest:
+            xu = np.concatenate([x, u[whole:]])
+            y[whole:] = (xu @ self._outputs_t[: n + rest, : rest * q]).reshape(rest, q)
+            x = self.advance(x, u[whole:])
+        return y, x
 
     def advance(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """The state after up to `chunk` samples of input u from state x."""
-        m = len(u)
-        return self._powers[m] @ x + self._gamma[:, self.chunk - m:] @ u
+        """The state after the input u from state x, with run's arithmetic."""
+        m = self.chunk
+        whole = len(u) - len(u) % m
+        for start in range(0, whole, BATCH * m):
+            _, x = self._batch(x, u[start: min(start + BATCH * m, whole)])
+        rest = len(u) - whole
+        return self._powers[rest] @ x + self._gamma[:, m - rest:] @ u[whole:] if rest else x
+
+    def _batch(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """[X U] of u, up to BATCH whole chunks, padded to BATCH rows; and the state after.
+
+        Row j holds the state at the start of chunk j and the chunk's inputs.
+        """
+        m, n = self.chunk, self.order
+        chunks = len(u) // m
+        xu = np.zeros((BATCH, n + m))
+        xu[:chunks, n:] = u[: chunks * m].reshape(chunks, m)
+        drive = xu[:, n:] @ self._gamma.T
+        for j in range(chunks):
+            xu[j, :n] = x
+            x = self._powers[m] @ x + drive[j]
+        return xu, x
 
 
 # -- coefficient file I/O ---------------------------------------------------
@@ -388,16 +420,22 @@ class LiftedSystem:
 # "num" and "den".
 
 
-def open_input(path):
-    """Open an input file for reading as text, with csv's newline handling.
+def read_text(path) -> str:
+    """The text of an input file, decoded as UTF-8, with its line endings kept.
 
-    A file that cannot be opened, a missing one in particular, raises
-    ConfigurationError naming the path.
+    A file that cannot be opened, a missing one in particular, or that is
+    not valid UTF-8 raises ConfigurationError naming the path.
     """
     try:
-        return open(path, newline="")
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"{path}: cannot open: {exc.strerror}") from None
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: byte {exc.start} is "
+                                 f"{data[exc.start]:#04x}") from None
 
 
 def write_table(path, header, columns) -> None:
@@ -412,7 +450,7 @@ def write_table(path, header, columns) -> None:
     ended by CRLF, as csv.writer would write it.
     """
     rows = min((len(column) for column in columns), default=0)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, rows, TABLE_BLOCK_ROWS):
             block = slice(start, start + TABLE_BLOCK_ROWS)
@@ -431,24 +469,23 @@ def read_table(path, header) -> np.ndarray:
     """
     header = list(header)
     rows = []
-    with open_input(path) as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None:
-            raise ConfigurationError(f"{path}: file is empty")
-        if [h.strip() for h in got] != header:
-            raise ConfigurationError(f"{path}: expected header {header}, got {got}")
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ConfigurationError(f"{path}: line {reader.line_num}: expected "
-                                         f"{len(header)} fields {header}, got {row}")
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError:
-                raise ConfigurationError(f"{path}: line {reader.line_num}: fields {header} "
-                                         f"must be numbers, got {row}") from None
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    got = next(reader, None)
+    if got is None:
+        raise ConfigurationError(f"{path}: file is empty")
+    if [h.strip() for h in got] != header:
+        raise ConfigurationError(f"{path}: expected header {header}, got {got}")
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise ConfigurationError(f"{path}: line {reader.line_num}: expected "
+                                     f"{len(header)} fields {header}, got {row}")
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError:
+            raise ConfigurationError(f"{path}: line {reader.line_num}: fields {header} "
+                                     f"must be numbers, got {row}") from None
     if not rows:
         raise ConfigurationError(f"{path}: no {header} rows after the header")
     return np.array(rows).T.copy()
@@ -476,8 +513,7 @@ class CoefficientFile:
 
     def __init__(self, path, header: str, array_fields: tuple[str, ...]):
         self.path = path
-        with open_input(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [ln.strip() for ln in io.StringIO(read_text(path), newline="") if ln.strip()]
         if not lines:
             raise ConfigurationError(f"{path}: file is empty")
         spec, words = header.split(), lines[0].split()
@@ -532,7 +568,7 @@ def write_coefficient_file(path, header: str, scalars: dict, arrays: dict) -> No
     lines += [f"{name} {value}" for name, value in text.items()]
     for name, values in arrays.items():
         lines += [f"{name} {len(values)}", *(repr(float(v)) for v in values)]
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines))
 
 

@@ -14,6 +14,7 @@ tests lean on that as a mutual oracle.
 from __future__ import annotations
 
 import configparser
+import io
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .lti import DiscreteTransferFunction, StateSpace, parse_field
+from .lti import DiscreteTransferFunction, StateSpace, parse_field, read_text
 
 
 @dataclass
@@ -333,8 +334,8 @@ def load_scenario(path) -> tuple[PatientScenario, CircuitParameters]:
     path = resolve_scenario_path(path)
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        if not cp.read(path):
-            raise ConfigurationError(f"{path}: cannot read scenario file")
+        # newline=None reads any line ending, as cp.read would
+        cp.read_file(io.StringIO(read_text(path), newline=None), source=str(path))
     except configparser.Error as exc:
         raise ConfigurationError(
             f"{path}: cannot parse scenario file: {_parse_failure(exc)}") from None
@@ -361,5 +362,5 @@ def save_scenario(scenario: PatientScenario, circuit: CircuitParameters, path) -
     cp = configparser.ConfigParser(interpolation=None)
     for section, names in SCENARIO_SECTIONS.items():
         cp[section] = {name: str(values[name]) for name in names}
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)

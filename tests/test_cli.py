@@ -10,6 +10,7 @@ from ventrc.rc_design import load_filterset, save_filterset
 from ventrc.lti import (
     FrequencyResponse, load_transfer_function, read_table, save_transfer_function, write_table,
 )
+from ventrc.plant import builtin_scenario_path
 from ventrc.sysid import load_frf, save_frf
 
 # the noisy design-grade fit legitimately stops at the iteration cap
@@ -289,3 +290,21 @@ def test_run_rejects_negative_noise(tmp_path, capsys):
                "--noise-rms", "-0.5", "--out-dir", str(tmp_path / "run")])
     assert rc == 1
     assert "error: measurement_noise_rms must be >= 0, got -0.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source, argv", [
+    ("frf_adult_peep.csv", ["fit", "--in", "{bad}", "--out", "{tmp}/model.coeff"]),
+    ("adult/adult_pid_breath_norms.csv",
+     ["compare", "--baseline", "{source}", "--candidate", "{bad}"]),
+    ("rc_adult.filterset", ["check-stability", "--filterset", "{bad}", "--frf-dir", "{dir}"]),
+    (None, ["run", "--scenario", "{bad}", "--mode", "pid", "--breaths", "1",
+            "--out-dir", "{tmp}/run"]),
+])
+def test_input_that_is_not_utf8_rejected(pipeline_dir, tmp_path, capsys, source, argv):
+    # a written input saved as UTF-16, which starts with the bytes 0xff 0xfe
+    source = pipeline_dir / source if source else builtin_scenario_path("adult")
+    bad = tmp_path / f"utf16_{source.name}"
+    bad.write_bytes(b"\xff\xfe" + source.read_text().encode("utf-16-le"))
+    rc = main([a.format(bad=bad, tmp=tmp_path, source=source, dir=pipeline_dir) for a in argv])
+    assert rc == 1
+    assert f"error: {bad}: not UTF-8 text: byte 0 is 0xff" in capsys.readouterr().err

@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 from ventrc import control_rt
 from ventrc.closed_loop import ClosedLoop, simulate
 from ventrc.control_rt import RepetitiveController, benchmark_controller_tf
-from ventrc.errors import ExperimentDiverged
+from ventrc.errors import ConfigurationError, ExperimentDiverged
 from ventrc.harness import ExperimentSpec, run_experiment
-from ventrc.lti import DiscreteTransferFunction, FirKernel, StreamingFilter, state_space
+from ventrc.lti import (
+    BATCH, CHUNK, DiscreteTransferFunction, FirKernel, StreamingFilter, state_space,
+)
 from ventrc.plant import VentilatorPlant, load_scenario, reference_profile, save_scenario
 from ventrc.rc_design import RcFilterSet
 from ventrc.sysid import MultisineSpec, estimate_frf
@@ -119,6 +121,17 @@ def test_chunk_length_does_not_change_the_run(chunk):
         assert np.max(np.abs(run.signals[row] - getattr(ref, name))) <= 1e-9
 
 
+def test_memory_shorter_than_a_chunk_rejected():
+    # a block of the memory's whole chunks would be empty and never advance
+    scenario, circuit = load_scenario("baby")
+    memory = RepetitiveController(RcFilterSet(
+        DiscreteTransferFunction([0.5], [1.0], 0, circuit.sample_time), 0, FirKernel([1.0]), 100))
+    loop = ClosedLoop(VentilatorPlant(scenario, circuit), benchmark_controller_tf())
+    with pytest.raises(ConfigurationError, match="memory of 100 samples holds no whole chunk "
+                                                 "of 128 samples"):
+        simulate(loop, np.zeros(300), np.zeros, np.inf, memory=memory)
+
+
 @pytest.mark.parametrize("mode", ["pid", "rc"])
 def test_long_delay_loop_runs_in_bounded_memory(design_outputs, tmp_path, mode):
     # 150 + 150 samples of loop delay make the loop order 303; the engine cuts
@@ -139,19 +152,26 @@ def test_long_delay_loop_runs_in_bounded_memory(design_outputs, tmp_path, mode):
 
 def test_zero_corrections_are_the_pid_computation(design_outputs):
     # an rc loop whose learning filter is zero hands out exact zeros: the
-    # whole run is pid bit for bit
-    scenario, circuit = load_scenario("adult")
-    fs = bound_filterset(design_outputs, scenario, circuit)
-    silent = RcFilterSet(DiscreteTransferFunction([0.0], [1.0], 0, fs.sample_time),
-                         fs.l_shift, fs.q_kernel, fs.period_n)
-    for limits, noise in ((None, 0.0), (LIMITS, 0.01)):
-        pid = run_experiment(ExperimentSpec("adult", "pid", breaths=2, output_limits=limits,
-                                            measurement_noise_rms=noise))
-        rc = run_experiment(ExperimentSpec("adult", "rc", breaths=2, output_limits=limits,
-                                           measurement_noise_rms=noise, filterset=silent,
-                                           skip_stability_guard=True))
-        for name in SIGNALS:
-            assert getattr(rc, name).tobytes() == getattr(pid, name).tobytes()
+    # whole run is pid bit for bit, though pid takes blocks of BATCH chunks
+    # and rc blocks of the whole chunks its memory holds, fewer than BATCH
+    # here (15, 11 and 7) and never the memory's whole length
+    for name in SCENARIOS:
+        scenario, circuit = load_scenario(name)
+        fs = bound_filterset(design_outputs, scenario, circuit)
+        silent = RcFilterSet(DiscreteTransferFunction([0.0], [1.0], 0, fs.sample_time),
+                             fs.l_shift, fs.q_kernel, fs.period_n)
+        buffer_length = RepetitiveController(silent).buffer_length
+        assert buffer_length % CHUNK != 0 and buffer_length < BATCH * CHUNK
+        # (5, 20) mbar clamps the pid command too, several times a breath
+        for limits, noise in ((None, 0.0), (LIMITS, 0.01), ((5.0, 20.0), 0.01)):
+            pid = run_experiment(ExperimentSpec(name, "pid", breaths=2, output_limits=limits,
+                                                measurement_noise_rms=noise))
+            rc = run_experiment(ExperimentSpec(name, "rc", breaths=2, output_limits=limits,
+                                               measurement_noise_rms=noise, filterset=silent,
+                                               skip_stability_guard=True))
+            for signal in SIGNALS:
+                assert getattr(rc, signal).tobytes() == getattr(pid, signal).tobytes(), \
+                    (name, limits, signal)
 
 
 def test_divergence_matches_reference(design_outputs):

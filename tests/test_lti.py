@@ -12,9 +12,12 @@ from hypothesis import strategies as st
 import ventrc
 from ventrc.errors import ConfigurationError, SingularityError
 from ventrc.lti import (
+    BATCH,
     DelayLine,
     DiscreteTransferFunction,
     FirKernel,
+    LiftedSystem,
+    StateSpace,
     StreamingFilter,
     TABLE_BLOCK_ROWS,
     evaluate,
@@ -24,6 +27,7 @@ from ventrc.lti import (
 )
 
 from filter_reference import UnstableFilterWarning, filter_stream
+from lifted_reference import per_chunk_run
 from table_reference import write_table as reference_write_table
 
 TS = 0.002
@@ -271,6 +275,44 @@ def test_write_table_writes_the_csv_writer_bytes(tmp_path, table):
     write_table(tmp_path / "table.csv", header, columns)
     reference_write_table(tmp_path / "reference.csv", header, columns)
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+@st.composite
+def lifted_runs(draw):
+    """A random stable system, its chunk, a start state and an input of 1-40 chunks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, q, chunk = draw(st.integers(0, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    a = rng.normal(size=(n, n))
+    if n:
+        a *= draw(st.floats(0.0, 0.99)) / max(np.max(np.abs(np.linalg.eigvals(a))), 1e-3)
+    ss = StateSpace(a, rng.normal(size=n), rng.normal(size=(q, n)), rng.normal(size=q))
+    length = draw(st.integers(1, 40)) * chunk + draw(st.integers(0, chunk - 1))
+    return ss, chunk, rng.normal(size=n), rng.normal(size=length)
+
+
+def close(got, want):
+    return np.max(np.abs(got - want), initial=0.0) <= 1e-12 * (1.0 + np.max(np.abs(want),
+                                                                           initial=0.0))
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(lifted_runs(), st.data())
+def test_batched_lifted_run_matches_chunk_by_chunk(case, data):
+    ss, chunk, x, u = case
+    system = LiftedSystem(ss, chunk)
+    y, x_end = system.run(x, u)
+    want_y, want_x = per_chunk_run(ss, chunk, x, u)
+    assert y.shape == want_y.shape and close(y, want_y) and close(x_end, want_x)
+    assert system.advance(x, u).tobytes() == x_end.tobytes()
+    # the same input in calls of at most BATCH whole chunks, the rest last
+    pieces, state, at = [], x, 0
+    while at < len(u):
+        size = data.draw(st.integers(1, BATCH)) * chunk
+        piece, state = system.run(state, u[at: at + size])
+        pieces.append(piece)
+        at += size
+    assert np.concatenate(pieces).tobytes() == y.tobytes()
+    assert state.tobytes() == x_end.tobytes()
 
 
 RC_RUN_PROBE = """
