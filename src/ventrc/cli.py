@@ -13,51 +13,32 @@ from pathlib import Path
 
 import numpy as np
 
-from .control_rt import benchmark_controller_tf
 from .errors import ConfigurationError, DesignError, ExperimentDiverged, VentrcError
 from .harness import (
     BREATHS,
+    IDENT_LEVELS,
     IDENT_NOISE_RMS,
     IDENT_PERIODS,
     NORMS_HEADER,
     SEED,
     ComparisonTable,
     ExperimentSpec,
-    design_excitation_bins,
     emit_report,
+    identify,
     run_experiment,
     run_full_pipeline,
 )
 from .lti import FrequencyResponse, read_table, save_transfer_function
-from .plant import VentilatorPlant, load_scenario
 from .rc_design import (
     FIT_BAND_HZ, FIT_DELAY_SAMPLES, FIT_ORDER, MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER,
     check_stability, design_pipeline, load_filterset, save_filterset,
 )
-from .sysid import MultisineSpec, average_frf, estimate_frf, fit_rational, load_frf, save_frf
+from .sysid import average_frf, fit_rational, load_frf, save_frf
 
 
 def _cmd_identify(args) -> int:
-    scenario, circuit = load_scenario(args.scenario)
-    level = args.level.lower()
-    operating = scenario.peep if level == "peep" else scenario.ipap
-    ts = circuit.sample_time
-    if args.dense_grid:
-        bins = design_excitation_bins(ts)
-        period = round(4.0 / ts)
-    else:
-        # a non-positive --f-min gives NaN bins, which MultisineSpec rejects
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bins = np.logspace(np.log10(args.f_min), np.log10(args.f_max), args.bins)
-        period = args.period_samples
-    spec = MultisineSpec(
-        bins_hz=bins, rms_amplitude=args.rms, period_samples=period,
-        periods_recorded=args.periods, periods_discarded=args.discard,
-        seed=args.seed,
-    )
-    plant = VentilatorPlant(scenario, circuit,
-                            measurement_noise_rms=args.noise_rms, seed=args.seed)
-    frf = estimate_frf(plant, benchmark_controller_tf(sample_time=ts), operating, spec)
+    frf = identify(args.scenario, args.level, periods=args.periods,
+                   noise_rms=args.noise_rms, seed=args.seed)
     save_frf(frf, args.out)
     print(f"wrote {len(frf)} bins ({frf.frequencies_hz[0]:g}-{frf.frequencies_hz[-1]:g} Hz) "
           f"to {args.out}")
@@ -163,7 +144,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_all(args) -> int:
     try:
-        result = run_full_pipeline(
+        comparisons, report = run_full_pipeline(
             args.out_dir,
             breaths=args.breaths,
             identification_noise_rms=args.noise_rms,
@@ -177,9 +158,9 @@ def _cmd_all(args) -> int:
         print(f"pipeline failed: {exc}", file=sys.stderr)
         return 1
     print("\nsummary:")
-    for name, comparison in result.comparisons.items():
+    for name, comparison in comparisons.items():
         print(f"  {name}: converged rc/pid ratio {comparison.converged_ratio:.4f}")
-    print(f"stability margin with robustness filter: {result.report.margin:.4f}")
+    print(f"stability margin with robustness filter: {report.margin:.4f}")
     return 0
 
 
@@ -190,22 +171,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("identify", help="estimate a closed-loop FRF from simulation")
+    p = sub.add_parser("identify", help="estimate a closed-loop FRF from simulation, "
+                                        "by the identification protocol of `all`")
     p.add_argument("--scenario", required=True,
                    help="scenario .cfg path or built-in name (adult/pediatric/baby)")
-    p.add_argument("--level", choices=["peep", "ipap"], required=True)
+    p.add_argument("--level", choices=IDENT_LEVELS, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--bins", type=int, default=40)
-    p.add_argument("--f-min", type=float, default=0.5)
-    p.add_argument("--f-max", type=float, default=100.0)
-    p.add_argument("--rms", type=float, default=1.0, help="excitation RMS, mbar")
-    p.add_argument("--periods", type=int, default=10)
-    p.add_argument("--discard", type=int, default=5)
-    p.add_argument("--period-samples", type=int, default=1000)
-    p.add_argument("--noise-rms", type=float, default=0.0,
-                   help="sensor noise hook, mbar RMS (default off)")
-    p.add_argument("--dense-grid", action="store_true",
-                   help="use the design-grade dense grid up to Nyquist")
+    p.add_argument("--periods", type=int, default=IDENT_PERIODS)
+    p.add_argument("--noise-rms", type=float, default=IDENT_NOISE_RMS,
+                   help="sensor noise during identification, mbar RMS")
     p.add_argument("--seed", type=int, default=SEED)
     p.set_defaults(func=_cmd_identify)
 

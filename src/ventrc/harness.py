@@ -10,7 +10,7 @@ normalized by breath length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,6 @@ from .control_rt import RepetitiveController, benchmark_controller_tf
 from .errors import ConfigurationError, DesignError, ExperimentDiverged
 from .lti import (
     CHUNK,
-    DiscreteTransferFunction,
     FirKernel,
     FrequencyResponse,
     evaluate,
@@ -43,6 +42,10 @@ BREATHS = 20
 SEED = 0
 IDENT_NOISE_RMS = 0.01
 IDENT_PERIODS = 16
+# the identification jobs of run_full_pipeline, in order: each built-in
+# patient at its PEEP and its IPAP pressure
+IDENT_LEVELS = ("peep", "ipap")
+IDENT_JOBS = tuple((name, level) for name in SCENARIOS for level in IDENT_LEVELS)
 # the per-breath norm CSV that emit_report writes and `ventrc compare` reads
 NORMS_HEADER = ("breath", "error_norm")
 # the per-sample trace CSV that emit_report writes
@@ -268,28 +271,44 @@ def design_excitation_bins(sample_time: float = 0.002) -> np.ndarray:
     return np.unique(np.concatenate([lin, log]))
 
 
-@dataclass
-class PipelineResult:
-    """Everything the full identify/design/run/compare pipeline produced."""
+def identify(scenario: str | Path, level: str, periods: int = IDENT_PERIODS,
+             noise_rms: float = IDENT_NOISE_RMS, seed: int = SEED) -> FrequencyResponse:
+    """One design-grade identification job: the response from reference to
+    measured pressure of the scenario's loop at its "peep" or "ipap" level.
 
-    frfs: dict[str, FrequencyResponse]
-    mean_frf: FrequencyResponse
-    t_fit: DiscreteTransferFunction
-    filterset: RcFilterSet
-    report_no_q: StabilityReport
-    report: StabilityReport
-    logs: dict[tuple[str, str], BreathLog]
-    comparisons: dict[str, ComparisonTable]
-    files: dict[str, Path]
+    The multisine excites design_excitation_bins over a 4 s period at
+    MultisineSpec's RMS; 5 periods settle and `periods` are recorded.  Its
+    phases come from `seed`, the sensor noise (`noise_rms` mbar RMS) from
+    seed + 1000 + the job's index in IDENT_JOBS (0 for a scenario file), so
+    a built-in's job is the one run_full_pipeline runs.
+    """
+    patient, circuit = load_scenario(scenario)
+    ts = circuit.sample_time
+    spec = MultisineSpec(bins_hz=design_excitation_bins(ts), period_samples=round(4.0 / ts),
+                         periods_recorded=periods, periods_discarded=5, seed=seed)
+    job = IDENT_JOBS.index((scenario, level)) if (scenario, level) in IDENT_JOBS else 0
+    plant = VentilatorPlant(patient, circuit, measurement_noise_rms=noise_rms,
+                            seed=seed + 1000 + job)
+    operating = patient.peep if level == "peep" else patient.ipap
+    return estimate_frf(plant, benchmark_controller_tf(sample_time=ts), operating, spec)
+
+
+def identify_all(periods: int = IDENT_PERIODS, noise_rms: float = IDENT_NOISE_RMS,
+                 seed: int = SEED) -> dict[str, FrequencyResponse]:
+    """Every job of IDENT_JOBS, keyed "<scenario>_<level>"."""
+    return {f"{name}_{level}": identify(name, level, periods, noise_rms, seed)
+            for name, level in IDENT_JOBS}
 
 
 def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTOFF_HZ,
                       q_order: int = Q_ORDER, identification_noise_rms: float = IDENT_NOISE_RMS,
                       identification_periods: int = IDENT_PERIODS, seed: int = SEED,
-                      min_margin: float = MIN_MARGIN) -> PipelineResult:
+                      min_margin: float = MIN_MARGIN
+                      ) -> tuple[dict[str, ComparisonTable], StabilityReport]:
     """The whole workflow on SCENARIOS: identify x(2 per scenario) -> average
     -> fit -> design -> stability checks -> run pid and rc per scenario ->
-    compare.  Progress is printed.
+    compare.  Progress is printed.  Returns each scenario's comparison and
+    the stability report of the design.
 
     Identification runs with the sensor-noise hook on (design-grade realism:
     the high-frequency scatter is what forces the robustness filter, exactly
@@ -297,91 +316,54 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
     noise-free so convergence statements stay crisp.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files: dict[str, Path] = {}
-
-    loaded = {name: load_scenario(name) for name in SCENARIOS}
-    ts = next(iter(loaded.values()))[1].sample_time
-    controller_tf = benchmark_controller_tf(sample_time=ts)
-    spec = MultisineSpec(
-        bins_hz=design_excitation_bins(ts),
-        period_samples=round(4.0 / ts),
-        periods_recorded=identification_periods,
-        periods_discarded=5,
-        seed=seed,
-    )
+    # built before the first identification job, so that a bad run fails first
+    pid_specs = {name: ExperimentSpec(scenario=name, breaths=breaths, seed=seed)
+                 for name in SCENARIOS}
 
     print("identifying complementary-sensitivity responses "
-          f"({len(SCENARIOS)} scenarios x 2 levels)...")
-    frfs = {}
-    job = 0
-    for name, (scenario, circuit) in loaded.items():
-        for level in ("peep", "ipap"):
-            operating = scenario.peep if level == "peep" else scenario.ipap
-            plant = VentilatorPlant(scenario, circuit,
-                                    measurement_noise_rms=identification_noise_rms,
-                                    seed=seed + 1000 + job)
-            frf = estimate_frf(plant, controller_tf, operating, spec)
-            frfs[f"{name}_{level}"] = frf
-            path = out_dir / f"frf_{name}_{level}.csv"
-            save_frf(frf, path)
-            files[f"frf_{name}_{level}"] = path
-            job += 1
-
+          f"({len(SCENARIOS)} scenarios x {len(IDENT_LEVELS)} levels)...")
+    frfs = identify_all(identification_periods, identification_noise_rms, seed)
+    for key, frf in frfs.items():
+        save_frf(frf, out_dir / f"frf_{key}.csv")
     mean_frf = average_frf(frfs.values())
-    mean_path = out_dir / "frf_mean.csv"
-    save_frf(mean_frf, mean_path)
-    files["frf_mean"] = mean_path
+    save_frf(mean_frf, out_dir / "frf_mean.csv")
 
     print(f"fitting order-{FIT_ORDER} model with {FIT_DELAY_SAMPLES}-sample delay "
           "and synthesizing the filter set...")
-    first_period = len(reference_profile(loaded[SCENARIOS[0]][0], ts))
+    periods = {}
+    for name in SCENARIOS:
+        scenario, circuit = load_scenario(name)
+        periods[name] = len(reference_profile(scenario, circuit.sample_time))
     filterset, report = design_pipeline(
-        frfs, mean_frf, cutoff_hz=cutoff_hz, q_order=q_order, period_n=first_period,
+        frfs, mean_frf, cutoff_hz=cutoff_hz, q_order=q_order, period_n=periods[SCENARIOS[0]],
         min_margin=min_margin,
     )
-    t_fit = filterset.t_fit
-    tfit_path = out_dir / "tfit.coeff"
-    save_transfer_function(t_fit, tfit_path)
-    files["t_fit"] = tfit_path
+    save_transfer_function(filterset.t_fit, out_dir / "tfit.coeff")
 
     report_no_q = check_stability(FirKernel([1.0]),
                                   filterset.l_causal, filterset.l_shift, frfs)
-    no_q_path = out_dir / "stability_no_q.csv"
-    report_no_q.save_csv(no_q_path)
-    files["stability_no_q"] = no_q_path
-    report_path = out_dir / "stability_report.csv"
-    report.save_csv(report_path)
-    files["stability_report"] = report_path
+    report_no_q.save_csv(out_dir / "stability_no_q.csv")
+    report.save_csv(out_dir / "stability_report.csv")
     print("stability without robustness filter (expected to fail):")
     print(report_no_q.summary())
     print(f"stability with the {cutoff_hz:g} Hz / order-{q_order} filter:")
     print(report.summary())
 
-    logs: dict[tuple[str, str], BreathLog] = {}
     comparisons: dict[str, ComparisonTable] = {}
-    for name, (scenario, circuit) in loaded.items():
-        period = len(reference_profile(scenario, ts))
-        fs = filterset.with_period(period)
-        fs_path = out_dir / f"rc_{name}.filterset"
-        save_filterset(fs, fs_path)
-        files[f"filterset_{name}"] = fs_path
-        for mode in ("pid", "rc"):
-            print(f"running {name} / {mode} for {breaths} breaths...")
-            log = run_experiment(ExperimentSpec(
-                scenario=name, mode=mode, breaths=breaths,
-                filterset=fs if mode == "rc" else None, seed=seed,
-            ))
-            logs[(name, mode)] = log
-            emit_report(log, out_dir / name)
-        comparison = compare_runs(logs[(name, "pid")], logs[(name, "rc")])
+    for name, pid_spec in pid_specs.items():
+        fs = filterset.with_period(periods[name])
+        save_filterset(fs, out_dir / f"rc_{name}.filterset")
+        logs = []
+        for spec in (pid_spec, replace(pid_spec, mode="rc", filterset=fs)):
+            print(f"running {name} / {spec.mode} for {breaths} breaths...")
+            logs.append(run_experiment(spec))
+            emit_report(logs[-1], out_dir / name)
+        comparison = compare_runs(*logs)
+        emit_comparison_report(*logs, comparison, out_dir / name)
+        del logs   # only the comparison outlives the scenario's reports
         comparisons[name] = comparison
-        emit_comparison_report(logs[(name, "pid")], logs[(name, "rc")],
-                               comparison, out_dir / name)
         print(f"  {name}: converged rc/pid norm ratio = {comparison.converged_ratio:.4f}")
-
-    return PipelineResult(frfs, mean_frf, t_fit, filterset, report_no_q, report,
-                          logs, comparisons, files)
+    return comparisons, report
 
 
 def emit_comparison_report(baseline: BreathLog, candidate: BreathLog,

@@ -12,7 +12,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -438,6 +440,21 @@ def read_text(path) -> str:
                                  f"{data[exc.start]:#04x}") from None
 
 
+@contextmanager
+def _open_output(path, newline=None):
+    """`path` opened for writing as UTF-8, its parent directories made first.
+
+    An OSError while opening or writing, a path that names a directory for
+    instance, raises ConfigurationError "<path>: cannot write: <reason>".
+    """
+    try:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigurationError(f"{path}: cannot write: {exc.strerror or exc}") from None
+
+
 def write_table(path, header, columns) -> None:
     """Write a CSV file: the header, then one row per element of the columns.
 
@@ -450,7 +467,7 @@ def write_table(path, header, columns) -> None:
     ended by CRLF, as csv.writer would write it.
     """
     rows = min((len(column) for column in columns), default=0)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path, newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, rows, TABLE_BLOCK_ROWS):
             block = slice(start, start + TABLE_BLOCK_ROWS)
@@ -568,7 +585,7 @@ def write_coefficient_file(path, header: str, scalars: dict, arrays: dict) -> No
     lines += [f"{name} {value}" for name, value in text.items()]
     for name, values in arrays.items():
         lines += [f"{name} {len(values)}", *(repr(float(v)) for v in values)]
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_output(path) as fh:
         fh.write("".join(line + "\n" for line in lines))
 
 

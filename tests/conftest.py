@@ -7,18 +7,12 @@ import warnings
 
 import pytest
 
-from ventrc.control_rt import benchmark_controller_tf
 from ventrc.errors import FitConvergenceWarning
-from ventrc.harness import (
-    IDENT_NOISE_RMS, IDENT_PERIODS, ExperimentSpec, design_excitation_bins, run_experiment,
-)
+from ventrc.harness import SCENARIOS, ExperimentSpec, identify_all, run_experiment
 from ventrc.lti import FirKernel
-from ventrc.plant import VentilatorPlant, load_scenario, reference_profile
+from ventrc.plant import load_scenario, reference_profile
 from ventrc.rc_design import check_stability, design_pipeline
-from ventrc.sysid import MultisineSpec, average_frf, estimate_frf
-
-SCENARIOS = ("adult", "pediatric", "baby")
-DESIGN_SEED = 0
+from ventrc.sysid import average_frf
 
 
 @pytest.fixture(scope="session")
@@ -27,28 +21,10 @@ def scenario_table():
 
 
 @pytest.fixture(scope="session")
-def design_outputs(scenario_table):
+def design_outputs():
     """Design-grade identification of all six responses plus the synthesis chain."""
     t0 = time.perf_counter()
-    ts = next(iter(scenario_table.values()))[1].sample_time
-    controller = benchmark_controller_tf(sample_time=ts)
-    spec = MultisineSpec(
-        bins_hz=design_excitation_bins(ts),
-        period_samples=round(4.0 / ts),
-        periods_recorded=IDENT_PERIODS,
-        periods_discarded=5,
-        seed=DESIGN_SEED,
-    )
-    frfs = {}
-    job = 0
-    for name, (scenario, circuit) in scenario_table.items():
-        for level in ("peep", "ipap"):
-            operating = scenario.peep if level == "peep" else scenario.ipap
-            plant = VentilatorPlant(scenario, circuit,
-                                    measurement_noise_rms=IDENT_NOISE_RMS,
-                                    seed=DESIGN_SEED + 1000 + job)
-            frfs[f"{name}_{level}"] = estimate_frf(plant, controller, operating, spec)
-            job += 1
+    frfs = identify_all()
     mean = average_frf(frfs.values())
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FitConvergenceWarning)

@@ -1,4 +1,7 @@
+import shlex
+import warnings
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -6,7 +9,7 @@ from ventrc.cli import build_parser, main
 from ventrc.harness import (
     BREATHS, IDENT_NOISE_RMS, IDENT_PERIODS, NORMS_HEADER, SEED, TRACE_HEADER,
 )
-from ventrc.rc_design import load_filterset, save_filterset
+from ventrc.rc_design import check_stability, load_filterset, save_filterset
 from ventrc.lti import (
     FrequencyResponse, load_transfer_function, read_table, save_transfer_function, write_table,
 )
@@ -75,6 +78,8 @@ def test_written_files_read_back_bit_for_bit(pipeline_dir, tmp_path):
      {"breaths": BREATHS, "noise_rms": IDENT_NOISE_RMS, "periods": IDENT_PERIODS, "seed": SEED}),
     (["run", "--scenario", "adult", "--mode", "pid", "--out-dir", "out"],
      {"breaths": BREATHS, "seed": SEED}),
+    (["identify", "--scenario", "adult", "--level", "peep", "--out", "frf.csv"],
+     {"periods": IDENT_PERIODS, "noise_rms": IDENT_NOISE_RMS, "seed": SEED}),
 ])
 def test_parser_defaults_are_the_harness_constants(argv, expected):
     args = vars(build_parser().parse_args(argv))
@@ -84,11 +89,34 @@ def test_parser_defaults_are_the_harness_constants(argv, expected):
 def test_identify_writes_frf(tmp_path):
     out = tmp_path / "frf.csv"
     rc = main(["identify", "--scenario", "adult", "--level", "peep",
-               "--out", str(out), "--bins", "8", "--periods", "3",
-               "--discard", "2", "--period-samples", "500"])
+               "--out", str(out), "--periods", "2"])
     assert rc == 0
     frf = load_frf(out)
-    assert 0 < len(frf) <= 8
+    assert len(frf) > 400 and frf.frequencies_hz[-1] >= 0.98 * 250.0
+
+
+def test_identify_uses_the_pipeline_grid(pipeline_dir, tmp_path):
+    # default identify excites the grid that `ventrc all` designs on, which
+    # reaches Nyquist, so the stability check on it does not warn
+    out = tmp_path / "frf.csv"
+    assert main(["identify", "--scenario", "adult", "--level", "peep", "--out", str(out)]) == 0
+    frf = load_frf(out)
+    pipeline_grid = load_frf(pipeline_dir / "frf_adult_peep.csv").frequencies_hz
+    assert frf.frequencies_hz.tobytes() == pipeline_grid.tobytes()
+    fs = load_filterset(pipeline_dir / "rc_adult.filterset")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        check_stability(fs.q_kernel, fs.l_causal, fs.l_shift, {"adult_peep": frf})
+
+
+@pytest.mark.parametrize("scenario, level", [("adult", "peep"), ("baby", "ipap")])
+def test_identify_repeats_the_pipeline_job(pipeline_dir, tmp_path, scenario, level):
+    # pipeline_dir ran `ventrc all --periods 8 --seed 0`
+    out = tmp_path / "frf.csv"
+    rc = main(["identify", "--scenario", scenario, "--level", level, "--out", str(out),
+               "--periods", "8", "--seed", "0"])
+    assert rc == 0
+    assert out.read_bytes() == (pipeline_dir / f"frf_{scenario}_{level}.csv").read_bytes()
 
 
 def test_identify_accepts_cfg_path(tmp_path):
@@ -99,8 +127,7 @@ def test_identify_accepts_cfg_path(tmp_path):
     save_scenario(scenario, circuit, cfg)
     out = tmp_path / "frf.csv"
     rc = main(["identify", "--scenario", str(cfg), "--level", "ipap",
-               "--out", str(out), "--bins", "6", "--periods", "3",
-               "--discard", "2", "--period-samples", "500"])
+               "--out", str(out), "--periods", "2"])
     assert rc == 0 and out.exists()
 
 
@@ -249,17 +276,12 @@ def test_compare_rejects_malformed_norms(tmp_path, capsys, text, message):
     assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 
-IDENTIFY = ["identify", "--scenario", "adult", "--level", "peep", "--bins", "6",
-            "--periods", "2", "--discard", "1", "--period-samples", "500"]
+IDENTIFY = ["identify", "--scenario", "adult", "--level", "peep", "--periods", "2"]
 
 
 @pytest.mark.parametrize("option, value, message", [
-    ("--discard", "0", "periods_discarded must be >= 1, got 0"),
     ("--periods", "0", "periods_recorded must be >= 1, got 0"),
-    ("--rms", "0", "rms_amplitude: excitation amplitude must be positive, got 0.0"),
     ("--noise-rms", "-1", "measurement_noise_rms must be >= 0, got -1.0"),
-    ("--f-min", "0", "bins_hz: excitation frequencies must be finite and positive, got nan"),
-    ("--f-min", "-1", "bins_hz: excitation frequencies must be finite and positive, got nan"),
 ])
 def test_identify_rejects_bad_option(tmp_path, capsys, option, value, message):
     rc = main(IDENTIFY + ["--out", str(tmp_path / "frf.csv"), option, value])
@@ -308,3 +330,54 @@ def test_input_that_is_not_utf8_rejected(pipeline_dir, tmp_path, capsys, source,
     rc = main([a.format(bad=bad, tmp=tmp_path, source=source, dir=pipeline_dir) for a in argv])
     assert rc == 1
     assert f"error: {bad}: not UTF-8 text: byte 0 is 0xff" in capsys.readouterr().err
+
+
+# each command writes its output into {out}, a directory that does not exist
+# yet, or that is an existing directory and cannot be written as a file
+WRITERS = {
+    "identify": ["identify", "--scenario", "baby", "--level", "peep", "--periods", "2",
+                 "--out", "{out}"],
+    "fit": ["fit", "--in", "{dir}/frf_mean.csv", "--out", "{out}"],
+    "design": ["design", "--frf-dir", "{dir}", "--out", "{out}"],
+    "compare": ["compare", "--baseline", "{dir}/adult/adult_pid_breath_norms.csv",
+                "--candidate", "{dir}/adult/adult_rc_breath_norms.csv", "--out", "{out}"],
+    "check-stability": ["check-stability", "--filterset", "{dir}/rc_adult.filterset",
+                        "--frf-dir", "{dir}", "--report", "{out}"],
+}
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_output_into_missing_directory(pipeline_dir, tmp_path, command):
+    out = tmp_path / "new" / "sub" / "output"
+    rc = main([a.format(dir=pipeline_dir, out=out) for a in WRITERS[command]])
+    assert rc == 0
+    assert out.is_file()
+
+
+@pytest.mark.parametrize("command", WRITERS)
+def test_output_onto_directory_rejected(pipeline_dir, tmp_path, capsys, command):
+    rc = main([a.format(dir=pipeline_dir, out=tmp_path) for a in WRITERS[command]])
+    assert rc == 1
+    assert f"error: {tmp_path}: cannot write: " in capsys.readouterr().err
+
+
+def test_all_rejects_zero_breaths_before_writing(tmp_path, capsys):
+    rc = main(["all", "--out-dir", str(tmp_path), "--breaths", "0"])
+    assert rc == 1
+    assert "error: breaths must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_stages_run_as_written(tmp_path, monkeypatch):
+    # every command of the README's "Individual stages" block, in order
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Individual stages:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert all(c[0] == "ventrc" for c in commands)
+    commands = [c[1:] for c in commands]
+    assert [c[0] for c in commands] == (["identify"] * 6
+                                        + ["fit", "design", "check-stability", "run", "run",
+                                           "compare"])
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
