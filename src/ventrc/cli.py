@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConfigurationError, DesignError, ExperimentDiverged, VentrcError
 from .harness import (
     BREATHS,
@@ -28,12 +26,13 @@ from .harness import (
     run_experiment,
     run_full_pipeline,
 )
-from .lti import FrequencyResponse, read_table, save_transfer_function
+from .lti import read_table, save_transfer_function
+from .plant import load_scenario, reference_profile
 from .rc_design import (
-    FIT_BAND_HZ, FIT_DELAY_SAMPLES, FIT_ORDER, MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER,
-    check_stability, design_pipeline, load_filterset, save_filterset,
+    FIT_DELAY_SAMPLES, FIT_ORDER, MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER,
+    check_stability, design_pipeline, fit_loop_model, load_filterset, save_filterset,
 )
-from .sysid import average_frf, fit_rational, load_frf, save_frf
+from .sysid import average_frf, load_frf, save_frf
 
 
 def _cmd_identify(args) -> int:
@@ -42,17 +41,6 @@ def _cmd_identify(args) -> int:
     save_frf(frf, args.out)
     print(f"wrote {len(frf)} bins ({frf.frequencies_hz[0]:g}-{frf.frequencies_hz[-1]:g} Hz) "
           f"to {args.out}")
-    return 0
-
-
-def _cmd_fit(args) -> int:
-    frf = load_frf(args.infile, sample_time=args.sample_time)
-    sel = (frf.frequencies_hz >= args.band[0]) & (frf.frequencies_hz <= args.band[1])
-    banded = FrequencyResponse(frf.frequencies_hz[sel], frf.values[sel], frf.sample_time)
-    weights = None if args.weighting == "uniform" else 1.0 / np.abs(banded.values)
-    tf = fit_rational(banded, args.order, args.delay, weights=weights)
-    save_transfer_function(tf, args.out)
-    print(f"fit order {args.order}, delay {args.delay} samples -> {args.out}")
     return 0
 
 
@@ -69,18 +57,28 @@ def _load_frf_dir(frf_dir: Path, sample_time: float):
     return frfs
 
 
+def _design_inputs(args):
+    """As `all` builds them: the --frf-dir responses at the --scenario's sample
+    time, their mean, and the scenario's breath period in samples."""
+    scenario, circuit = load_scenario(args.scenario)
+    frfs = _load_frf_dir(args.frf_dir, circuit.sample_time)
+    return frfs, average_frf(frfs.values()), len(reference_profile(scenario, circuit.sample_time))
+
+
+def _cmd_fit(args) -> int:
+    _, mean_frf, _ = _design_inputs(args)
+    save_transfer_function(fit_loop_model(mean_frf, args.order, args.delay), args.out)
+    print(f"fit order {args.order}, delay {args.delay} samples -> {args.out}")
+    return 0
+
+
 def _cmd_design(args) -> int:
-    frfs = _load_frf_dir(args.frf_dir, args.sample_time)
-    mean_path = Path(args.frf_dir) / "frf_mean.csv"
-    if mean_path.exists():
-        mean_frf = load_frf(mean_path, args.sample_time)
-    else:
-        mean_frf = average_frf(frfs.values())
+    frfs, mean_frf, period_n = _design_inputs(args)
     try:
         filterset, report = design_pipeline(
             frfs, mean_frf, order=args.order, delay_samples=args.delay,
             cutoff_hz=args.cutoff_hz, q_order=args.q_order,
-            period_n=args.period_n, min_margin=args.min_margin,
+            period_n=period_n, min_margin=args.min_margin,
         )
     except DesignError as exc:
         print(f"design failed: {exc}", file=sys.stderr)
@@ -183,26 +181,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=SEED)
     p.set_defaults(func=_cmd_identify)
 
-    p = sub.add_parser("fit", help="fit a rational model to an FRF csv")
+    p = sub.add_parser("fit", help="fit the loop model to the mean FRF, as `all` does")
+    p.add_argument("--frf-dir", required=True)
+    p.add_argument("--scenario", required=True)
     p.add_argument("--order", type=int, default=FIT_ORDER)
     p.add_argument("--delay", type=int, default=FIT_DELAY_SAMPLES)
-    p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--sample-time", type=float, default=0.002)
-    p.add_argument("--band", type=float, nargs=2, default=FIT_BAND_HZ,
-                   metavar=("LO", "HI"))
-    p.add_argument("--weighting", choices=["uniform", "relative"], default="relative")
     p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("design", help="synthesize the filter set and check stability")
+    p = sub.add_parser("design", help="a scenario's filter set and its check, as `all` does")
     p.add_argument("--frf-dir", required=True)
+    p.add_argument("--scenario", required=True)
     p.add_argument("--order", type=int, default=FIT_ORDER)
     p.add_argument("--delay", type=int, default=FIT_DELAY_SAMPLES)
     p.add_argument("--cutoff-hz", type=float, default=Q_CUTOFF_HZ)
     p.add_argument("--q-order", type=int, default=Q_ORDER)
-    p.add_argument("--period-n", type=int, default=2000)
     p.add_argument("--min-margin", type=float, default=MIN_MARGIN)
-    p.add_argument("--sample-time", type=float, default=0.002)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_design)
 

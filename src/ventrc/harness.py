@@ -42,8 +42,8 @@ BREATHS = 20
 SEED = 0
 IDENT_NOISE_RMS = 0.01
 IDENT_PERIODS = 16
-# the identification jobs of run_full_pipeline, in order: each built-in
-# patient at its PEEP and its IPAP pressure
+# the identification jobs of run_full_pipeline: each built-in patient at its
+# PEEP and its IPAP pressure.  A job's index here seeds its sensor noise.
 IDENT_LEVELS = ("peep", "ipap")
 IDENT_JOBS = tuple((name, level) for name in SCENARIOS for level in IDENT_LEVELS)
 # the per-breath norm CSV that emit_report writes and `ventrc compare` reads
@@ -70,6 +70,8 @@ class ExperimentSpec:
             raise ConfigurationError(f"mode must be 'pid' or 'rc', got {self.mode!r}")
         if self.breaths < 1:
             raise ConfigurationError("breaths must be >= 1")
+        if self.seed is not None and not self.seed >= 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.mode == "rc" and self.filterset is None:
             raise ConfigurationError("rc mode needs a filterset")
         limits = self.output_limits   # written so that NaN fails too
@@ -217,7 +219,6 @@ def emit_report(log: BreathLog, out_dir) -> dict[str, Path]:
     The pressure plot shows the last complete breath.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{log.scenario_name}_{log.mode}"
     paths = {}
 
@@ -295,9 +296,9 @@ def identify(scenario: str | Path, level: str, periods: int = IDENT_PERIODS,
 
 def identify_all(periods: int = IDENT_PERIODS, noise_rms: float = IDENT_NOISE_RMS,
                  seed: int = SEED) -> dict[str, FrequencyResponse]:
-    """Every job of IDENT_JOBS, keyed "<scenario>_<level>"."""
+    """Every job of IDENT_JOBS, keyed "<scenario>_<level>", in sorted (file name) order."""
     return {f"{name}_{level}": identify(name, level, periods, noise_rms, seed)
-            for name, level in IDENT_JOBS}
+            for name, level in sorted(IDENT_JOBS)}
 
 
 def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTOFF_HZ,
@@ -370,7 +371,6 @@ def emit_comparison_report(baseline: BreathLog, candidate: BreathLog,
                            comparison: ComparisonTable, out_dir) -> dict[str, Path]:
     """Comparison CSV plus the two-curve norm plot."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {}
     cmp_path = out_dir / f"{comparison.scenario_name}_comparison.csv"
     comparison.save_csv(cmp_path)

@@ -441,7 +441,7 @@ def read_text(path) -> str:
 
 
 @contextmanager
-def _open_output(path, newline=None):
+def open_output(path, newline=None):
     """`path` opened for writing as UTF-8, its parent directories made first.
 
     An OSError while opening or writing, a path that names a directory for
@@ -467,7 +467,7 @@ def write_table(path, header, columns) -> None:
     ended by CRLF, as csv.writer would write it.
     """
     rows = min((len(column) for column in columns), default=0)
-    with _open_output(path, newline="") as fh:
+    with open_output(path, newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, rows, TABLE_BLOCK_ROWS):
             block = slice(start, start + TABLE_BLOCK_ROWS)
@@ -585,7 +585,7 @@ def write_coefficient_file(path, header: str, scalars: dict, arrays: dict) -> No
     lines += [f"{name} {value}" for name, value in text.items()]
     for name, values in arrays.items():
         lines += [f"{name} {len(values)}", *(repr(float(v)) for v in values)]
-    with _open_output(path) as fh:
+    with open_output(path) as fh:
         fh.write("".join(line + "\n" for line in lines))
 
 

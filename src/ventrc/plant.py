@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .lti import DiscreteTransferFunction, StateSpace, parse_field, read_text
+from .lti import DiscreteTransferFunction, StateSpace, open_output, parse_field, read_text
 
 
 @dataclass
@@ -120,6 +120,9 @@ class VentilatorPlant:
         if not self.measurement_noise_rms >= 0.0:
             raise ConfigurationError(
                 f"measurement_noise_rms must be >= 0, got {measurement_noise_rms!r}")
+        if self.measurement_noise_rms == math.inf:
+            raise ConfigurationError(
+                f"measurement_noise_rms must be finite, got {measurement_noise_rms!r}")
         self._rng = np.random.default_rng(seed)
         c = self.circuit
         g_hose = 1.0 / c.r_hose
@@ -362,5 +365,5 @@ def save_scenario(scenario: PatientScenario, circuit: CircuitParameters, path) -
     cp = configparser.ConfigParser(interpolation=None)
     for section, names in SCENARIO_SECTIONS.items():
         cp[section] = {name: str(values[name]) for name in names}
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         cp.write(fh)

@@ -241,27 +241,32 @@ def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: i
     return StabilityReport(np.asarray(grid, dtype=float), rows)
 
 
+def fit_loop_model(mean_frf: FrequencyResponse, order: int = FIT_ORDER,
+                   delay_samples: int = FIT_DELAY_SAMPLES) -> DiscreteTransferFunction:
+    """The loop model: the mean response over FIT_BAND_HZ, relative (1/|T|) weights."""
+    lo, hi = FIT_BAND_HZ
+    sel = (mean_frf.frequencies_hz >= lo) & (mean_frf.frequencies_hz <= hi)
+    if np.count_nonzero(sel) < 2 * order + 1:
+        raise ConfigurationError(
+            f"fit band [{lo}, {hi}] Hz keeps too few bins for an order-{order} fit")
+    banded = FrequencyResponse(mean_frf.frequencies_hz[sel], mean_frf.values[sel],
+                               mean_frf.sample_time)
+    return fit_rational(banded, order, delay_samples, weights=1.0 / np.abs(banded.values))
+
+
 def design_pipeline(frfs: dict[str, FrequencyResponse], mean_frf: FrequencyResponse,
                     order: int = FIT_ORDER, delay_samples: int = FIT_DELAY_SAMPLES,
                     cutoff_hz: float = Q_CUTOFF_HZ, q_order: int = Q_ORDER,
                     period_n: int = 2000,
                     min_margin: float = MIN_MARGIN) -> tuple[RcFilterSet, StabilityReport]:
-    """Chain fit -> inversion -> lowpass design -> stability check.
+    """Chain fit_loop_model -> inversion -> lowpass design -> stability check.
 
-    The parametric fit uses the mean response restricted to FIT_BAND_HZ with
-    relative (1/|T|) weighting.  Raises DesignError (with the report
-    attached) if the bound fails or the margin is below min_margin.
+    Raises DesignError (with the report attached) if the bound fails or the
+    margin is below min_margin.
     """
-    lo, hi = FIT_BAND_HZ
-    sel = (mean_frf.frequencies_hz >= lo) & (mean_frf.frequencies_hz <= hi)
-    if np.count_nonzero(sel) < 2 * order + 1:
-        raise ConfigurationError(
-            f"fit band [{lo}, {hi}] Hz keeps too few bins for an order-{order} fit"
-        )
-    banded = FrequencyResponse(
-        mean_frf.frequencies_hz[sel], mean_frf.values[sel], mean_frf.sample_time
-    )
-    t_fit = fit_rational(banded, order, delay_samples, weights=1.0 / np.abs(banded.values))
+    if not min_margin >= 0:   # written so that NaN fails too
+        raise ConfigurationError(f"min_margin must be >= 0, got {min_margin}")
+    t_fit = fit_loop_model(mean_frf, order, delay_samples)
     l_causal, l_shift = zpetc_invert(t_fit)
     q_kernel = design_q_fir(cutoff_hz, q_order, mean_frf.sample_time)
     filterset = RcFilterSet(l_causal, l_shift, q_kernel, period_n)

@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 
+from .lti import open_output
+
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 34, 44
 
@@ -112,4 +114,5 @@ def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
             ET.SubElement(svg, "text", x=str(_MARGIN_L + iw - 90), y=str(ly),
                           attrib=label_attr).text = label
 
-    ET.ElementTree(svg).write(path, xml_declaration=True, encoding="utf-8")
+    with open_output(path) as fh:
+        ET.ElementTree(svg).write(fh, xml_declaration=True, encoding="unicode")

@@ -59,6 +59,8 @@ class MultisineSpec:
         for name in ("period_samples", "periods_recorded", "periods_discarded"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed is not None and not self.seed >= 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
     def snapped_bins(self, sample_time: float) -> np.ndarray:
         """Requested frequencies snapped to the multisine's integer DFT bins."""

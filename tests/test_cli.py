@@ -1,19 +1,20 @@
 import shlex
 import warnings
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from ventrc.cli import build_parser, main
 from ventrc.harness import (
-    BREATHS, IDENT_NOISE_RMS, IDENT_PERIODS, NORMS_HEADER, SEED, TRACE_HEADER,
+    BREATHS, IDENT_JOBS, IDENT_NOISE_RMS, IDENT_PERIODS, NORMS_HEADER, SEED, TRACE_HEADER,
 )
 from ventrc.rc_design import check_stability, load_filterset, save_filterset
 from ventrc.lti import (
     FrequencyResponse, load_transfer_function, read_table, save_transfer_function, write_table,
 )
-from ventrc.plant import builtin_scenario_path
+from ventrc.plant import builtin_scenario_path, load_scenario, save_scenario
 from ventrc.sysid import load_frf, save_frf
 
 # the noisy design-grade fit legitimately stops at the iteration cap
@@ -133,8 +134,8 @@ def test_identify_accepts_cfg_path(tmp_path):
 
 def test_fit_command(pipeline_dir, tmp_path):
     out = tmp_path / "model.coeff"
-    rc = main(["fit", "--order", "4", "--delay", "12",
-               "--in", str(pipeline_dir / "frf_mean.csv"), "--out", str(out)])
+    rc = main(["fit", "--order", "4", "--delay", "12", "--frf-dir", str(pipeline_dir),
+               "--scenario", "adult", "--out", str(out)])
     assert rc == 0
     from ventrc.lti import load_transfer_function
     tf = load_transfer_function(out)
@@ -144,37 +145,69 @@ def test_fit_command(pipeline_dir, tmp_path):
 
 def test_design_command(pipeline_dir, tmp_path):
     out = tmp_path / "rc.filterset"
-    rc = main(["design", "--frf-dir", str(pipeline_dir), "--period-n", "2000",
+    rc = main(["design", "--frf-dir", str(pipeline_dir), "--scenario", "baby",
                "--out", str(out)])
     assert rc == 0
     fs = load_filterset(out)
-    assert fs.period_n == 2000
+    assert fs.period_n == 1000   # the baby's 2 s breath at 2 ms
     assert len(fs.q_kernel.taps) == 51
+    # the responses `all` wrote give the filter set `all` wrote
+    assert out.read_bytes() == (pipeline_dir / "rc_baby.filterset").read_bytes()
 
 
 def test_design_fails_loudly_on_high_cutoff(pipeline_dir, tmp_path, capsys):
-    rc = main(["design", "--frf-dir", str(pipeline_dir), "--period-n", "2000",
+    rc = main(["design", "--frf-dir", str(pipeline_dir), "--scenario", "adult",
                "--cutoff-hz", "200", "--out", str(tmp_path / "x.filterset")])
     assert rc == 1
     assert "design failed" in capsys.readouterr().err
 
 
+def adult_with(path, **changes):
+    """The adult scenario with some patient or circuit fields changed, saved to path."""
+    scenario, circuit = load_scenario("adult")
+    save_scenario(replace(scenario, **{k: v for k, v in changes.items() if k in vars(scenario)}),
+                  replace(circuit, **{k: v for k, v in changes.items() if k in vars(circuit)}),
+                  path)
+    return path
+
+
 @pytest.mark.parametrize("options, message", [
     (["--q-order", "3"], "order must be a positive even integer, got 3"),
     (["--cutoff-hz", "0"], "cutoff must lie in (0, 250.0) Hz, got 0.0"),
-    # the design's l_shift 13 plus the q shift 25 fill the whole period
-    (["--period-n", "38"], "shift budget violated: l_shift 13 + q shift 25 leaves no "
-                           "memory in period 38"),
+    # a 60 ms breath is 30 samples, and the design's l_shift 13 plus the q
+    # shift 25 fill them all
+    ({"respiratory_rate": 1000.0, "t_insp": 0.03, "t_exp": 0.03},
+     "shift budget violated: l_shift 13 + q shift 25 leaves no memory in period 30"),
     (["--delay", "-1"], "fixed_delay_samples must be >= 0, got -1"),
     # the FRFs reach 250 Hz, above the Nyquist frequency of 4 ms sampling
-    (["--sample-time", "0.004"], "{frf_dir}/frf_adult_ipap.csv (sample_time 0.004): "
-                                 "frequencies must lie in (0, 125.0] Hz"),
+    ({"sample_time": 0.004}, "{frf_dir}/frf_adult_ipap.csv (sample_time 0.004): "
+                             "frequencies must lie in (0, 125.0] Hz"),
+    (["--min-margin", "nan"], "min_margin must be >= 0, got nan"),
 ])
 def test_design_rejects_bad_request(pipeline_dir, tmp_path, capsys, options, message):
+    # options: command-line options for the adult, or changes to its scenario file
+    if isinstance(options, dict):
+        options = ["--scenario", str(adult_with(tmp_path / "changed.cfg", **options))]
+    else:
+        options = ["--scenario", "adult"] + options
     out = tmp_path / "rc.filterset"
     rc = main(["design", "--frf-dir", str(pipeline_dir), "--out", str(out)] + options)
     assert rc == 1
     assert f"error: {message.format(frf_dir=pipeline_dir)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fit", "design"])
+def test_fit_band_keeps_too_few_bins(tmp_path, capsys, command):
+    # 4 bins inside the 0-40 Hz fit band cannot determine the 9 parameters of
+    # an order-4 fit
+    save_frf(FrequencyResponse([1.0, 2.0, 5.0, 20.0], [1.0, 0.9, 0.7j, -0.2], 0.002),
+             tmp_path / "frf_x.csv")
+    out = tmp_path / "out"
+    rc = main([command, "--frf-dir", str(tmp_path), "--scenario", "adult", "--out", str(out)])
+    assert rc == 1
+    assert ("error: fit band [0.0, 40.0] Hz keeps too few bins for an order-4 fit"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -184,7 +217,7 @@ def test_mismatched_frf_grids_rejected(pipeline_dir, tmp_path, capsys, command):
     lines = (pipeline_dir / "frf_adult_peep.csv").read_text().splitlines(keepends=True)
     first.write_text("".join(lines))
     second.write_text("".join(lines[:-1]))   # one bin short
-    options = {"design": ["--out", str(tmp_path / "rc.filterset")],
+    options = {"design": ["--scenario", "adult", "--out", str(tmp_path / "rc.filterset")],
                "check-stability": ["--filterset", str(pipeline_dir / "rc_adult.filterset")]}
     rc = main([command, "--frf-dir", str(tmp_path)] + options[command])
     assert rc == 1
@@ -282,6 +315,8 @@ IDENTIFY = ["identify", "--scenario", "adult", "--level", "peep", "--periods", "
 @pytest.mark.parametrize("option, value, message", [
     ("--periods", "0", "periods_recorded must be >= 1, got 0"),
     ("--noise-rms", "-1", "measurement_noise_rms must be >= 0, got -1.0"),
+    ("--noise-rms", "inf", "measurement_noise_rms must be finite, got inf"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_identify_rejects_bad_option(tmp_path, capsys, option, value, message):
     rc = main(IDENTIFY + ["--out", str(tmp_path / "frf.csv"), option, value])
@@ -292,18 +327,21 @@ def test_identify_rejects_bad_option(tmp_path, capsys, option, value, message):
 
 @pytest.mark.parametrize("options, message", [
     (["--order", "-1"], "order must be >= 0, got -1"),
-    (["--band", "90", "95"], "0 bins cannot determine the 9 parameters of an order-4 fit"),
+    # the responses are read at the scenario's sample time
+    ({"sample_time": 0.004}, "{frf_dir}/frf_adult_ipap.csv (sample_time 0.004): "
+                             "frequencies must lie in (0, 125.0] Hz"),
     (["--delay", "-1"], "fixed_delay_samples must be >= 0, got -1"),
-    (["--sample-time", "0"], "{frf} (sample_time 0.0): sample_time must be positive"),
-    (["--sample-time", "nan"], "{frf} (sample_time nan): sample_time must be positive"),
 ])
-def test_fit_rejects_bad_request(tmp_path, capsys, options, message):
-    frf = tmp_path / "frf.csv"
-    save_frf(FrequencyResponse([1.0, 2.0, 5.0, 20.0], [1.0, 0.9, 0.7j, -0.2], 0.002), frf)
+def test_fit_rejects_bad_request(pipeline_dir, tmp_path, capsys, options, message):
+    # options: command-line options for the adult, or changes to its scenario file
+    if isinstance(options, dict):
+        options = ["--scenario", str(adult_with(tmp_path / "changed.cfg", **options))]
+    else:
+        options = ["--scenario", "adult"] + options
     out = tmp_path / "model.coeff"
-    rc = main(["fit", "--in", str(frf), "--out", str(out)] + options)
+    rc = main(["fit", "--frf-dir", str(pipeline_dir), "--out", str(out)] + options)
     assert rc == 1
-    assert f"error: {message.format(frf=frf)}" in capsys.readouterr().err
+    assert f"error: {message.format(frf_dir=pipeline_dir)}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -314,8 +352,31 @@ def test_run_rejects_negative_noise(tmp_path, capsys):
     assert "error: measurement_noise_rms must be >= 0, got -0.5" in capsys.readouterr().err
 
 
+RUN = ["run", "--scenario", "baby", "--mode", "pid", "--breaths", "1"]
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--noise-rms", "inf", "measurement_noise_rms must be finite, got inf"),
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+])
+def test_run_rejects_bad_option(tmp_path, capsys, option, value, message):
+    rc = main(RUN + ["--out-dir", str(tmp_path / "run"), option, value])
+    assert rc == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_into_a_file_rejected(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    rc = main(RUN + ["--out-dir", str(afile)])
+    assert rc == 1
+    assert f"error: {afile}/baby_pid_trace.csv: cannot write: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("source, argv", [
-    ("frf_adult_peep.csv", ["fit", "--in", "{bad}", "--out", "{tmp}/model.coeff"]),
+    ("frf_adult_peep.csv",
+     ["fit", "--frf-dir", "{tmp}", "--scenario", "adult", "--out", "{tmp}/model.coeff"]),
     ("adult/adult_pid_breath_norms.csv",
      ["compare", "--baseline", "{source}", "--candidate", "{bad}"]),
     ("rc_adult.filterset", ["check-stability", "--filterset", "{bad}", "--frf-dir", "{dir}"]),
@@ -325,7 +386,7 @@ def test_run_rejects_negative_noise(tmp_path, capsys):
 def test_input_that_is_not_utf8_rejected(pipeline_dir, tmp_path, capsys, source, argv):
     # a written input saved as UTF-16, which starts with the bytes 0xff 0xfe
     source = pipeline_dir / source if source else builtin_scenario_path("adult")
-    bad = tmp_path / f"utf16_{source.name}"
+    bad = tmp_path / f"{source.stem}_utf16{source.suffix}"   # frf_*.csv stays frf_*.csv
     bad.write_bytes(b"\xff\xfe" + source.read_text().encode("utf-16-le"))
     rc = main([a.format(bad=bad, tmp=tmp_path, source=source, dir=pipeline_dir) for a in argv])
     assert rc == 1
@@ -337,8 +398,8 @@ def test_input_that_is_not_utf8_rejected(pipeline_dir, tmp_path, capsys, source,
 WRITERS = {
     "identify": ["identify", "--scenario", "baby", "--level", "peep", "--periods", "2",
                  "--out", "{out}"],
-    "fit": ["fit", "--in", "{dir}/frf_mean.csv", "--out", "{out}"],
-    "design": ["design", "--frf-dir", "{dir}", "--out", "{out}"],
+    "fit": ["fit", "--frf-dir", "{dir}", "--scenario", "adult", "--out", "{out}"],
+    "design": ["design", "--frf-dir", "{dir}", "--scenario", "adult", "--out", "{out}"],
     "compare": ["compare", "--baseline", "{dir}/adult/adult_pid_breath_norms.csv",
                 "--candidate", "{dir}/adult/adult_rc_breath_norms.csv", "--out", "{out}"],
     "check-stability": ["check-stability", "--filterset", "{dir}/rc_adult.filterset",
@@ -366,6 +427,50 @@ def test_all_rejects_zero_breaths_before_writing(tmp_path, capsys):
     assert rc == 1
     assert "error: breaths must be >= 1" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_all_rejects_negative_seed_before_writing(tmp_path, capsys):
+    rc = main(["all", "--out-dir", str(tmp_path), "--seed", "-1"])
+    assert rc == 1
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_all_rejects_nan_min_margin(tmp_path, capsys):
+    rc = main(["all", "--out-dir", str(tmp_path), "--periods", "1", "--min-margin", "nan"])
+    assert rc == 1
+    assert "error: min_margin must be >= 0, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "rc_adult.filterset").exists()
+
+
+def test_stage_commands_write_the_files_of_all(tmp_path):
+    # the stage commands, given the settings of an `all` run, write its
+    # design files and its adult files byte for byte
+    settings = ["--periods", "2", "--seed", "0"]
+    whole, stages = tmp_path / "all", tmp_path / "stages"
+    assert main(["all", "--out-dir", str(whole), "--breaths", "2"] + settings) == 0
+    frfs, adult, filterset = stages / "frfs", stages / "adult", stages / "rc_adult.filterset"
+    for name, level in IDENT_JOBS:
+        assert main(["identify", "--scenario", name, "--level", level,
+                     "--out", str(frfs / f"frf_{name}_{level}.csv")] + settings) == 0
+    for argv in (
+        ["fit", "--frf-dir", frfs, "--scenario", "adult", "--out", stages / "tfit.coeff"],
+        ["design", "--frf-dir", frfs, "--scenario", "adult", "--out", filterset],
+        ["check-stability", "--filterset", filterset, "--frf-dir", frfs,
+         "--report", stages / "stability_report.csv"],
+        ["run", "--scenario", "adult", "--mode", "pid", "--breaths", "2", "--out-dir", adult],
+        ["run", "--scenario", "adult", "--mode", "rc", "--breaths", "2",
+         "--filterset", filterset, "--out-dir", adult],
+        ["compare", "--baseline", adult / "adult_pid_breath_norms.csv",
+         "--candidate", adult / "adult_rc_breath_norms.csv",
+         "--out", adult / "adult_comparison.csv"],
+    ):
+        assert main([str(a) for a in argv]) == 0, argv
+    written = sorted(str(p.relative_to(stages)) for p in stages.rglob("*")
+                     if p.is_file() and p.parent != frfs)
+    assert len(written) == 3 + 9   # the 8 files of the two runs and the comparison
+    for name in written:
+        assert (stages / name).read_bytes() == (whole / name).read_bytes(), name
 
 
 def test_readme_stages_run_as_written(tmp_path, monkeypatch):
