@@ -29,8 +29,8 @@ from .harness import (
 from .lti import read_table, save_transfer_function
 from .plant import load_scenario, reference_profile
 from .rc_design import (
-    FIT_DELAY_SAMPLES, FIT_ORDER, MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER,
-    check_stability, design_pipeline, fit_loop_model, load_filterset, save_filterset,
+    FIT_DELAY_SAMPLES, FIT_ORDER, GRID_REACH, MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER,
+    check_stability, design_pipeline, fit_band, fit_loop_model, load_filterset, save_filterset,
 )
 from .sysid import average_frf, load_frf, save_frf
 
@@ -59,10 +59,25 @@ def _load_frf_dir(frf_dir: Path, sample_time: float):
 
 def _design_inputs(args):
     """As `all` builds them: the --frf-dir responses at the --scenario's sample
-    time, their mean, and the scenario's breath period in samples."""
+    time, their mean, and the scenario's breath period in samples.
+
+    A response file records no sample time.  After the fit band's bin count,
+    the grid must reach the scenario's Nyquist frequency, as an
+    identification at its sample time does; a shorter grid was most likely
+    measured at another sample time.
+    """
     scenario, circuit = load_scenario(args.scenario)
-    frfs = _load_frf_dir(args.frf_dir, circuit.sample_time)
-    return frfs, average_frf(frfs.values()), len(reference_profile(scenario, circuit.sample_time))
+    ts = circuit.sample_time
+    frfs = _load_frf_dir(args.frf_dir, ts)
+    mean_frf = average_frf(frfs.values())
+    fit_band(mean_frf, args.order)
+    top, nyquist = mean_frf.frequencies_hz[-1], 0.5 / ts
+    if top < GRID_REACH * nyquist:
+        raise ConfigurationError(
+            f"{Path(args.frf_dir) / f'frf_{next(iter(frfs))}.csv'}: top bin {top:g} Hz "
+            f"stops below the Nyquist frequency {nyquist:g} Hz of scenario "
+            f"{args.scenario} (sample time {ts:g} s); measured at another sample time?")
+    return frfs, mean_frf, len(reference_profile(scenario, ts))
 
 
 def _cmd_fit(args) -> int:

@@ -10,6 +10,7 @@ normalized by breath length.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -317,9 +318,12 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
     noise-free so convergence statements stay crisp.
     """
     out_dir = Path(out_dir)
-    # built before the first identification job, so that a bad run fails first
+    # the settings are checked before the first identification job, so that
+    # a bad run fails first
     pid_specs = {name: ExperimentSpec(scenario=name, breaths=breaths, seed=seed)
                  for name in SCENARIOS}
+    if not min_margin >= 0:   # written so that NaN fails too
+        raise ConfigurationError(f"min_margin must be >= 0, got {min_margin}")
 
     print("identifying complementary-sensitivity responses "
           f"({len(SCENARIOS)} scenarios x {len(IDENT_LEVELS)} levels)...")
@@ -351,20 +355,48 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
     print(report.summary())
 
     comparisons: dict[str, ComparisonTable] = {}
-    for name, pid_spec in pid_specs.items():
-        fs = filterset.with_period(periods[name])
-        save_filterset(fs, out_dir / f"rc_{name}.filterset")
-        logs = []
-        for spec in (pid_spec, replace(pid_spec, mode="rc", filterset=fs)):
-            print(f"running {name} / {spec.mode} for {breaths} breaths...")
-            logs.append(run_experiment(spec))
-            emit_report(logs[-1], out_dir / name)
-        comparison = compare_runs(*logs)
-        emit_comparison_report(*logs, comparison, out_dir / name)
-        del logs   # only the comparison outlives the scenario's reports
-        comparisons[name] = comparison
-        print(f"  {name}: converged rc/pid norm ratio = {comparison.converged_ratio:.4f}")
+    with _report_helper() as helper:
+        for name, pid_spec in pid_specs.items():
+            fs = filterset.with_period(periods[name])
+            save_filterset(fs, out_dir / f"rc_{name}.filterset")
+            logs = []
+            for spec in (pid_spec, replace(pid_spec, mode="rc", filterset=fs)):
+                print(f"running {name} / {spec.mode} for {breaths} breaths...")
+                logs.append(run_experiment(spec))
+            # the helper writes the rc run's reports while this process writes
+            # the pid run's and the comparison
+            rc_reports = helper.submit(_emit_helper_report, logs[1], out_dir / name)
+            emit_report(logs[0], out_dir / name)
+            comparison = compare_runs(*logs)
+            emit_comparison_report(*logs, comparison, out_dir / name)
+            del logs   # only the comparison outlives the scenario's reports
+            rc_reports.result()   # re-raises the helper's error before the next scenario
+            comparisons[name] = comparison
+            print(f"  {name}: converged rc/pid norm ratio = {comparison.converged_ratio:.4f}")
     return comparisons, report
+
+
+def _report_helper():
+    """The one helper process of run_full_pipeline, as an executor of one worker.
+
+    On Linux it is forked, so it starts with the package imported; elsewhere
+    it uses the platform's default start method.  Its modules are imported
+    here, so that importing ventrc does not pay for them.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = "fork" if sys.platform.startswith("linux") else None
+    return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method))
+
+
+def _emit_helper_report(log: BreathLog, out_dir) -> None:
+    """emit_report, run in the helper process.
+
+    A module-level function pickles by name, even when emit_report has been
+    replaced by a wrapper that does not pickle (a tracer's closure).
+    """
+    emit_report(log, out_dir)
 
 
 def emit_comparison_report(baseline: BreathLog, candidate: BreathLog,

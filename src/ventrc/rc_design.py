@@ -38,6 +38,9 @@ FIT_DELAY_SAMPLES = 12
 Q_CUTOFF_HZ = 23.0
 Q_ORDER = 50
 MIN_MARGIN = 0.05
+# a grid reaches Nyquist when its top bin is at least this fraction of it:
+# excited multisine grids stop one bin short
+GRID_REACH = 0.98
 # zeros with |z| >= 1 - UNSTABLE_ZERO_TOL are treated as uninvertible
 UNSTABLE_ZERO_TOL = 1e-9
 
@@ -225,9 +228,7 @@ def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: i
     first = next(iter(frfs.values()))
     grid, ts = first.frequencies_hz, first.sample_time
     nyq = 0.5 / ts
-    # excited multisine grids stop one bin short of Nyquist; only a
-    # materially short grid deserves the warning
-    if grid[-1] < 0.98 * nyq:
+    if grid[-1] < GRID_REACH * nyq:
         warnings.warn(
             f"stability grid stops at {grid[-1]:.1f} Hz below Nyquist "
             f"{nyq:.1f} Hz; the bound must hold at all frequencies",
@@ -241,16 +242,22 @@ def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: i
     return StabilityReport(np.asarray(grid, dtype=float), rows)
 
 
-def fit_loop_model(mean_frf: FrequencyResponse, order: int = FIT_ORDER,
-                   delay_samples: int = FIT_DELAY_SAMPLES) -> DiscreteTransferFunction:
-    """The loop model: the mean response over FIT_BAND_HZ, relative (1/|T|) weights."""
+def fit_band(mean_frf: FrequencyResponse, order: int = FIT_ORDER) -> FrequencyResponse:
+    """The bins of the mean response over FIT_BAND_HZ that an order-`order`
+    fit uses; ConfigurationError unless there are 2 * order + 1 of them."""
     lo, hi = FIT_BAND_HZ
     sel = (mean_frf.frequencies_hz >= lo) & (mean_frf.frequencies_hz <= hi)
     if np.count_nonzero(sel) < 2 * order + 1:
         raise ConfigurationError(
             f"fit band [{lo}, {hi}] Hz keeps too few bins for an order-{order} fit")
-    banded = FrequencyResponse(mean_frf.frequencies_hz[sel], mean_frf.values[sel],
-                               mean_frf.sample_time)
+    return FrequencyResponse(mean_frf.frequencies_hz[sel], mean_frf.values[sel],
+                             mean_frf.sample_time)
+
+
+def fit_loop_model(mean_frf: FrequencyResponse, order: int = FIT_ORDER,
+                   delay_samples: int = FIT_DELAY_SAMPLES) -> DiscreteTransferFunction:
+    """The loop model: the mean response over FIT_BAND_HZ, relative (1/|T|) weights."""
+    banded = fit_band(mean_frf, order)
     return fit_rational(banded, order, delay_samples, weights=1.0 / np.abs(banded.values))
 
 

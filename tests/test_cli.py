@@ -1,3 +1,4 @@
+import multiprocessing
 import shlex
 import warnings
 import xml.etree.ElementTree as ET
@@ -8,7 +9,8 @@ import pytest
 
 from ventrc.cli import build_parser, main
 from ventrc.harness import (
-    BREATHS, IDENT_JOBS, IDENT_NOISE_RMS, IDENT_PERIODS, NORMS_HEADER, SEED, TRACE_HEADER,
+    BREATHS, IDENT_JOBS, IDENT_LEVELS, IDENT_NOISE_RMS, IDENT_PERIODS, NORMS_HEADER, SEED,
+    TRACE_HEADER,
 )
 from ventrc.rc_design import check_stability, load_filterset, save_filterset
 from ventrc.lti import (
@@ -437,10 +439,43 @@ def test_all_rejects_negative_seed_before_writing(tmp_path, capsys):
 
 
 def test_all_rejects_nan_min_margin(tmp_path, capsys):
-    rc = main(["all", "--out-dir", str(tmp_path), "--periods", "1", "--min-margin", "nan"])
+    # rejected before the first identification job, like a negative margin
+    for margin, shown in (("nan", "nan"), ("-1", "-1.0")):
+        out = tmp_path / margin
+        rc = main(["all", "--out-dir", str(out), "--periods", "1", "--min-margin", margin])
+        assert rc == 1
+        assert f"error: min_margin must be >= 0, got {shown}" in capsys.readouterr().err
+        assert not out.exists()
+        assert list(tmp_path.rglob("frf_*.csv")) == []
+
+
+def test_all_reports_helper_write_error(tmp_path, capsys):
+    # the helper process cannot write the adult rc trace: the run stops there,
+    # names the path, and leaves no child process behind
+    blocked = tmp_path / "adult" / "adult_rc_trace.csv"
+    blocked.mkdir(parents=True)
+    rc = main(["all", "--out-dir", str(tmp_path), "--breaths", "2", "--periods", "2"])
     assert rc == 1
-    assert "error: min_margin must be >= 0, got nan" in capsys.readouterr().err
-    assert not (tmp_path / "rc_adult.filterset").exists()
+    assert f"error: {blocked}: cannot write: " in capsys.readouterr().err
+    assert not (tmp_path / "pediatric").exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("command", ["fit", "design"])
+def test_responses_of_another_sample_time_rejected(tmp_path, capsys, command):
+    # 2 ms responses stop at 249.5 Hz, well below the 500 Hz Nyquist
+    # frequency of a 1 ms copy of the adult
+    frfs = tmp_path / "frfs"
+    for level in IDENT_LEVELS:
+        assert main(["identify", "--scenario", "adult", "--level", level, "--periods", "2",
+                     "--out", str(frfs / f"frf_adult_{level}.csv")]) == 0
+    scenario = adult_with(tmp_path / "adult_1ms.cfg", sample_time=0.001)
+    out = tmp_path / "out"
+    rc = main([command, "--frf-dir", str(frfs), "--scenario", str(scenario), "--out", str(out)])
+    assert rc == 1
+    assert (f"error: {frfs / 'frf_adult_ipap.csv'}: top bin 249.5 Hz stops below the "
+            f"Nyquist frequency 500 Hz of scenario {scenario}" in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_stage_commands_write_the_files_of_all(tmp_path):

@@ -1,9 +1,11 @@
 import math
+import multiprocessing
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+from ventrc import harness
 from ventrc.errors import ConfigurationError, DesignError, ExperimentDiverged
 from ventrc.harness import (
     BreathLog,
@@ -13,6 +15,7 @@ from ventrc.harness import (
     emit_comparison_report,
     emit_report,
     run_experiment,
+    run_full_pipeline,
 )
 from ventrc.lti import DiscreteTransferFunction
 from ventrc.plant import save_scenario, load_scenario, PatientScenario
@@ -209,3 +212,27 @@ class TestReports:
         assert lines[0] == "breath,baseline_norm,candidate_norm,ratio"
         assert len(lines) == 21
         ET.parse(paths["norms_compare_svg"])
+
+
+class TestFullPipeline:
+    @pytest.mark.filterwarnings("ignore::ventrc.errors.FitConvergenceWarning")
+    def test_report_helper_with_replaced_emit_report(self, tmp_path, monkeypatch):
+        # a tracer replaces emit_report by a closure, which does not pickle;
+        # the helper still writes the rc reports, and no child outlives the run
+        original, modes = harness.emit_report, []
+
+        def wrapper(log, out_dir):
+            modes.append((log.scenario_name, log.mode))
+            return original(log, out_dir)
+
+        monkeypatch.setattr(harness, "emit_report", wrapper)
+        comparisons, _ = run_full_pipeline(tmp_path, breaths=2, identification_periods=2)
+        assert multiprocessing.active_children() == []
+        assert list(comparisons) == ["adult", "pediatric", "baby"]
+        # this process wrote the pid reports, the helper the rc ones
+        assert modes == [(name, "pid") for name in comparisons]
+        for name in comparisons:
+            for mode in ("pid", "rc"):
+                assert len((tmp_path / name / f"{name}_{mode}_trace.csv").read_text()
+                           .splitlines()) > 1
+        assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 43
