@@ -30,7 +30,7 @@ from .lti import read_table, save_transfer_function
 from .plant import load_scenario, reference_profile
 from .rc_design import (
     FIT_DELAY_SAMPLES, FIT_ORDER, GRID_REACH, MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER,
-    check_stability, design_pipeline, fit_band, fit_loop_model, load_filterset, save_filterset,
+    check_stability, design_pipeline, fit_loop_model, load_filterset, save_filterset,
 )
 from .sysid import average_frf, load_frf, save_frf
 
@@ -44,7 +44,11 @@ def _cmd_identify(args) -> int:
     return 0
 
 
-def _load_frf_dir(frf_dir: Path, sample_time: float):
+def _load_frf_dir(frf_dir: Path, sample_time: float, source: str):
+    """The frf_*.csv responses in frf_dir but the mean, by file name, read at the
+    sample time of `source`, a scenario or a filter set.  A response file
+    records no sample time, so their one grid must reach that Nyquist
+    frequency, as an identification at that sample time does."""
     paths = sorted(Path(frf_dir).glob("frf_*.csv"))
     paths = [p for p in paths if p.stem != "frf_mean"]
     if not paths:
@@ -54,36 +58,27 @@ def _load_frf_dir(frf_dir: Path, sample_time: float):
     for path, frf in zip(paths, frfs.values()):
         if not frf.same_grid(first):
             raise ConfigurationError(f"{path}: frequency grid differs from that of {paths[0]}")
+    top, nyquist = first.frequencies_hz[-1], 0.5 / sample_time
+    if top < GRID_REACH * nyquist:
+        raise ConfigurationError(
+            f"{paths[0]}: top bin {top:g} Hz stops below the Nyquist frequency {nyquist:g} Hz "
+            f"of {source} (sample time {sample_time:g} s); measured at another sample time?")
     return frfs
 
 
 def _design_inputs(args):
     """As `all` builds them: the --frf-dir responses at the --scenario's sample
-    time, their mean, and the scenario's breath period in samples.
-
-    A response file records no sample time.  After the fit band's bin count,
-    the grid must reach the scenario's Nyquist frequency, as an
-    identification at its sample time does; a shorter grid was most likely
-    measured at another sample time.
-    """
+    time, their mean, and the scenario's breath period in samples."""
     scenario, circuit = load_scenario(args.scenario)
     ts = circuit.sample_time
-    frfs = _load_frf_dir(args.frf_dir, ts)
-    mean_frf = average_frf(frfs.values())
-    fit_band(mean_frf, args.order)
-    top, nyquist = mean_frf.frequencies_hz[-1], 0.5 / ts
-    if top < GRID_REACH * nyquist:
-        raise ConfigurationError(
-            f"{Path(args.frf_dir) / f'frf_{next(iter(frfs))}.csv'}: top bin {top:g} Hz "
-            f"stops below the Nyquist frequency {nyquist:g} Hz of scenario "
-            f"{args.scenario} (sample time {ts:g} s); measured at another sample time?")
-    return frfs, mean_frf, len(reference_profile(scenario, ts))
+    frfs = _load_frf_dir(args.frf_dir, ts, f"scenario {args.scenario}")
+    return frfs, average_frf(frfs.values()), len(reference_profile(scenario, ts))
 
 
 def _cmd_fit(args) -> int:
     _, mean_frf, _ = _design_inputs(args)
-    save_transfer_function(fit_loop_model(mean_frf, args.order, args.delay), args.out)
-    print(f"fit order {args.order}, delay {args.delay} samples -> {args.out}")
+    save_transfer_function(fit_loop_model(mean_frf), args.out)
+    print(f"fit order {FIT_ORDER}, delay {FIT_DELAY_SAMPLES} samples -> {args.out}")
     return 0
 
 
@@ -91,8 +86,7 @@ def _cmd_design(args) -> int:
     frfs, mean_frf, period_n = _design_inputs(args)
     try:
         filterset, report = design_pipeline(
-            frfs, mean_frf, order=args.order, delay_samples=args.delay,
-            cutoff_hz=args.cutoff_hz, q_order=args.q_order,
+            frfs, mean_frf, cutoff_hz=args.cutoff_hz, q_order=args.q_order,
             period_n=period_n, min_margin=args.min_margin,
         )
     except DesignError as exc:
@@ -108,7 +102,7 @@ def _cmd_design(args) -> int:
 
 def _cmd_check_stability(args) -> int:
     filterset = load_filterset(args.filterset)
-    frfs = _load_frf_dir(args.frf_dir, filterset.sample_time)
+    frfs = _load_frf_dir(args.frf_dir, filterset.sample_time, f"filter set {args.filterset}")
     report = check_stability(filterset.q_kernel, filterset.l_causal,
                              filterset.l_shift, frfs)
     if args.report:
@@ -120,7 +114,7 @@ def _cmd_check_stability(args) -> int:
 def _cmd_run(args) -> int:
     spec = ExperimentSpec(
         scenario=args.scenario,
-        mode=args.mode,
+        mode="pid" if args.filterset is None else "rc",
         breaths=args.breaths,
         filterset=args.filterset,
         seed=args.seed,
@@ -199,16 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the loop model to the mean FRF, as `all` does")
     p.add_argument("--frf-dir", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--order", type=int, default=FIT_ORDER)
-    p.add_argument("--delay", type=int, default=FIT_DELAY_SAMPLES)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("design", help="a scenario's filter set and its check, as `all` does")
     p.add_argument("--frf-dir", required=True)
     p.add_argument("--scenario", required=True)
-    p.add_argument("--order", type=int, default=FIT_ORDER)
-    p.add_argument("--delay", type=int, default=FIT_DELAY_SAMPLES)
     p.add_argument("--cutoff-hz", type=float, default=Q_CUTOFF_HZ)
     p.add_argument("--q-order", type=int, default=Q_ORDER)
     p.add_argument("--min-margin", type=float, default=MIN_MARGIN)
@@ -223,9 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="closed-loop experiment on one scenario")
     p.add_argument("--scenario", required=True)
-    p.add_argument("--mode", choices=["pid", "rc"], required=True)
     p.add_argument("--breaths", type=int, default=BREATHS)
-    p.add_argument("--filterset")
+    p.add_argument("--filterset", help="run the repetitive add-on with this filter set")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--noise-rms", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=SEED)

@@ -31,7 +31,8 @@ from .lti import (
 from .plant import VentilatorPlant, load_scenario, reference_profile
 from .rc_design import (
     FIT_DELAY_SAMPLES, FIT_ORDER, MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER, RcFilterSet, StabilityReport,
-    check_stability, default_stability_grid, design_pipeline, load_filterset, save_filterset,
+    check_q_fir, check_stability, default_stability_grid, design_pipeline, load_filterset,
+    save_filterset,
 )
 from .sysid import MultisineSpec, average_frf, estimate_frf, save_frf
 
@@ -75,6 +76,8 @@ class ExperimentSpec:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.mode == "rc" and self.filterset is None:
             raise ConfigurationError("rc mode needs a filterset")
+        if self.mode == "pid" and self.filterset is not None:
+            raise ConfigurationError("pid mode takes no filterset")
         limits = self.output_limits   # written so that NaN fails too
         if limits is not None and not (np.shape(limits) == (2,) and limits[0] < limits[1]):
             raise ConfigurationError(f"output_limits must be a pair lo < hi, got {limits!r}")
@@ -322,6 +325,12 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
     # a bad run fails first
     pid_specs = {name: ExperimentSpec(scenario=name, breaths=breaths, seed=seed)
                  for name in SCENARIOS}
+    loaded = {name: load_scenario(name) for name in SCENARIOS}
+    periods = {name: len(reference_profile(scenario, circuit.sample_time))
+               for name, (scenario, circuit) in loaded.items()}
+    # the robustness filter is designed at the sample time of the mean
+    # response, which is the first scenario's
+    check_q_fir(cutoff_hz, q_order, loaded[SCENARIOS[0]][1].sample_time)
     if not min_margin >= 0:   # written so that NaN fails too
         raise ConfigurationError(f"min_margin must be >= 0, got {min_margin}")
 
@@ -335,10 +344,6 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
 
     print(f"fitting order-{FIT_ORDER} model with {FIT_DELAY_SAMPLES}-sample delay "
           "and synthesizing the filter set...")
-    periods = {}
-    for name in SCENARIOS:
-        scenario, circuit = load_scenario(name)
-        periods[name] = len(reference_profile(scenario, circuit.sample_time))
     filterset, report = design_pipeline(
         frfs, mean_frf, cutoff_hz=cutoff_hz, q_order=q_order, period_n=periods[SCENARIOS[0]],
         min_margin=min_margin,

@@ -30,9 +30,10 @@ from .sysid import fit_rational
 # the mean response is fitted only where it is trustworthy, with relative
 # (1/|T|) weighting
 FIT_BAND_HZ = (0.0, 40.0)
-# the paper's design choices, the defaults of every design entry point: the
-# fit order and the loop delay in samples, the robustness filter's cutoff
-# and order, and how far below one the small-gain bound must stay
+# the paper's design choices: the loop model's fit order and delay in
+# samples, which every design uses, then the defaults of every design entry
+# point: the robustness filter's cutoff and order, and how far below one the
+# small-gain bound must stay
 FIT_ORDER = 4
 FIT_DELAY_SAMPLES = 12
 Q_CUTOFF_HZ = 23.0
@@ -177,6 +178,16 @@ def zpetc_invert(t_fit: DiscreteTransferFunction) -> tuple[DiscreteTransferFunct
     return l_causal, l_shift
 
 
+def check_q_fir(cutoff_hz: float, order: int, sample_time: float) -> None:
+    """ConfigurationError unless design_q_fir accepts these settings: a cutoff
+    strictly between 0 and the Nyquist frequency, a positive even order."""
+    nyquist = 0.5 / sample_time
+    if not (0.0 < cutoff_hz < nyquist):
+        raise ConfigurationError(f"cutoff must lie in (0, {nyquist}) Hz, got {cutoff_hz}")
+    if order <= 0 or order % 2 != 0:
+        raise ConfigurationError(f"order must be a positive even integer, got {order}")
+
+
 def design_q_fir(cutoff_hz: float, order: int, sample_time: float) -> FirKernel:
     """Windowed-sinc (Hamming) zero-phase lowpass with unit DC gain.
 
@@ -185,11 +196,8 @@ def design_q_fir(cutoff_hz: float, order: int, sample_time: float) -> FirKernel:
     pushes the grid maximum of |Q| above 1 + 1e-6 the taps are rescaled so
     the response never exceeds one (at the cost of a sub-0.1% DC deficit).
     """
+    check_q_fir(cutoff_hz, order, sample_time)
     nyquist = 0.5 / sample_time
-    if not (0.0 < cutoff_hz < nyquist):
-        raise ConfigurationError(f"cutoff must lie in (0, {nyquist}) Hz, got {cutoff_hz}")
-    if order <= 0 or order % 2 != 0:
-        raise ConfigurationError(f"order must be a positive even integer, got {order}")
     n = np.arange(order + 1, dtype=float)
     m = n - order / 2
     wc = 2.0 * np.pi * cutoff_hz * sample_time
@@ -242,27 +250,23 @@ def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: i
     return StabilityReport(np.asarray(grid, dtype=float), rows)
 
 
-def fit_band(mean_frf: FrequencyResponse, order: int = FIT_ORDER) -> FrequencyResponse:
-    """The bins of the mean response over FIT_BAND_HZ that an order-`order`
-    fit uses; ConfigurationError unless there are 2 * order + 1 of them."""
+def fit_loop_model(mean_frf: FrequencyResponse) -> DiscreteTransferFunction:
+    """The loop model: an order-FIT_ORDER fit with a FIT_DELAY_SAMPLES delay to
+    the bins of the mean response over FIT_BAND_HZ, with relative (1/|T|)
+    weights.  ConfigurationError unless the band keeps the 2 * FIT_ORDER + 1
+    bins that the fit needs."""
     lo, hi = FIT_BAND_HZ
     sel = (mean_frf.frequencies_hz >= lo) & (mean_frf.frequencies_hz <= hi)
-    if np.count_nonzero(sel) < 2 * order + 1:
+    if np.count_nonzero(sel) < 2 * FIT_ORDER + 1:
         raise ConfigurationError(
-            f"fit band [{lo}, {hi}] Hz keeps too few bins for an order-{order} fit")
-    return FrequencyResponse(mean_frf.frequencies_hz[sel], mean_frf.values[sel],
-                             mean_frf.sample_time)
+            f"fit band [{lo}, {hi}] Hz keeps too few bins for an order-{FIT_ORDER} fit")
+    banded = FrequencyResponse(mean_frf.frequencies_hz[sel], mean_frf.values[sel],
+                               mean_frf.sample_time)
+    return fit_rational(banded, FIT_ORDER, FIT_DELAY_SAMPLES,
+                        weights=1.0 / np.abs(banded.values))
 
 
-def fit_loop_model(mean_frf: FrequencyResponse, order: int = FIT_ORDER,
-                   delay_samples: int = FIT_DELAY_SAMPLES) -> DiscreteTransferFunction:
-    """The loop model: the mean response over FIT_BAND_HZ, relative (1/|T|) weights."""
-    banded = fit_band(mean_frf, order)
-    return fit_rational(banded, order, delay_samples, weights=1.0 / np.abs(banded.values))
-
-
-def design_pipeline(frfs: dict[str, FrequencyResponse], mean_frf: FrequencyResponse,
-                    order: int = FIT_ORDER, delay_samples: int = FIT_DELAY_SAMPLES,
+def design_pipeline(frfs: dict[str, FrequencyResponse], mean_frf: FrequencyResponse, *,
                     cutoff_hz: float = Q_CUTOFF_HZ, q_order: int = Q_ORDER,
                     period_n: int = 2000,
                     min_margin: float = MIN_MARGIN) -> tuple[RcFilterSet, StabilityReport]:
@@ -273,7 +277,7 @@ def design_pipeline(frfs: dict[str, FrequencyResponse], mean_frf: FrequencyRespo
     """
     if not min_margin >= 0:   # written so that NaN fails too
         raise ConfigurationError(f"min_margin must be >= 0, got {min_margin}")
-    t_fit = fit_loop_model(mean_frf, order, delay_samples)
+    t_fit = fit_loop_model(mean_frf)
     l_causal, l_shift = zpetc_invert(t_fit)
     q_kernel = design_q_fir(cutoff_hz, q_order, mean_frf.sample_time)
     filterset = RcFilterSet(l_causal, l_shift, q_kernel, period_n)

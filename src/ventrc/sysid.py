@@ -267,7 +267,8 @@ def save_frf(frf: FrequencyResponse, path) -> None:
     write_table(path, FRF_HEADER, [frf.frequencies_hz, frf.values.real, frf.values.imag])
 
 
-def load_frf(path, sample_time: float = 0.002) -> FrequencyResponse:
+def load_frf(path, sample_time: float) -> FrequencyResponse:
+    """A response file read at `sample_time`, which the file does not record."""
     freqs, real, imag = read_table(path, FRF_HEADER)
     values = real.astype(complex)
     values.imag = imag

@@ -12,9 +12,12 @@ from ventrc.harness import (
     BREATHS, IDENT_JOBS, IDENT_LEVELS, IDENT_NOISE_RMS, IDENT_PERIODS, NORMS_HEADER, SEED,
     TRACE_HEADER,
 )
-from ventrc.rc_design import check_stability, load_filterset, save_filterset
+from ventrc.rc_design import (
+    RcFilterSet, check_stability, design_q_fir, load_filterset, save_filterset,
+)
 from ventrc.lti import (
-    FrequencyResponse, load_transfer_function, read_table, save_transfer_function, write_table,
+    DiscreteTransferFunction, FrequencyResponse, load_transfer_function, read_table,
+    save_transfer_function, write_table,
 )
 from ventrc.plant import builtin_scenario_path, load_scenario, save_scenario
 from ventrc.sysid import load_frf, save_frf
@@ -63,7 +66,7 @@ def test_written_files_read_back_bit_for_bit(pipeline_dir, tmp_path):
     assert ((len(frf_paths), len(norm_paths), len(trace_paths), len(filterset_paths))
             == (7, 6, 6, 3))
     for path in frf_paths:
-        rewrite(path, lambda copy: save_frf(load_frf(path), copy))
+        rewrite(path, lambda copy: save_frf(load_frf(path, 0.002), copy))
     for path in norm_paths:
         breath, norms = read_table(path, NORMS_HEADER)
         rewrite(path, lambda copy: write_table(copy, NORMS_HEADER, [breath.astype(int), norms]))
@@ -79,7 +82,7 @@ def test_written_files_read_back_bit_for_bit(pipeline_dir, tmp_path):
 @pytest.mark.parametrize("argv, expected", [
     (["all", "--out-dir", "out"],
      {"breaths": BREATHS, "noise_rms": IDENT_NOISE_RMS, "periods": IDENT_PERIODS, "seed": SEED}),
-    (["run", "--scenario", "adult", "--mode", "pid", "--out-dir", "out"],
+    (["run", "--scenario", "adult", "--out-dir", "out"],
      {"breaths": BREATHS, "seed": SEED}),
     (["identify", "--scenario", "adult", "--level", "peep", "--out", "frf.csv"],
      {"periods": IDENT_PERIODS, "noise_rms": IDENT_NOISE_RMS, "seed": SEED}),
@@ -94,7 +97,7 @@ def test_identify_writes_frf(tmp_path):
     rc = main(["identify", "--scenario", "adult", "--level", "peep",
                "--out", str(out), "--periods", "2"])
     assert rc == 0
-    frf = load_frf(out)
+    frf = load_frf(out, 0.002)
     assert len(frf) > 400 and frf.frequencies_hz[-1] >= 0.98 * 250.0
 
 
@@ -103,8 +106,8 @@ def test_identify_uses_the_pipeline_grid(pipeline_dir, tmp_path):
     # reaches Nyquist, so the stability check on it does not warn
     out = tmp_path / "frf.csv"
     assert main(["identify", "--scenario", "adult", "--level", "peep", "--out", str(out)]) == 0
-    frf = load_frf(out)
-    pipeline_grid = load_frf(pipeline_dir / "frf_adult_peep.csv").frequencies_hz
+    frf = load_frf(out, 0.002)
+    pipeline_grid = load_frf(pipeline_dir / "frf_adult_peep.csv", 0.002).frequencies_hz
     assert frf.frequencies_hz.tobytes() == pipeline_grid.tobytes()
     fs = load_filterset(pipeline_dir / "rc_adult.filterset")
     with warnings.catch_warnings():
@@ -136,7 +139,7 @@ def test_identify_accepts_cfg_path(tmp_path):
 
 def test_fit_command(pipeline_dir, tmp_path):
     out = tmp_path / "model.coeff"
-    rc = main(["fit", "--order", "4", "--delay", "12", "--frf-dir", str(pipeline_dir),
+    rc = main(["fit", "--frf-dir", str(pipeline_dir),
                "--scenario", "adult", "--out", str(out)])
     assert rc == 0
     from ventrc.lti import load_transfer_function
@@ -180,7 +183,8 @@ def adult_with(path, **changes):
     # shift 25 fill them all
     ({"respiratory_rate": 1000.0, "t_insp": 0.03, "t_exp": 0.03},
      "shift budget violated: l_shift 13 + q shift 25 leaves no memory in period 30"),
-    (["--delay", "-1"], "fixed_delay_samples must be >= 0, got -1"),
+    # the cutoff must lie below the Nyquist frequency
+    (["--cutoff-hz", "250"], "cutoff must lie in (0, 250.0) Hz, got 250.0"),
     # the FRFs reach 250 Hz, above the Nyquist frequency of 4 ms sampling
     ({"sample_time": 0.004}, "{frf_dir}/frf_adult_ipap.csv (sample_time 0.004): "
                              "frequencies must lie in (0, 125.0] Hz"),
@@ -202,8 +206,9 @@ def test_design_rejects_bad_request(pipeline_dir, tmp_path, capsys, options, mes
 @pytest.mark.parametrize("command", ["fit", "design"])
 def test_fit_band_keeps_too_few_bins(tmp_path, capsys, command):
     # 4 bins inside the 0-40 Hz fit band cannot determine the 9 parameters of
-    # an order-4 fit
-    save_frf(FrequencyResponse([1.0, 2.0, 5.0, 20.0], [1.0, 0.9, 0.7j, -0.2], 0.002),
+    # an order-4 fit; the grid reaches the Nyquist frequency
+    save_frf(FrequencyResponse([1.0, 2.0, 5.0, 20.0, 249.5], [1.0, 0.9, 0.7j, -0.2, 0.01],
+                               0.002),
              tmp_path / "frf_x.csv")
     out = tmp_path / "out"
     rc = main([command, "--frf-dir", str(tmp_path), "--scenario", "adult", "--out", str(out)])
@@ -248,13 +253,15 @@ def test_check_stability_rejects_truncated_filterset(pipeline_dir, tmp_path, cap
 
 def test_run_and_compare_commands(pipeline_dir, tmp_path, capsys):
     out_dir = tmp_path / "run"
-    rc = main(["run", "--scenario", "baby", "--mode", "rc", "--breaths", "6",
+    rc = main(["run", "--scenario", "baby", "--breaths", "6",
                "--filterset", str(pipeline_dir / "rc_baby.filterset"),
                "--out-dir", str(out_dir)])
     assert rc == 0
-    rc = main(["run", "--scenario", "baby", "--mode", "pid", "--breaths", "6",
+    assert "baby / rc: 6 breaths" in capsys.readouterr().out
+    rc = main(["run", "--scenario", "baby", "--breaths", "6",
                "--out-dir", str(out_dir)])
     assert rc == 0
+    assert "baby / pid: 6 breaths" in capsys.readouterr().out
     cmp_out = tmp_path / "cmp.csv"
     rc = main(["compare", "--baseline", str(out_dir / "baby_pid_breath_norms.csv"),
                "--candidate", str(out_dir / "baby_rc_breath_norms.csv"),
@@ -265,16 +272,25 @@ def test_run_and_compare_commands(pipeline_dir, tmp_path, capsys):
 
 
 def test_run_rejects_period_mismatch(pipeline_dir, tmp_path, capsys):
-    rc = main(["run", "--scenario", "adult", "--mode", "rc", "--breaths", "2",
+    rc = main(["run", "--scenario", "adult", "--breaths", "2",
                "--filterset", str(pipeline_dir / "rc_baby.filterset"),
                "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "period" in capsys.readouterr().err
 
 
+def test_run_rejects_missing_filterset(tmp_path, capsys):
+    # --filterset makes the run rc, so a filter set that cannot be read stops it
+    missing = tmp_path / "missing.filterset"
+    rc = main(["run", "--scenario", "baby", "--breaths", "1", "--filterset", str(missing),
+               "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert f"error: {missing}: cannot open: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_unknown_scenario_errors(tmp_path, capsys):
-    rc = main(["run", "--scenario", "walrus", "--mode", "pid",
-               "--out-dir", str(tmp_path)])
+    rc = main(["run", "--scenario", "walrus", "--out-dir", str(tmp_path)])
     assert rc == 1
     assert "built-ins" in capsys.readouterr().err
 
@@ -286,7 +302,7 @@ def test_run_rejects_bad_scenario_value(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     save_scenario(scenario, circuit, cfg)
     cfg.write_text(cfg.read_text().replace("r_lung = 5.0", "r_lung = abc"))
-    rc = main(["run", "--scenario", str(cfg), "--mode", "pid", "--breaths", "1",
+    rc = main(["run", "--scenario", str(cfg), "--breaths", "1",
                "--out-dir", str(tmp_path / "run")])
     assert rc == 1
     assert f"error: {cfg}: field 'r_lung': 'abc' is not a valid float" in capsys.readouterr().err
@@ -328,11 +344,12 @@ def test_identify_rejects_bad_option(tmp_path, capsys, option, value, message):
 
 
 @pytest.mark.parametrize("options, message", [
-    (["--order", "-1"], "order must be >= 0, got -1"),
-    # the responses are read at the scenario's sample time
+    # the responses are read at the scenario's sample time: at 1 ms their grid
+    # stops short of the Nyquist frequency, at 4 ms it runs past it
+    ({"sample_time": 0.001}, "{frf_dir}/frf_adult_ipap.csv: top bin 249.5 Hz stops below "
+                             "the Nyquist frequency 500 Hz of scenario "),
     ({"sample_time": 0.004}, "{frf_dir}/frf_adult_ipap.csv (sample_time 0.004): "
                              "frequencies must lie in (0, 125.0] Hz"),
-    (["--delay", "-1"], "fixed_delay_samples must be >= 0, got -1"),
 ])
 def test_fit_rejects_bad_request(pipeline_dir, tmp_path, capsys, options, message):
     # options: command-line options for the adult, or changes to its scenario file
@@ -348,13 +365,13 @@ def test_fit_rejects_bad_request(pipeline_dir, tmp_path, capsys, options, messag
 
 
 def test_run_rejects_negative_noise(tmp_path, capsys):
-    rc = main(["run", "--scenario", "baby", "--mode", "pid", "--breaths", "1",
+    rc = main(["run", "--scenario", "baby", "--breaths", "1",
                "--noise-rms", "-0.5", "--out-dir", str(tmp_path / "run")])
     assert rc == 1
     assert "error: measurement_noise_rms must be >= 0, got -0.5" in capsys.readouterr().err
 
 
-RUN = ["run", "--scenario", "baby", "--mode", "pid", "--breaths", "1"]
+RUN = ["run", "--scenario", "baby", "--breaths", "1"]
 
 
 @pytest.mark.parametrize("option, value, message", [
@@ -382,7 +399,7 @@ def test_run_into_a_file_rejected(tmp_path, capsys):
     ("adult/adult_pid_breath_norms.csv",
      ["compare", "--baseline", "{source}", "--candidate", "{bad}"]),
     ("rc_adult.filterset", ["check-stability", "--filterset", "{bad}", "--frf-dir", "{dir}"]),
-    (None, ["run", "--scenario", "{bad}", "--mode", "pid", "--breaths", "1",
+    (None, ["run", "--scenario", "{bad}", "--breaths", "1",
             "--out-dir", "{tmp}/run"]),
 ])
 def test_input_that_is_not_utf8_rejected(pipeline_dir, tmp_path, capsys, source, argv):
@@ -439,12 +456,18 @@ def test_all_rejects_negative_seed_before_writing(tmp_path, capsys):
 
 
 def test_all_rejects_nan_min_margin(tmp_path, capsys):
-    # rejected before the first identification job, like a negative margin
-    for margin, shown in (("nan", "nan"), ("-1", "-1.0")):
-        out = tmp_path / margin
-        rc = main(["all", "--out-dir", str(out), "--periods", "1", "--min-margin", margin])
+    # rejected before the first identification job, like a negative margin and
+    # robustness-filter settings that design_q_fir would reject
+    for option, value, message in (
+        ("--min-margin", "nan", "min_margin must be >= 0, got nan"),
+        ("--min-margin", "-1", "min_margin must be >= 0, got -1.0"),
+        ("--q-order", "3", "order must be a positive even integer, got 3"),
+        ("--cutoff-hz", "300", "cutoff must lie in (0, 250.0) Hz, got 300.0"),
+    ):
+        out = tmp_path / f"{option}{value}"
+        rc = main(["all", "--out-dir", str(out), "--periods", "1", option, value])
         assert rc == 1
-        assert f"error: min_margin must be >= 0, got {shown}" in capsys.readouterr().err
+        assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
         assert list(tmp_path.rglob("frf_*.csv")) == []
 
@@ -461,20 +484,30 @@ def test_all_reports_helper_write_error(tmp_path, capsys):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("command", ["fit", "design"])
+@pytest.mark.parametrize("command", ["fit", "design", "check-stability"])
 def test_responses_of_another_sample_time_rejected(tmp_path, capsys, command):
     # 2 ms responses stop at 249.5 Hz, well below the 500 Hz Nyquist
-    # frequency of a 1 ms copy of the adult
+    # frequency of a 1 ms copy of the adult or of a 1 ms filter set
     frfs = tmp_path / "frfs"
     for level in IDENT_LEVELS:
         assert main(["identify", "--scenario", "adult", "--level", level, "--periods", "2",
                      "--out", str(frfs / f"frf_adult_{level}.csv")]) == 0
-    scenario = adult_with(tmp_path / "adult_1ms.cfg", sample_time=0.001)
     out = tmp_path / "out"
-    rc = main([command, "--frf-dir", str(frfs), "--scenario", str(scenario), "--out", str(out)])
-    assert rc == 1
+    if command == "check-stability":
+        source = tmp_path / "rc_1ms.filterset"
+        l_causal = DiscreteTransferFunction([1.0], [1.0], 0, 0.001)
+        save_filterset(RcFilterSet(l_causal, 0, design_q_fir(23.0, 50, 0.001), 1000), source)
+        argv = [command, "--filterset", str(source), "--frf-dir", str(frfs),
+                "--report", str(out)]
+        named = f"filter set {source}"
+    else:
+        source = adult_with(tmp_path / "adult_1ms.cfg", sample_time=0.001)
+        argv = [command, "--frf-dir", str(frfs), "--scenario", str(source), "--out", str(out)]
+        named = f"scenario {source}"
+    assert main(argv) == 1
     assert (f"error: {frfs / 'frf_adult_ipap.csv'}: top bin 249.5 Hz stops below the "
-            f"Nyquist frequency 500 Hz of scenario {scenario}" in capsys.readouterr().err)
+            f"Nyquist frequency 500 Hz of {named} (sample time 0.001 s)"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -493,8 +526,8 @@ def test_stage_commands_write_the_files_of_all(tmp_path):
         ["design", "--frf-dir", frfs, "--scenario", "adult", "--out", filterset],
         ["check-stability", "--filterset", filterset, "--frf-dir", frfs,
          "--report", stages / "stability_report.csv"],
-        ["run", "--scenario", "adult", "--mode", "pid", "--breaths", "2", "--out-dir", adult],
-        ["run", "--scenario", "adult", "--mode", "rc", "--breaths", "2",
+        ["run", "--scenario", "adult", "--breaths", "2", "--out-dir", adult],
+        ["run", "--scenario", "adult", "--breaths", "2",
          "--filterset", filterset, "--out-dir", adult],
         ["compare", "--baseline", adult / "adult_pid_breath_norms.csv",
          "--candidate", adult / "adult_rc_breath_norms.csv",

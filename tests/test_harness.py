@@ -31,6 +31,11 @@ class TestExperimentSpec:
         with pytest.raises(ConfigurationError):
             ExperimentSpec(scenario="adult", mode="rc")
 
+    def test_pid_with_filterset_rejected(self):
+        # a filter set given to a pid run would be ignored without a word
+        with pytest.raises(ConfigurationError, match="pid mode takes no filterset"):
+            ExperimentSpec(scenario="adult", mode="pid", filterset="rc_adult.filterset")
+
     def test_zero_breaths_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentSpec(scenario="adult", mode="pid", breaths=0)
