@@ -263,7 +263,7 @@ def emit_report(log: BreathLog, out_dir) -> dict[str, Path]:
     return paths
 
 
-def design_excitation_bins(sample_time: float = 0.002) -> np.ndarray:
+def design_excitation_bins(sample_time: float) -> np.ndarray:
     """Dense linear+log target bins up to Nyquist for design-grade identification.
 
     The stability bound is checked on the identified grids, so they must be

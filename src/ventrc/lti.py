@@ -25,6 +25,9 @@ CHUNK = 128
 BATCH = 16
 # a LiftedSystem's powers A^0..A^chunk and lifted matrix stay within this
 LIFT_BUDGET_BYTES = 8 << 20
+# LiftedSystem keeps the lifts of this many recent systems, so equal systems
+# share one build
+LIFT_MEMO = 4
 # write_table formats this many rows at a time, so the text it holds stays
 # small whatever the length of the table
 TABLE_BLOCK_ROWS = 1024
@@ -331,7 +334,9 @@ class LiftedSystem:
     stacked C A^j, T the lower block-triangular Toeplitz matrix of the Markov
     parameters and G = [A^(m-1) B ... B].  `chunk` is cut where the powers
     A^0..A^chunk and the lifted matrix would exceed LIFT_BUDGET_BYTES; the
-    object keeps the powers, G and [O T].
+    object keeps the powers, G and [O T], read-only.  They are built by
+    copies and shared: a system bit-identical to one of the last LIFT_MEMO
+    built, with the same requested chunk, reuses that build.
 
     An input is split into whole chunks from its first sample on, and a
     shorter rest.  The whole chunks go BATCH at a time, each chunk a row of
@@ -347,27 +352,8 @@ class LiftedSystem:
     def __init__(self, ss: StateSpace, chunk: int = CHUNK):
         if chunk < 1:
             raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
-        a, b, c, d = ss.a, ss.b, ss.c, ss.d
-        n, q = len(b), len(d)
-        while chunk > 1 and 8 * ((chunk + 1) * n * n + (chunk * q + n) * (n + chunk)) \
-                > LIFT_BUDGET_BYTES:
-            chunk -= 1
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self.chunk = chunk
-        powers = np.empty((chunk + 1, n, n))
-        powers[0] = np.eye(n)
-        for j in range(chunk):
-            powers[j + 1] = a @ powers[j]
-        ab = powers[:chunk] @ b                               # A^i B
-        markov = np.vstack([d, ab[: chunk - 1] @ c.T])        # D, C B, C A B, ...
-        lag = np.arange(chunk)[:, None] - np.arange(chunk)[None, :]
-        toeplitz = np.where((lag >= 0)[:, :, None], markov[np.maximum(lag, 0)], 0.0)
-        self._powers = powers
-        self._gamma = np.ascontiguousarray(ab[::-1].T)        # columns A^(m-1-i) B
-        # [O T] transposed, so that [X U] [O T]^T reads it in memory order
-        self._outputs_t = np.ascontiguousarray(np.hstack([
-            (c @ powers[:chunk]).reshape(chunk * q, n),
-            toeplitz.transpose(0, 2, 1).reshape(chunk * q, chunk)]).T)
+        self.a, self.b, self.c, self.d = ss.a, ss.b, ss.c, ss.d
+        self.chunk, self._powers, self._gamma, self._outputs_t = _lift(ss, chunk)
 
     @property
     def order(self) -> int:
@@ -412,6 +398,55 @@ class LiftedSystem:
             xu[j, :n] = x
             x = self._powers[m] @ x + drive[j]
         return xu, x
+
+
+# the lifts of the last LIFT_MEMO (system, chunk) pairs, least recently used first
+_LIFTS: dict[tuple, tuple] = {}
+
+
+def _lift(ss: StateSpace, chunk: int) -> tuple:
+    """_build_lift's arrays for ss and chunk, built once while they stay in _LIFTS.
+
+    The key is the exact dtype, shape and bytes of a, b, c and d, and the
+    requested chunk, so only bit-identical systems share a build.
+    """
+    key = (chunk, *((m.dtype.str, m.shape, m.tobytes()) for m in (ss.a, ss.b, ss.c, ss.d)))
+    lift = _LIFTS.pop(key, None)
+    if lift is None:
+        lift = _build_lift(ss.a, ss.b, ss.c, ss.d, chunk)
+        for array in lift[1:]:
+            array.flags.writeable = False
+        if len(_LIFTS) >= LIFT_MEMO:
+            del _LIFTS[next(iter(_LIFTS))]
+    _LIFTS[key] = lift
+    return lift
+
+
+def _build_lift(a, b, c, d, chunk: int) -> tuple:
+    """(chunk, A^0..A^chunk, G, [O T]^T) of a LiftedSystem, by copies.
+
+    chunk is cut to the lift budget.  Row n + j of [O T]^T, the response of
+    the chunk's outputs to its input j, is the Markov sequence delayed by j
+    samples: one window of the sequence zero-padded in front.
+    """
+    n, q = len(b), len(d)
+    while chunk > 1 and 8 * ((chunk + 1) * n * n + (chunk * q + n) * (n + chunk)) \
+            > LIFT_BUDGET_BYTES:
+        chunk -= 1
+    powers = np.empty((chunk + 1, n, n))
+    powers[0] = np.eye(n)
+    for j in range(chunk):
+        np.matmul(a, powers[j], out=powers[j + 1])
+    ab = powers[:chunk] @ b                                   # A^i B
+    markov = np.vstack([d, ab[: chunk - 1] @ c.T])            # D, C B, C A B, ...
+    gamma = np.ascontiguousarray(ab[::-1].T)                  # columns A^(m-1-i) B
+    # [O T] transposed, so that [X U] [O T]^T reads it in memory order
+    width = chunk * q
+    outputs_t = np.empty((n + chunk, width))
+    outputs_t[:n] = (c @ powers[:chunk]).reshape(width, n).T
+    padded = np.concatenate([np.zeros(width), markov.ravel()])
+    outputs_t[n:] = np.lib.stride_tricks.sliding_window_view(padded, width)[width: 0: -q]
+    return chunk, powers, gamma, outputs_t
 
 
 # -- coefficient file I/O ---------------------------------------------------

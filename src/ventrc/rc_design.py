@@ -268,7 +268,7 @@ def fit_loop_model(mean_frf: FrequencyResponse) -> DiscreteTransferFunction:
 
 def design_pipeline(frfs: dict[str, FrequencyResponse], mean_frf: FrequencyResponse, *,
                     cutoff_hz: float = Q_CUTOFF_HZ, q_order: int = Q_ORDER,
-                    period_n: int = 2000,
+                    period_n: int,
                     min_margin: float = MIN_MARGIN) -> tuple[RcFilterSet, StabilityReport]:
     """Chain fit_loop_model -> inversion -> lowpass design -> stability check.
 

@@ -7,12 +7,28 @@ import warnings
 
 import pytest
 
+from ventrc import lti
 from ventrc.errors import FitConvergenceWarning
 from ventrc.harness import SCENARIOS, ExperimentSpec, identify_all, run_experiment
 from ventrc.lti import FirKernel
 from ventrc.plant import load_scenario, reference_profile
 from ventrc.rc_design import check_stability, design_pipeline
 from ventrc.sysid import average_frf
+
+
+@pytest.fixture
+def lift_builds(monkeypatch):
+    """The lift memo emptied, and a list that gets (order, outputs, chunk) of each lift built."""
+    built = []
+    build = lti._build_lift
+
+    def counting_build(a, b, c, d, chunk):
+        built.append((len(b), len(d), chunk))
+        return build(a, b, c, d, chunk)
+
+    monkeypatch.setattr(lti, "_LIFTS", {})
+    monkeypatch.setattr(lti, "_build_lift", counting_build)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -241,3 +241,11 @@ class TestFullPipeline:
                 assert len((tmp_path / name / f"{name}_{mode}_trace.csv").read_text()
                            .splitlines()) > 1
         assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 43
+
+
+def test_pid_and_rc_of_one_patient_build_each_lift_once(design_outputs, lift_builds):
+    fs = design_outputs["filterset"]   # bound to the adult's 2000-sample period
+    run_experiment(ExperimentSpec(scenario="adult", mode="pid", breaths=2))
+    run_experiment(ExperimentSpec(scenario="adult", mode="rc", breaths=2, filterset=fs))
+    # the closed loop's four outputs, then the learning filter's one
+    assert [outputs for _, outputs, _ in lift_builds] == [4, 1]

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ventrc
+from ventrc import lti
 from ventrc.errors import ConfigurationError, SingularityError
 from ventrc.lti import (
     BATCH,
+    LIFT_MEMO,
     DelayLine,
     DiscreteTransferFunction,
     FirKernel,
@@ -27,7 +30,7 @@ from ventrc.lti import (
 )
 
 from filter_reference import UnstableFilterWarning, filter_stream
-from lifted_reference import per_chunk_run
+from lifted_reference import per_chunk_run, stacked_lift
 from table_reference import write_table as reference_write_table
 
 TS = 0.002
@@ -313,6 +316,79 @@ def test_batched_lifted_run_matches_chunk_by_chunk(case, data):
         at += size
     assert np.concatenate(pieces).tobytes() == y.tobytes()
     assert state.tobytes() == x_end.tobytes()
+
+
+def random_system(seed: int, n: int = 3, q: int = 2) -> StateSpace:
+    rng = np.random.default_rng(seed)
+    return StateSpace(0.3 * rng.normal(size=(n, n)), rng.normal(size=n),
+                      rng.normal(size=(q, n)), rng.normal(size=q))
+
+
+def edge_case(n: int, chunk: int, length: int):
+    rng = np.random.default_rng(n)
+    return random_system(n, n), chunk, rng.normal(size=n), rng.normal(size=length)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(lifted_runs())
+@example(edge_case(0, 5, 23))     # no state
+@example(edge_case(3, 1, 40))     # one-sample chunks
+def test_lift_by_copies_matches_the_stacked_construction(case):
+    ss, chunk, x, u = case
+    with mock.patch.object(lti, "_LIFTS", {}):
+        system = LiftedSystem(ss, chunk)
+    with mock.patch.object(lti, "_LIFTS", {}), mock.patch.object(lti, "_build_lift", stacked_lift):
+        stacked = LiftedSystem(ss, chunk)
+    assert system.chunk == stacked.chunk
+    for got, want in [(system._powers, stacked._powers), (system._gamma, stacked._gamma),
+                      (system._outputs_t, stacked._outputs_t)]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for piece in (u, u[: len(u) - 1]):
+        y, x_end = system.run(x, piece)
+        want_y, want_x = stacked.run(x, piece)
+        assert y.tobytes() == want_y.tobytes() and x_end.tobytes() == want_x.tobytes()
+        assert system.advance(x, piece).tobytes() == stacked.advance(x, piece).tobytes()
+
+
+def test_equal_systems_share_one_lift(lift_builds):
+    ss = random_system(0)
+    first = LiftedSystem(ss, 8)
+    second = LiftedSystem(StateSpace(ss.a.copy(), ss.b.copy(), ss.c.copy(), ss.d.copy()), 8)
+    assert lift_builds == [(3, 2, 8)] and second._outputs_t is first._outputs_t
+    LiftedSystem(ss, 7)
+    assert len(lift_builds) == 2
+
+
+def test_one_ulp_apart_builds_again(lift_builds):
+    ss = random_system(0)
+    a = ss.a.copy()
+    a[1, 2] = np.nextafter(a[1, 2], np.inf)
+    first, second = LiftedSystem(ss, 8), LiftedSystem(StateSpace(a, ss.b, ss.c, ss.d), 8)
+    assert len(lift_builds) == 2
+    assert first._powers[2].tobytes() != second._powers[2].tobytes()
+
+
+def test_lift_memo_keeps_the_most_recently_used(lift_builds):
+    systems = [random_system(seed) for seed in range(LIFT_MEMO + 3)]
+    for ss in systems[:LIFT_MEMO]:
+        LiftedSystem(ss, 8)
+    LiftedSystem(systems[0], 8)               # reused, so no longer the least recent
+    LiftedSystem(systems[LIFT_MEMO], 8)       # evicts systems[1]
+    assert len(lift_builds) == LIFT_MEMO + 1 and len(lti._LIFTS) == LIFT_MEMO
+    LiftedSystem(systems[0], 8)
+    assert len(lift_builds) == LIFT_MEMO + 1
+    LiftedSystem(systems[1], 8)
+    assert len(lift_builds) == LIFT_MEMO + 2
+    for ss in systems:
+        LiftedSystem(ss, 8)
+        assert len(lti._LIFTS) <= LIFT_MEMO
+
+
+def test_lift_arrays_refuse_writes(lift_builds):
+    system = LiftedSystem(random_system(0), 8)
+    for array in (system._powers, system._gamma, system._outputs_t):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
 
 
 RC_RUN_PROBE = """

@@ -1,7 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from ventrc.errors import ConfigurationError, DesignError
+from ventrc.harness import design_excitation_bins
 from ventrc.lti import DiscreteTransferFunction, FirKernel, evaluate
 from ventrc.rc_design import (
     RcFilterSet,
@@ -225,6 +228,13 @@ def test_truncated_filterset_fails_closed(tmp_path, edit, message):
     with pytest.raises(ConfigurationError) as exc:
         load_filterset(path)
     assert str(exc.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("function, name", [(design_pipeline, "period_n"),
+                                             (design_excitation_bins, "sample_time")])
+def test_period_and_sample_time_have_no_default(function, name):
+    # a default would give a caller who forgot it the adult's 2 ms, 2000-sample design
+    assert inspect.signature(function).parameters[name].default is inspect.Parameter.empty
 
 
 class TestDesignPipeline:
