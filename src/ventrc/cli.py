@@ -2,7 +2,9 @@
 
 Subcommands mirror the pipeline stages: identify, fit, design,
 check-stability, run, compare, and `all` for the whole workflow.  Exit code
-is nonzero on stability-check failure or experiment divergence.
+is nonzero on stability-check failure or experiment divergence.  `main` is
+the one error path: it prints every toolkit error as "error: <message>", and
+after a design error that carries a stability report, the report's table.
 """
 
 from __future__ import annotations
@@ -11,12 +13,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import ConfigurationError, DesignError, ExperimentDiverged, VentrcError
+from .errors import ConfigurationError, DesignError, VentrcError
 from .harness import (
     BREATHS,
     IDENT_LEVELS,
-    IDENT_NOISE_RMS,
-    IDENT_PERIODS,
     NORMS_HEADER,
     SEED,
     ComparisonTable,
@@ -36,8 +36,7 @@ from .sysid import average_frf, load_frf, save_frf
 
 
 def _cmd_identify(args) -> int:
-    frf = identify(args.scenario, args.level, periods=args.periods,
-                   noise_rms=args.noise_rms, seed=args.seed)
+    frf = identify(args.scenario, args.level, args.seed)
     save_frf(frf, args.out)
     print(f"wrote {len(frf)} bins ({frf.frequencies_hz[0]:g}-{frf.frequencies_hz[-1]:g} Hz) "
           f"to {args.out}")
@@ -84,16 +83,10 @@ def _cmd_fit(args) -> int:
 
 def _cmd_design(args) -> int:
     frfs, mean_frf, period_n = _design_inputs(args)
-    try:
-        filterset, report = design_pipeline(
-            frfs, mean_frf, cutoff_hz=args.cutoff_hz, q_order=args.q_order,
-            period_n=period_n, min_margin=args.min_margin,
-        )
-    except DesignError as exc:
-        print(f"design failed: {exc}", file=sys.stderr)
-        if exc.report is not None:
-            print(exc.report.summary(), file=sys.stderr)
-        return 1
+    filterset, report = design_pipeline(
+        frfs, mean_frf, cutoff_hz=args.cutoff_hz, q_order=args.q_order,
+        period_n=period_n, min_margin=args.min_margin,
+    )
     save_filterset(filterset, args.out)
     print(report.summary())
     print(f"wrote filter set to {args.out}")
@@ -120,11 +113,7 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         measurement_noise_rms=args.noise_rms,
     )
-    try:
-        log = run_experiment(spec)
-    except (DesignError, ExperimentDiverged) as exc:
-        print(f"run failed: {exc}", file=sys.stderr)
-        return 1
+    log = run_experiment(spec)
     paths = emit_report(log, args.out_dir)
     norms = log.breath_norms
     print(f"{log.scenario_name} / {log.mode}: {len(norms)} breaths, "
@@ -138,8 +127,7 @@ def _cmd_compare(args) -> int:
     _, base = read_table(args.baseline, NORMS_HEADER)
     _, cand = read_table(args.candidate, NORMS_HEADER)
     if len(base) != len(cand):
-        print(f"breath counts differ: {len(base)} vs {len(cand)}", file=sys.stderr)
-        return 1
+        raise ConfigurationError(f"breath counts differ: {len(base)} vs {len(cand)}")
     table = ComparisonTable("comparison", base, cand)
     for i, r in enumerate(table.ratios, 1):
         print(f"breath {i:3d}: ratio {r:.4f}")
@@ -150,20 +138,14 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_all(args) -> int:
-    try:
-        comparisons, report = run_full_pipeline(
-            args.out_dir,
-            breaths=args.breaths,
-            identification_noise_rms=args.noise_rms,
-            identification_periods=args.periods,
-            cutoff_hz=args.cutoff_hz,
-            q_order=args.q_order,
-            seed=args.seed,
-            min_margin=args.min_margin,
-        )
-    except (DesignError, ExperimentDiverged) as exc:
-        print(f"pipeline failed: {exc}", file=sys.stderr)
-        return 1
+    comparisons, report = run_full_pipeline(
+        args.out_dir,
+        breaths=args.breaths,
+        cutoff_hz=args.cutoff_hz,
+        q_order=args.q_order,
+        seed=args.seed,
+        min_margin=args.min_margin,
+    )
     print("\nsummary:")
     for name, comparison in comparisons.items():
         print(f"  {name}: converged rc/pid ratio {comparison.converged_ratio:.4f}")
@@ -184,9 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scenario .cfg path or built-in name (adult/pediatric/baby)")
     p.add_argument("--level", choices=IDENT_LEVELS, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--periods", type=int, default=IDENT_PERIODS)
-    p.add_argument("--noise-rms", type=float, default=IDENT_NOISE_RMS,
-                   help="sensor noise during identification, mbar RMS")
     p.add_argument("--seed", type=int, default=SEED)
     p.set_defaults(func=_cmd_identify)
 
@@ -216,7 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--breaths", type=int, default=BREATHS)
     p.add_argument("--filterset", help="run the repetitive add-on with this filter set")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--noise-rms", type=float, default=0.0)
+    p.add_argument("--noise-rms", type=float, default=0.0,
+                   help="sensor noise during the run, mbar RMS")
     p.add_argument("--seed", type=int, default=SEED)
     p.set_defaults(func=_cmd_run)
 
@@ -229,9 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("all", help="identify -> fit -> design -> check -> run -> compare")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--breaths", type=int, default=BREATHS)
-    p.add_argument("--noise-rms", type=float, default=IDENT_NOISE_RMS,
-                   help="sensor noise during identification, mbar RMS")
-    p.add_argument("--periods", type=int, default=IDENT_PERIODS)
     p.add_argument("--cutoff-hz", type=float, default=Q_CUTOFF_HZ)
     p.add_argument("--q-order", type=int, default=Q_ORDER)
     p.add_argument("--min-margin", type=float, default=MIN_MARGIN)
@@ -247,6 +224,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except VentrcError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, DesignError) and exc.report is not None:
+            print(exc.report.summary(), file=sys.stderr)
         return 1
 
 

@@ -38,10 +38,10 @@ from .sysid import MultisineSpec, average_frf, estimate_frf, save_frf
 
 # the built-in patients that run_full_pipeline identifies, designs for and runs
 SCENARIOS = ("adult", "pediatric", "baby")
-# the defaults of `ventrc run` and `ventrc all`: breaths per run, the seed,
-# and the sensor noise (mbar RMS) and recorded periods of identification
+# the defaults of `ventrc run` and `ventrc all`: breaths per run and the seed
 BREATHS = 20
 SEED = 0
+# the identification protocol's sensor noise (mbar RMS) and recorded periods
 IDENT_NOISE_RMS = 0.01
 IDENT_PERIODS = 16
 # the identification jobs of run_full_pipeline: each built-in patient at its
@@ -276,39 +276,34 @@ def design_excitation_bins(sample_time: float) -> np.ndarray:
     return np.unique(np.concatenate([lin, log]))
 
 
-def identify(scenario: str | Path, level: str, periods: int = IDENT_PERIODS,
-             noise_rms: float = IDENT_NOISE_RMS, seed: int = SEED) -> FrequencyResponse:
+def identify(scenario: str | Path, level: str, seed: int = SEED) -> FrequencyResponse:
     """One design-grade identification job: the response from reference to
     measured pressure of the scenario's loop at its "peep" or "ipap" level.
 
     The multisine excites design_excitation_bins over a 4 s period at
-    MultisineSpec's RMS; 5 periods settle and `periods` are recorded.  Its
-    phases come from `seed`, the sensor noise (`noise_rms` mbar RMS) from
+    MultisineSpec's RMS; 5 periods settle and IDENT_PERIODS are recorded.
+    Its phases come from `seed`, the sensor noise (IDENT_NOISE_RMS) from
     seed + 1000 + the job's index in IDENT_JOBS (0 for a scenario file), so
     a built-in's job is the one run_full_pipeline runs.
     """
     patient, circuit = load_scenario(scenario)
     ts = circuit.sample_time
     spec = MultisineSpec(bins_hz=design_excitation_bins(ts), period_samples=round(4.0 / ts),
-                         periods_recorded=periods, periods_discarded=5, seed=seed)
+                         periods_recorded=IDENT_PERIODS, periods_discarded=5, seed=seed)
     job = IDENT_JOBS.index((scenario, level)) if (scenario, level) in IDENT_JOBS else 0
-    plant = VentilatorPlant(patient, circuit, measurement_noise_rms=noise_rms,
+    plant = VentilatorPlant(patient, circuit, measurement_noise_rms=IDENT_NOISE_RMS,
                             seed=seed + 1000 + job)
     operating = patient.peep if level == "peep" else patient.ipap
     return estimate_frf(plant, benchmark_controller_tf(sample_time=ts), operating, spec)
 
 
-def identify_all(periods: int = IDENT_PERIODS, noise_rms: float = IDENT_NOISE_RMS,
-                 seed: int = SEED) -> dict[str, FrequencyResponse]:
+def identify_all(seed: int = SEED) -> dict[str, FrequencyResponse]:
     """Every job of IDENT_JOBS, keyed "<scenario>_<level>", in sorted (file name) order."""
-    return {f"{name}_{level}": identify(name, level, periods, noise_rms, seed)
-            for name, level in sorted(IDENT_JOBS)}
+    return {f"{name}_{level}": identify(name, level, seed) for name, level in sorted(IDENT_JOBS)}
 
 
 def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTOFF_HZ,
-                      q_order: int = Q_ORDER, identification_noise_rms: float = IDENT_NOISE_RMS,
-                      identification_periods: int = IDENT_PERIODS, seed: int = SEED,
-                      min_margin: float = MIN_MARGIN
+                      q_order: int = Q_ORDER, seed: int = SEED, min_margin: float = MIN_MARGIN
                       ) -> tuple[dict[str, ComparisonTable], StabilityReport]:
     """The whole workflow on SCENARIOS: identify x(2 per scenario) -> average
     -> fit -> design -> stability checks -> run pid and rc per scenario ->
@@ -336,7 +331,7 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
 
     print("identifying complementary-sensitivity responses "
           f"({len(SCENARIOS)} scenarios x {len(IDENT_LEVELS)} levels)...")
-    frfs = identify_all(identification_periods, identification_noise_rms, seed)
+    frfs = identify_all(seed)
     for key, frf in frfs.items():
         save_frf(frf, out_dir / f"frf_{key}.csv")
     mean_frf = average_frf(frfs.values())

@@ -11,6 +11,7 @@ import xml.etree.ElementTree as ET
 from .lti import open_output
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+_WIDTH, _HEIGHT = 900, 460   # px
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 34, 44
 
 
@@ -33,8 +34,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return ticks or [lo, hi]
 
 
-def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
-              width: int = 900, height: int = 460) -> None:
+def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
     """Render polyline series to an SVG file.
 
     series: iterable of (x_values, y_values, label) triples; empty series
@@ -53,8 +53,8 @@ def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    iw = width - _MARGIN_L - _MARGIN_R
-    ih = height - _MARGIN_T - _MARGIN_B
+    iw = _WIDTH - _MARGIN_L - _MARGIN_R
+    ih = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def px(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * iw
@@ -63,12 +63,12 @@ def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
         return _MARGIN_T + ih - (y - y_lo) / (y_hi - y_lo) * ih
 
     svg = ET.Element("svg", xmlns="http://www.w3.org/2000/svg",
-                     width=str(width), height=str(height),
-                     viewBox=f"0 0 {width} {height}")
-    ET.SubElement(svg, "rect", x="0", y="0", width=str(width), height=str(height),
+                     width=str(_WIDTH), height=str(_HEIGHT),
+                     viewBox=f"0 0 {_WIDTH} {_HEIGHT}")
+    ET.SubElement(svg, "rect", x="0", y="0", width=str(_WIDTH), height=str(_HEIGHT),
                   fill="white")
     if title:
-        ET.SubElement(svg, "text", x=str(width / 2), y="20", fill="black",
+        ET.SubElement(svg, "text", x=str(_WIDTH / 2), y="20", fill="black",
                       attrib={"text-anchor": "middle", "font-size": "15",
                               "font-family": "sans-serif"}).text = title
 
@@ -90,7 +90,7 @@ def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "",
         ET.SubElement(svg, "text", x=str(_MARGIN_L - 7), y=str(py(t) + 4),
                       attrib={**label_attr, "text-anchor": "end"}).text = f"{t:g}"
     if xlabel:
-        ET.SubElement(svg, "text", x=str(_MARGIN_L + iw / 2), y=str(height - 8),
+        ET.SubElement(svg, "text", x=str(_MARGIN_L + iw / 2), y=str(_HEIGHT - 8),
                       attrib={**label_attr, "text-anchor": "middle",
                               "font-size": "13"}).text = xlabel
     if ylabel:

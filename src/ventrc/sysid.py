@@ -183,18 +183,8 @@ def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
         raise ConfigurationError("weights must be nonnegative")
 
     powers = np.column_stack([zinv**j for j in range(order + 1)])
-
-    def solve(weighting):
-        cols = [powers[:, j] for j in range(order + 1)]
-        cols += [-target * powers[:, j] for j in range(1, order + 1)]
-        a_mat = np.column_stack(cols) * weighting[:, None]
-        rhs = target * weighting
-        sol, *_ = np.linalg.lstsq(
-            np.vstack([a_mat.real, a_mat.imag]),
-            np.concatenate([rhs.real, rhs.imag]),
-            rcond=None,
-        )
-        return sol
+    # the unweighted Sanathanan-Koerner rows: num(z) - target * (den(z) - 1) = target
+    sk_mat = np.column_stack([powers, -target[:, None] * powers[:, 1:]])
 
     def residual(num, den):
         fit = polyval_zinv(num, zinv) / polyval_zinv(den, zinv)
@@ -205,7 +195,7 @@ def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
     prev_params = None
     residual_history = []
     for _ in range(FIT_MAX_ITERATIONS):
-        sol = solve(base_w / np.abs(den_prev))
+        sol = _weighted_lstsq(sk_mat, target, base_w / np.abs(den_prev))
         num = sol[: order + 1]
         den = np.concatenate([[1.0], sol[order + 1 :]])
         den_val = polyval_zinv(den, zinv)
@@ -238,14 +228,7 @@ def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
             den = den / den[0]
             den_val = polyval_zinv(den, zinv)
             # numerator-only refit against the stabilized denominator
-            cols = np.column_stack([powers[:, j] / den_val for j in range(order + 1)])
-            a_mat = cols * base_w[:, None]
-            rhs = target * base_w
-            num, *_ = np.linalg.lstsq(
-                np.vstack([a_mat.real, a_mat.imag]),
-                np.concatenate([rhs.real, rhs.imag]),
-                rcond=None,
-            )
+            num = _weighted_lstsq(powers / den_val[:, None], target, base_w)
             warnings.warn(
                 "fit denominator had poles on/outside the unit circle; "
                 "reflected to stable and refit the numerator",
@@ -256,6 +239,16 @@ def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
     tf = DiscreteTransferFunction(num, den, fixed_delay_samples, frf.sample_time)
     tf.fit_residual_history = residual_history
     return tf
+
+
+def _weighted_lstsq(a: np.ndarray, rhs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The real x minimising |weights * (a x - rhs)| over complex rows, solved
+    with the real and imaginary parts stacked as rows."""
+    a_w = a * weights[:, None]
+    rhs_w = rhs * weights
+    x, *_ = np.linalg.lstsq(np.vstack([a_w.real, a_w.imag]),
+                            np.concatenate([rhs_w.real, rhs_w.imag]), rcond=None)
+    return x
 
 
 # -- CSV persistence ----------------------------------------------------------

@@ -8,12 +8,10 @@ from pathlib import Path
 import pytest
 
 from ventrc.cli import build_parser, main
-from ventrc.harness import (
-    BREATHS, IDENT_JOBS, IDENT_LEVELS, IDENT_NOISE_RMS, IDENT_PERIODS, NORMS_HEADER, SEED,
-    TRACE_HEADER,
-)
+from ventrc.harness import BREATHS, IDENT_JOBS, IDENT_LEVELS, NORMS_HEADER, SEED, TRACE_HEADER
 from ventrc.rc_design import (
-    RcFilterSet, check_stability, design_q_fir, load_filterset, save_filterset,
+    MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER, RcFilterSet, check_stability, design_q_fir,
+    load_filterset, save_filterset,
 )
 from ventrc.lti import (
     DiscreteTransferFunction, FrequencyResponse, load_transfer_function, read_table,
@@ -30,8 +28,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::ventrc.errors.FitConvergenceWar
 def pipeline_dir(tmp_path_factory):
     """One small `ventrc all` run shared by the CLI tests."""
     out = tmp_path_factory.mktemp("pipeline")
-    rc = main(["all", "--out-dir", str(out), "--breaths", "8", "--periods", "8",
-               "--seed", "0"])
+    rc = main(["all", "--out-dir", str(out), "--breaths", "8", "--seed", "0"])
     assert rc == 0
     return out
 
@@ -79,23 +76,37 @@ def test_written_files_read_back_bit_for_bit(pipeline_dir, tmp_path):
     rewrite(tfit, lambda copy: save_transfer_function(load_transfer_function(tfit), copy))
 
 
+DESIGN_DEFAULTS = {"cutoff_hz": Q_CUTOFF_HZ, "q_order": Q_ORDER, "min_margin": MIN_MARGIN}
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["all", "--out-dir", "out"],
-     {"breaths": BREATHS, "noise_rms": IDENT_NOISE_RMS, "periods": IDENT_PERIODS, "seed": SEED}),
+     {"out_dir": "out", "breaths": BREATHS, "seed": SEED, **DESIGN_DEFAULTS}),
     (["run", "--scenario", "adult", "--out-dir", "out"],
-     {"breaths": BREATHS, "seed": SEED}),
+     {"scenario": "adult", "out_dir": "out", "breaths": BREATHS, "filterset": None,
+      "noise_rms": 0.0, "seed": SEED}),
     (["identify", "--scenario", "adult", "--level", "peep", "--out", "frf.csv"],
-     {"periods": IDENT_PERIODS, "noise_rms": IDENT_NOISE_RMS, "seed": SEED}),
+     {"scenario": "adult", "level": "peep", "out": "frf.csv", "seed": SEED}),
+    (["fit", "--frf-dir", "frfs", "--scenario", "adult", "--out", "tfit.coeff"],
+     {"frf_dir": "frfs", "scenario": "adult", "out": "tfit.coeff"}),
+    (["design", "--frf-dir", "frfs", "--scenario", "adult", "--out", "rc.filterset"],
+     {"frf_dir": "frfs", "scenario": "adult", "out": "rc.filterset", **DESIGN_DEFAULTS}),
+    (["check-stability", "--filterset", "rc.filterset", "--frf-dir", "frfs"],
+     {"filterset": "rc.filterset", "frf_dir": "frfs", "report": None}),
+    (["compare", "--baseline", "a.csv", "--candidate", "b.csv"],
+     {"baseline": "a.csv", "candidate": "b.csv", "out": None}),
 ])
 def test_parser_defaults_are_the_harness_constants(argv, expected):
+    # each subcommand's complete option set, its defaults the package's constants:
+    # the identification protocol has no option but the seed
     args = vars(build_parser().parse_args(argv))
-    assert {name: args[name] for name in expected} == expected
+    assert {name: value for name, value in args.items()
+            if name not in ("command", "func")} == expected
 
 
 def test_identify_writes_frf(tmp_path):
     out = tmp_path / "frf.csv"
-    rc = main(["identify", "--scenario", "adult", "--level", "peep",
-               "--out", str(out), "--periods", "2"])
+    rc = main(["identify", "--scenario", "adult", "--level", "peep", "--out", str(out)])
     assert rc == 0
     frf = load_frf(out, 0.002)
     assert len(frf) > 400 and frf.frequencies_hz[-1] >= 0.98 * 250.0
@@ -117,10 +128,10 @@ def test_identify_uses_the_pipeline_grid(pipeline_dir, tmp_path):
 
 @pytest.mark.parametrize("scenario, level", [("adult", "peep"), ("baby", "ipap")])
 def test_identify_repeats_the_pipeline_job(pipeline_dir, tmp_path, scenario, level):
-    # pipeline_dir ran `ventrc all --periods 8 --seed 0`
+    # pipeline_dir ran `ventrc all --seed 0`
     out = tmp_path / "frf.csv"
     rc = main(["identify", "--scenario", scenario, "--level", level, "--out", str(out),
-               "--periods", "8", "--seed", "0"])
+               "--seed", "0"])
     assert rc == 0
     assert out.read_bytes() == (pipeline_dir / f"frf_{scenario}_{level}.csv").read_bytes()
 
@@ -132,8 +143,7 @@ def test_identify_accepts_cfg_path(tmp_path):
     cfg = tmp_path / "custom.cfg"
     save_scenario(scenario, circuit, cfg)
     out = tmp_path / "frf.csv"
-    rc = main(["identify", "--scenario", str(cfg), "--level", "ipap",
-               "--out", str(out), "--periods", "2"])
+    rc = main(["identify", "--scenario", str(cfg), "--level", "ipap", "--out", str(out)])
     assert rc == 0 and out.exists()
 
 
@@ -164,7 +174,21 @@ def test_design_fails_loudly_on_high_cutoff(pipeline_dir, tmp_path, capsys):
     rc = main(["design", "--frf-dir", str(pipeline_dir), "--scenario", "adult",
                "--cutoff-hz", "200", "--out", str(tmp_path / "x.filterset")])
     assert rc == 1
-    assert "design failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error: stability bound failed: overall max " in err
+    assert_stability_table(err)
+    assert not (tmp_path / "x.filterset").exists()
+
+
+def assert_stability_table(err):
+    """err holds a failed report's summary: each response's line, then the verdict."""
+    names = [f"  {name}_{level}: max |Q(1-TL)| = " for name, level in sorted(IDENT_JOBS)]
+    lines = err.splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith(names[0])]
+    assert len(starts) == 1, err
+    table = lines[starts[0]:starts[0] + len(names) + 1]
+    assert [line[:len(name)] for line, name in zip(table, names)] == names
+    assert table[-1].startswith("  overall max ") and table[-1].split()[4] == "FAIL"
 
 
 def adult_with(path, **changes):
@@ -327,13 +351,19 @@ def test_compare_rejects_malformed_norms(tmp_path, capsys, text, message):
     assert f"error: {bad}: {message}" in capsys.readouterr().err
 
 
-IDENTIFY = ["identify", "--scenario", "adult", "--level", "peep", "--periods", "2"]
+def test_compare_rejects_unequal_breath_counts(tmp_path, capsys):
+    good, short = tmp_path / "good.csv", tmp_path / "short.csv"
+    good.write_text("breath,error_norm\n1,2.5\n2,1.5\n")
+    short.write_text("breath,error_norm\n1,2.5\n")
+    rc = main(["compare", "--baseline", str(good), "--candidate", str(short)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: breath counts differ: 2 vs 1\n"
+
+
+IDENTIFY = ["identify", "--scenario", "adult", "--level", "peep"]
 
 
 @pytest.mark.parametrize("option, value, message", [
-    ("--periods", "0", "periods_recorded must be >= 1, got 0"),
-    ("--noise-rms", "-1", "measurement_noise_rms must be >= 0, got -1.0"),
-    ("--noise-rms", "inf", "measurement_noise_rms must be finite, got inf"),
     ("--seed", "-1", "seed must be >= 0, got -1"),
 ])
 def test_identify_rejects_bad_option(tmp_path, capsys, option, value, message):
@@ -415,8 +445,7 @@ def test_input_that_is_not_utf8_rejected(pipeline_dir, tmp_path, capsys, source,
 # each command writes its output into {out}, a directory that does not exist
 # yet, or that is an existing directory and cannot be written as a file
 WRITERS = {
-    "identify": ["identify", "--scenario", "baby", "--level", "peep", "--periods", "2",
-                 "--out", "{out}"],
+    "identify": ["identify", "--scenario", "baby", "--level", "peep", "--out", "{out}"],
     "fit": ["fit", "--frf-dir", "{dir}", "--scenario", "adult", "--out", "{out}"],
     "design": ["design", "--frf-dir", "{dir}", "--scenario", "adult", "--out", "{out}"],
     "compare": ["compare", "--baseline", "{dir}/adult/adult_pid_breath_norms.csv",
@@ -465,7 +494,7 @@ def test_all_rejects_nan_min_margin(tmp_path, capsys):
         ("--cutoff-hz", "300", "cutoff must lie in (0, 250.0) Hz, got 300.0"),
     ):
         out = tmp_path / f"{option}{value}"
-        rc = main(["all", "--out-dir", str(out), "--periods", "1", option, value])
+        rc = main(["all", "--out-dir", str(out), option, value])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
@@ -477,11 +506,22 @@ def test_all_reports_helper_write_error(tmp_path, capsys):
     # names the path, and leaves no child process behind
     blocked = tmp_path / "adult" / "adult_rc_trace.csv"
     blocked.mkdir(parents=True)
-    rc = main(["all", "--out-dir", str(tmp_path), "--breaths", "2", "--periods", "2"])
+    rc = main(["all", "--out-dir", str(tmp_path), "--breaths", "2"])
     assert rc == 1
     assert f"error: {blocked}: cannot write: " in capsys.readouterr().err
     assert not (tmp_path / "pediatric").exists()
     assert multiprocessing.active_children() == []
+
+
+def test_all_reports_the_failed_stability_table(tmp_path, capsys):
+    # seed 5's responses fail the bound of the default design: `all` stops
+    # before any run, printing the error and every response's maximum
+    rc = main(["all", "--seed", "5", "--breaths", "2", "--out-dir", str(tmp_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "error: stability bound failed: overall max " in err
+    assert_stability_table(err)
+    assert not (tmp_path / "adult").exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "design", "check-stability"])
@@ -490,7 +530,7 @@ def test_responses_of_another_sample_time_rejected(tmp_path, capsys, command):
     # frequency of a 1 ms copy of the adult or of a 1 ms filter set
     frfs = tmp_path / "frfs"
     for level in IDENT_LEVELS:
-        assert main(["identify", "--scenario", "adult", "--level", level, "--periods", "2",
+        assert main(["identify", "--scenario", "adult", "--level", level,
                      "--out", str(frfs / f"frf_adult_{level}.csv")]) == 0
     out = tmp_path / "out"
     if command == "check-stability":
@@ -514,7 +554,7 @@ def test_responses_of_another_sample_time_rejected(tmp_path, capsys, command):
 def test_stage_commands_write_the_files_of_all(tmp_path):
     # the stage commands, given the settings of an `all` run, write its
     # design files and its adult files byte for byte
-    settings = ["--periods", "2", "--seed", "0"]
+    settings = ["--seed", "0"]
     whole, stages = tmp_path / "all", tmp_path / "stages"
     assert main(["all", "--out-dir", str(whole), "--breaths", "2"] + settings) == 0
     frfs, adult, filterset = stages / "frfs", stages / "adult", stages / "rc_adult.filterset"

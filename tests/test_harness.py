@@ -1,3 +1,4 @@
+import inspect
 import math
 import multiprocessing
 import xml.etree.ElementTree as ET
@@ -14,6 +15,8 @@ from ventrc.harness import (
     compare_runs,
     emit_comparison_report,
     emit_report,
+    identify,
+    identify_all,
     run_experiment,
     run_full_pipeline,
 )
@@ -231,7 +234,7 @@ class TestFullPipeline:
             return original(log, out_dir)
 
         monkeypatch.setattr(harness, "emit_report", wrapper)
-        comparisons, _ = run_full_pipeline(tmp_path, breaths=2, identification_periods=2)
+        comparisons, _ = run_full_pipeline(tmp_path, breaths=2)
         assert multiprocessing.active_children() == []
         assert list(comparisons) == ["adult", "pediatric", "baby"]
         # this process wrote the pid reports, the helper the rc ones
@@ -241,6 +244,15 @@ class TestFullPipeline:
                 assert len((tmp_path / name / f"{name}_{mode}_trace.csv").read_text()
                            .splitlines()) > 1
         assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 43
+
+
+def test_identification_protocol_takes_only_a_seed():
+    # the recorded periods and the sensor noise are IDENT_PERIODS and
+    # IDENT_NOISE_RMS, for every caller
+    assert list(inspect.signature(identify).parameters) == ["scenario", "level", "seed"]
+    assert list(inspect.signature(identify_all).parameters) == ["seed"]
+    assert list(inspect.signature(run_full_pipeline).parameters) == [
+        "out_dir", "breaths", "cutoff_hz", "q_order", "seed", "min_margin"]
 
 
 def test_pid_and_rc_of_one_patient_build_each_lift_once(design_outputs, lift_builds):
