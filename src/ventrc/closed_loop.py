@@ -11,11 +11,15 @@ lung pressure before the step, the patient flow and the command.
 form (`lti.LiftedSystem`), which runs up to BATCH chunks in two matrix-matrix
 products.  A block is BATCH chunks without the repetitive loop, and as many
 whole chunks as its memory hands out in one piece with it, so that each
-block takes one hand-out of corrections.  Where a block holds an event, it
-rebuilds the exact state at the event's sample and goes on from there:
+block takes one hand-out of corrections.  While the command is clamped at an
+actuator limit the loop is linear too: `ClosedLoop.clamped` is that loop,
+lifted the same way, with the limit as one more, constant, state.  Where a
+block holds an event, it rebuilds the exact state at the event's sample and
+goes on from there through the lift the event calls for:
 
-- a command outside the actuator limits is clamped, and integration
-  stops, one sample at a time until the command is back inside them;
+- a command state outside the actuator limits is clamped, and integration
+  stops, through the clamped lift until the command state is back inside
+  them or beyond the other limit;
 - a fault of the repetitive loop zeroes its correction from the faulting
   sample on;
 - a measurement beyond the divergence bound ends the run at that sample.
@@ -32,6 +36,7 @@ stepping the streaming objects; tests pin the two together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +79,27 @@ class ClosedLoop(LiftedSystem):
         self.command_state = int(unit[0]) if (
             len(unit) == 1 and c[3, unit[0]] == 1.0 and d[3] == 0.0) else None
 
+    @cached_property
+    def clamped(self) -> LiftedSystem:
+        """The loop while its command is held at a limit, a companion of the loop's lift.
+
+        Its state is the loop's state before the clamp and the limit, a
+        constant; its matrices are A P, A e, C P and C e, where P zeroes the
+        command state and e is that state's unit vector.  Its outputs are
+        OUTPUTS and then the command state before the clamp.
+        """
+        s = self.command_state
+
+        def held(m):   # [m P, m e]
+            out = np.column_stack([m, m[:, s]])
+            out[:, s] = 0.0
+            return out
+
+        limit = np.eye(1, self.order + 1, self.order)
+        a = np.vstack([held(self.a), limit])
+        c = np.vstack([held(self.c), np.eye(1, self.order + 1, s)])
+        return self.companion(StateSpace(a, np.append(self.b, 0.0), c, np.append(self.d, 0.0)))
+
 
 @dataclass
 class LoopRun:
@@ -93,7 +119,8 @@ class LoopRun:
 
 
 def _first(flags: np.ndarray) -> int:
-    return int(np.argmax(flags)) if flags.any() else len(flags)
+    hits = flags.nonzero()[0]
+    return int(hits[0]) if len(hits) else len(flags)
 
 
 def simulate(loop: ClosedLoop, reference: np.ndarray, noise, bound: float, memory=None,
@@ -107,11 +134,16 @@ def simulate(loop: ClosedLoop, reference: np.ndarray, noise, bound: float, memor
     `take_errors(errors)`, which returns the index of a faulting sample (the
     correction is zero from there on) or None.  output_limits clamps the
     command, which must then be a state of the loop, and stops integrating
-    while clamped.
+    while clamped: a command state below the lower limit or above the upper
+    one is set to that limit before the step.
 
     The reference is taken a block at a time (see the module docstring):
     BATCH chunks without memory, and with it the whole chunks of
-    buffer_length, at most BATCH, with one hand-out of corrections.
+    buffer_length, at most BATCH, with one hand-out of corrections.  Each
+    block is run in segments, each through the free lift (`loop`) or the
+    clamped one (`loop.clamped`) as the command state at its first sample
+    says, up to the block's end or, after an event, the end of the event's
+    chunk.
     """
     if output_limits is not None and loop.command_state is None:
         raise ConfigurationError("output limits need a controller whose command is one state")
@@ -120,10 +152,10 @@ def simulate(loop: ClosedLoop, reference: np.ndarray, noise, bound: float, memor
     if chunks < 1:
         raise ConfigurationError(f"the repetitive loop's memory of {memory.buffer_length} "
                                  f"samples holds no whole chunk of {chunk} samples")
+    lo, hi = output_limits or (None, None)
     total = len(reference)
     signals = np.empty((len(OUTPUTS), total))
     x = np.zeros(loop.order)
-    stepping = False           # inside a clamp episode: one sample at a time
     k = 0
     while k < total:
         m = min(chunks * chunk, total - k)
@@ -133,55 +165,44 @@ def simulate(loop: ClosedLoop, reference: np.ndarray, noise, bound: float, memor
         v = r + c - n
         j = 0
         while j < m:
-            if stepping:
-                s = x[loop.command_state]
-                lo, hi = output_limits
-                stepping = s < lo or s > hi
-                if stepping:
-                    x[loop.command_state] = min(max(s, lo), hi)
-                measured = loop.c[0] @ x + n[j]
-                if not abs(measured) <= bound:
-                    return LoopRun(signals[:, : k + j], float(measured))
-                if memory is not None and memory.take_errors(r[j: j + 1] - measured) is not None:
-                    c[j:] = 0.0
-                    v[j:] = r[j:] - n[j:]
-                signals[:, k + j] = loop.c @ x + loop.d * v[j]
-                signals[0, k + j] = measured
-                x = loop.advance(x, v[j: j + 1])
-                j += 1
-                continue
-
             # to the end of the block, or of the chunk an event left
             last = m if j % chunk == 0 else min(m, j - j % chunk + chunk)
-            y, x_end = loop.run(x, v[j: last])
-            measured = y[:, 0] + n[j: last]
-            stop = _first(~(np.abs(measured) <= bound))
-            clamp = len(measured)
+            # -1, 0 or 1: the command state below, inside or above the limits
+            side = 0
             if output_limits is not None:
-                command = y[:, 3]
-                clamp = _first((command < output_limits[0]) | (command > output_limits[1]))
-            end = min(stop, clamp)
+                command = float(x[loop.command_state])
+                side = (command > hi) - (command < lo)
+            if side:
+                system, state = loop.clamped, np.append(x, lo if side < 0 else hi)
+            else:
+                system, state = loop, x
+            y, state_end = system.run(state, v[j: last])
+            y[:, 0] += n[j: last]      # the measurement, with the sensor noise
+            measured = y[:, 0]
+            stop = _first(~(np.abs(measured) <= bound))
+            switch = len(measured)
+            if output_limits is not None:
+                # the command state before any clamp; the first sample's side is side
+                before = y[1:, 3 if side == 0 else 4]
+                leaves = ((before < lo) | (before > hi) if side == 0
+                          else ~(before < lo) if side < 0 else ~(before > hi))
+                switch = 1 + _first(leaves)
+            end = min(stop, switch)
             if memory is not None:
                 fault = memory.take_errors(r[j: j + end] - measured[:end])
                 if fault is not None and c[j + fault:].any():
                     # rebuild the state at the faulting sample and go on without correction
-                    signals[:, k + j: k + j + fault] = y[:fault].T
-                    signals[0, k + j: k + j + fault] = measured[:fault]
-                    x = loop.advance(x, v[j: j + fault])
+                    end = fault
                     c[j + fault:] = 0.0
                     v[j + fault:] = r[j + fault:] - n[j + fault:]
-                    j += fault
-                    continue
-            signals[:, k + j: k + j + end] = y[:end].T
-            signals[0, k + j: k + j + end] = measured[:end]
+            signals[:, k + j: k + j + end] = y[:end, :4].T
             if end == len(measured):
-                x = x_end
+                x = state_end[: loop.order]
                 j = last
                 continue
             if end == stop:
                 return LoopRun(signals[:, : k + j + end], float(measured[end]))
-            x = loop.advance(x, v[j: j + end])
+            x = system.advance(state, v[j: j + end])[: loop.order]
             j += end
-            stepping = True
         k += m
     return LoopRun(signals)

@@ -336,7 +336,9 @@ class LiftedSystem:
     A^0..A^chunk and the lifted matrix would exceed LIFT_BUDGET_BYTES; the
     object keeps the powers, G and [O T], read-only.  They are built by
     copies and shared: a system bit-identical to one of the last LIFT_MEMO
-    built, with the same requested chunk, reuses that build.
+    built, with the same requested chunk, reuses that build.  A system made
+    from this one is lifted by `companion`, whose lift the memo holds beside
+    this one's.
 
     An input is split into whole chunks from its first sample on, and a
     shorter rest.  The whole chunks go BATCH at a time, each chunk a row of
@@ -353,11 +355,25 @@ class LiftedSystem:
         if chunk < 1:
             raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
         self.a, self.b, self.c, self.d = ss.a, ss.b, ss.c, ss.d
-        self.chunk, self._powers, self._gamma, self._outputs_t = _lift(ss, chunk)
+        self.chunk, self._powers, self._gamma, self._outputs_t, self._companions = \
+            _lift(ss, chunk, _LIFTS)
 
     @property
     def order(self) -> int:
         return len(self.b)
+
+    def companion(self, ss: StateSpace) -> "LiftedSystem":
+        """ss lifted with this system's chunk, its lift held beside this one's.
+
+        For a system made from this one: its lift is built once while this
+        system's lift stays in the memo, takes no slot there, and goes with
+        it.
+        """
+        companion = LiftedSystem.__new__(LiftedSystem)
+        companion.a, companion.b, companion.c, companion.d = ss.a, ss.b, ss.c, ss.d
+        (companion.chunk, companion._powers, companion._gamma, companion._outputs_t,
+         companion._companions) = _lift(ss, self.chunk, self._companions)
+        return companion
 
     def run(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Outputs (len(u), outputs) from state x, and the state after."""
@@ -400,25 +416,27 @@ class LiftedSystem:
         return xu, x
 
 
-# the lifts of the last LIFT_MEMO (system, chunk) pairs, least recently used first
+# the lifts of the last LIFT_MEMO (system, chunk) pairs, least recently used first;
+# each lift ends with a memo of the same kind for its companions
 _LIFTS: dict[tuple, tuple] = {}
 
 
-def _lift(ss: StateSpace, chunk: int) -> tuple:
-    """_build_lift's arrays for ss and chunk, built once while they stay in _LIFTS.
+def _lift(ss: StateSpace, chunk: int, memo: dict) -> tuple:
+    """_build_lift's arrays for ss and chunk and a companion memo, built once while in memo.
 
     The key is the exact dtype, shape and bytes of a, b, c and d, and the
     requested chunk, so only bit-identical systems share a build.
     """
     key = (chunk, *((m.dtype.str, m.shape, m.tobytes()) for m in (ss.a, ss.b, ss.c, ss.d)))
-    lift = _LIFTS.pop(key, None)
+    lift = memo.pop(key, None)
     if lift is None:
         lift = _build_lift(ss.a, ss.b, ss.c, ss.d, chunk)
         for array in lift[1:]:
             array.flags.writeable = False
-        if len(_LIFTS) >= LIFT_MEMO:
-            del _LIFTS[next(iter(_LIFTS))]
-    _LIFTS[key] = lift
+        lift = (*lift, {})
+        if len(memo) >= LIFT_MEMO:
+            del memo[next(iter(memo))]
+    memo[key] = lift
     return lift
 
 

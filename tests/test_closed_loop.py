@@ -174,16 +174,67 @@ def test_zero_corrections_are_the_pid_computation(design_outputs):
                     (name, limits, signal)
 
 
-def test_divergence_matches_reference(design_outputs):
+def flipped_filterset(design_outputs):
+    """The adult's designed filter set with its learning filter times -3: the loop diverges."""
     fs = design_outputs["filterset"]
     lc = fs.l_causal
     flipped = DiscreteTransferFunction(-3.0 * lc.numerator_coeffs, lc.denominator_coeffs,
                                        lc.pure_delay, lc.sample_time)
-    bad = RcFilterSet(flipped, fs.l_shift, fs.q_kernel, fs.period_n)
-    engine, ref = run_both(make_spec("adult", "rc", bad, breaths=12))
+    return RcFilterSet(flipped, fs.l_shift, fs.q_kernel, fs.period_n)
+
+
+def test_divergence_matches_reference(design_outputs):
+    engine, ref = run_both(make_spec("adult", "rc", flipped_filterset(design_outputs), breaths=12))
     assert not engine.complete and not ref.complete
     assert len(engine.p_aw) == len(ref.p_aw) > 0
     assert_matches(engine, ref, "rc")
+
+
+def test_divergence_inside_a_clamp_episode_matches_reference(design_outputs):
+    # the diverging loop drives the command to a 400 mbar ceiling, and the
+    # measurement crosses the 300 mbar bound while the command is held there
+    spec = make_spec("adult", "rc", flipped_filterset(design_outputs), breaths=5,
+                     output_limits=(0.0, 400.0))
+    engine, ref = run_both(spec)
+    assert not engine.complete and not ref.complete
+    assert len(engine.p_aw) == len(ref.p_aw) > 0
+    assert np.all(engine.command[-3:] == 400.0)
+    assert_matches(engine, ref, "rc")
+
+
+def held_runs(command, limit) -> list[tuple[int, int]]:
+    """(first, stop) of each run of samples whose command is exactly limit."""
+    held = np.concatenate([[0], (command == limit).astype(int), [0]])
+    edges = np.flatnonzero(np.diff(held))
+    return list(zip(edges[::2], edges[1::2]))
+
+
+@pytest.mark.parametrize("mode", ["pid", "rc"])
+def test_clamp_episode_across_chunks_matches_reference(design_outputs, mode):
+    # a 10 mbar ceiling holds the adult's command through most of each
+    # inspiration, hundreds of samples across chunk boundaries
+    scenario, circuit = load_scenario("adult")
+    spec = make_spec("adult", mode, bound_filterset(design_outputs, scenario, circuit),
+                     breaths=2, seed=3, output_limits=(0.0, 10.0), measurement_noise_rms=0.01)
+    engine, ref = run_both(spec)
+    assert any(first // CHUNK < (stop - 1) // CHUNK
+               for first, stop in held_runs(engine.command, 10.0))
+    assert_matches(engine, ref, mode)
+
+
+@pytest.mark.parametrize("mode", ["pid", "rc"])
+def test_clamp_from_one_limit_straight_to_the_other_matches_reference(design_outputs, mode):
+    # one integrator step crosses a band of 1e-4 mbar: where the error
+    # changes sign the command goes from one limit straight to the other
+    scenario, circuit = load_scenario("adult")
+    lo, hi = 12.0, 12.0001
+    spec = make_spec("adult", mode, bound_filterset(design_outputs, scenario, circuit),
+                     breaths=2, seed=3, output_limits=(lo, hi), measurement_noise_rms=0.01)
+    engine, ref = run_both(spec)
+    command = engine.command
+    assert np.any((command[:-1] == lo) & (command[1:] == hi))
+    assert np.any((command[:-1] == hi) & (command[1:] == lo))
+    assert_matches(engine, ref, mode)
 
 
 FAULT_PATTERN = r"overflow \((.*)\) at sample (\d+)"
@@ -228,6 +279,24 @@ def test_fault_matches_reference(design_outputs, monkeypatch, limit, gain):
     # the correction is off from the faulting sample on
     recovered = np.diff(engine.command) / control_rt.BENCHMARK_INTEGRAL_GAIN - engine.error[:-1]
     assert np.max(np.abs(recovered[sample - 1:])) < 1e-9
+
+
+def test_fault_inside_a_clamp_episode_matches_reference(monkeypatch):
+    # with a constant learning filter of 0.8 and no robustness filter, the
+    # memory winds up on the errors of the baby's clamp episodes: its loop
+    # input first exceeds 388 inside one, in the 24th breath, while the
+    # corrections stay below, so the rest of the block runs without them
+    scenario, circuit = load_scenario("baby")
+    fs = RcFilterSet(DiscreteTransferFunction([0.8], [1.0], 0, circuit.sample_time), 0,
+                     FirKernel([1.0]), len(reference_profile(scenario, circuit.sample_time)))
+    monkeypatch.setattr(control_rt, "OVERFLOW_LIMIT", 388.0)
+    spec = make_spec("baby", "rc", fs, breaths=24, output_limits=LIMITS)
+    engine, value, sample = faulting_run(run_experiment, spec)
+    ref, ref_value, ref_sample = faulting_run(reference_run, spec)
+    assert sample == ref_sample and value == pytest.approx(ref_value, rel=1e-9)
+    # the fault's count is 1-based: the sample before it and the faulting sample are held
+    assert np.all(np.isin(engine.command[sample - 2: sample], LIMITS))
+    assert_matches(engine, ref, "rc")
 
 
 @pytest.mark.parametrize("controller", [

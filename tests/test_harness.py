@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from ventrc import harness
+from ventrc import harness, lti
 from ventrc.errors import ConfigurationError, DesignError, ExperimentDiverged
 from ventrc.harness import (
     BreathLog,
@@ -261,3 +261,12 @@ def test_pid_and_rc_of_one_patient_build_each_lift_once(design_outputs, lift_bui
     run_experiment(ExperimentSpec(scenario="adult", mode="rc", breaths=2, filterset=fs))
     # the closed loop's four outputs, then the learning filter's one
     assert [outputs for _, outputs, _ in lift_builds] == [4, 1]
+    # a limited pair, twice: only the rc run clamps, and the clamped loop's
+    # lift (one more state, five outputs) is built once, beside the loop's
+    for _ in range(2):
+        for mode, filterset in (("pid", None), ("rc", fs)):
+            run_experiment(ExperimentSpec(scenario="adult", mode=mode, breaths=3,
+                                          filterset=filterset, output_limits=(0.0, 40.0)))
+    loop_order = lift_builds[0][0]
+    assert lift_builds[2:] == [(loop_order + 1, 5, lift_builds[0][2])]
+    assert len(lti._LIFTS) == 2

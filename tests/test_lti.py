@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import ventrc
 from ventrc import lti
+from ventrc.closed_loop import ClosedLoop
 from ventrc.errors import ConfigurationError, SingularityError
 from ventrc.lti import (
     BATCH,
@@ -316,6 +318,43 @@ def test_batched_lifted_run_matches_chunk_by_chunk(case, data):
         at += size
     assert np.concatenate(pieces).tobytes() == y.tobytes()
     assert state.tobytes() == x_end.tobytes()
+
+
+@st.composite
+def clamped_loops(draw):
+    """A loop of a random stable plant and controller, a start state, a limit and an input.
+
+    The controller's command is its first state, so the loop can be clamped.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, order, chunk = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    a = rng.normal(size=(n, n))
+    a *= draw(st.floats(0.0, 0.99)) / max(np.max(np.abs(np.linalg.eigvals(a))), 1e-3)
+    plant = StateSpace(a, rng.normal(size=n), rng.normal(size=(3, n)),
+                       np.append(0.0, rng.normal(size=2)))
+    controller = DiscreteTransferFunction(np.append(0.0, rng.normal(size=order)),
+                                          np.poly(rng.uniform(-0.9, 0.9, order)), 0)
+    loop = ClosedLoop(SimpleNamespace(state_space=lambda: plant), controller, chunk)
+    length = draw(st.integers(1, 40)) * chunk + draw(st.integers(0, chunk - 1))
+    return loop, rng.normal(size=loop.order), rng.normal(), rng.normal(size=length)
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(clamped_loops())
+def test_clamped_lift_matches_clamping_sample_by_sample(case):
+    # k samples of the clamped lift, over any number of chunks, are k
+    # updates "set the command state to the limit, then step"
+    loop, x, limit, u = case
+    s = loop.command_state
+    y, state = loop.clamped.run(np.append(x, limit), u)
+    want = np.empty((len(u), 5))
+    for k, u_k in enumerate(u):
+        want[k, 4] = x[s]
+        x = x.copy()
+        x[s] = limit
+        want[k, :4] = loop.c @ x + loop.d * u_k
+        x = loop.a @ x + loop.b * u_k
+    assert close(y, want) and close(state, np.append(x, limit))
 
 
 def random_system(seed: int, n: int = 3, q: int = 2) -> StateSpace:
