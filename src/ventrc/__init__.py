@@ -10,7 +10,6 @@ from .errors import (
     VentrcError,
 )
 from .lti import (
-    DelayLine,
     DiscreteTransferFunction,
     FirKernel,
     FrequencyResponse,

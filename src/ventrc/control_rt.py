@@ -32,22 +32,20 @@ OVERFLOW_LIMIT = 1e12
 
 
 class IntegralController:
-    """Discrete integrator y(k) = y(k-1) + gain * e(k-1).
+    """Discrete integrator y(k) = y(k-1) + BENCHMARK_INTEGRAL_GAIN * e(k-1).
 
     Optional saturation clamps the command and halts integration while
     clamped (windup flag exposed).
     """
 
-    def __init__(self, gain: float = BENCHMARK_INTEGRAL_GAIN,
-                 output_limits: tuple[float, float] | None = None):
-        self.gain = gain
+    def __init__(self, output_limits: tuple[float, float] | None = None):
         self.output_limits = output_limits
         self.windup_active = False
         self._y_prev = 0.0
         self._e_prev = 0.0
 
     def step(self, error: float) -> float:
-        out = self._y_prev + self.gain * self._e_prev
+        out = self._y_prev + BENCHMARK_INTEGRAL_GAIN * self._e_prev
         if self.output_limits is not None:
             lo, hi = self.output_limits
             clamped = min(max(out, lo), hi)
@@ -200,7 +198,6 @@ class VentilatorController:
         return self.pid.step(total)
 
 
-def benchmark_controller_tf(gain: float = BENCHMARK_INTEGRAL_GAIN,
-                            sample_time: float = 0.002) -> DiscreteTransferFunction:
-    """The benchmark integral controller gain/(z-1) as a transfer function."""
-    return DiscreteTransferFunction([0.0, gain], [1.0, -1.0], 0, sample_time)
+def benchmark_controller_tf(sample_time: float) -> DiscreteTransferFunction:
+    """The benchmark integral controller BENCHMARK_INTEGRAL_GAIN/(z-1) as a transfer function."""
+    return DiscreteTransferFunction([0.0, BENCHMARK_INTEGRAL_GAIN], [1.0, -1.0], 0, sample_time)

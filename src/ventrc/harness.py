@@ -9,7 +9,6 @@ normalized by breath length.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -179,7 +178,12 @@ def run_experiment(spec: ExperimentSpec) -> BreathLog:
 
 @dataclass
 class ComparisonTable:
-    """Per-breath baseline/candidate norms and their ratios."""
+    """Per-breath baseline/candidate norms and their ratios.
+
+    A ratio over a zero baseline norm is 0 for a zero candidate norm and inf
+    otherwise.  Norm arrays of unequal length, or of none, raise
+    ConfigurationError.
+    """
 
     scenario_name: str
     baseline_norms: np.ndarray
@@ -190,15 +194,12 @@ class ComparisonTable:
     def __post_init__(self):
         b = self.baseline_norms
         c = self.candidate_norms
-        ratios = np.empty(len(b))
-        for i, (bn, cn) in enumerate(zip(b, c)):
-            if bn == 0.0:
-                ratios[i] = 0.0 if cn == 0.0 else math.inf
-            else:
-                ratios[i] = cn / bn
-        self.ratios = ratios
-        tail = ratios[-5:] if len(ratios) >= 5 else ratios
-        self.converged_ratio = float(np.mean(tail))
+        if len(b) != len(c):
+            raise ConfigurationError(f"breath counts differ: {len(b)} vs {len(c)}")
+        if len(b) == 0:
+            raise ConfigurationError("no breaths to compare")
+        self.ratios = np.divide(c, b, out=np.where(c == 0.0, 0.0, np.inf), where=b != 0.0)
+        self.converged_ratio = float(np.mean(self.ratios[-5:]))
 
     def save_csv(self, path) -> None:
         write_table(path, ["breath", "baseline_norm", "candidate_norm", "ratio"],
@@ -209,12 +210,9 @@ class ComparisonTable:
 def compare_runs(baseline: BreathLog, candidate: BreathLog) -> ComparisonTable:
     """Per-breath candidate/baseline norm ratios; mean of the last 5 summarizes."""
     if baseline.scenario_name != candidate.scenario_name:
-        raise ValueError("runs compare only within one scenario")
-    b = baseline.breath_norms
-    c = candidate.breath_norms
-    if len(b) != len(c):
-        raise ValueError(f"breath counts differ: {len(b)} vs {len(c)}")
-    return ComparisonTable(baseline.scenario_name, b, c)
+        raise ConfigurationError("runs compare only within one scenario")
+    return ComparisonTable(baseline.scenario_name, baseline.breath_norms,
+                           candidate.breath_norms)
 
 
 def emit_report(log: BreathLog, out_dir) -> dict[str, Path]:
@@ -286,6 +284,8 @@ def identify(scenario: str | Path, level: str, seed: int = SEED) -> FrequencyRes
     seed + 1000 + the job's index in IDENT_JOBS (0 for a scenario file), so
     a built-in's job is the one run_full_pipeline runs.
     """
+    if level not in IDENT_LEVELS:
+        raise ConfigurationError(f"level must be one of {IDENT_LEVELS}, got {level!r}")
     patient, circuit = load_scenario(scenario)
     ts = circuit.sample_time
     spec = MultisineSpec(bins_hz=design_excitation_bins(ts), period_samples=round(4.0 / ts),

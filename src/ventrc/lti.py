@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,15 +45,6 @@ def check_sample_time(sample_time: float) -> None:
         raise ValueError(f"sample_time must be positive, got {sample_time}")
     if sample_time == math.inf:
         raise ValueError(f"sample_time must be finite, got {sample_time}")
-
-
-def polyval_zinv(coeffs, zinv) -> np.ndarray:
-    """Evaluate a polynomial in z^-1 (coefficients low order first) at zinv."""
-    zinv = np.asarray(zinv)
-    out = np.zeros_like(zinv, dtype=complex)
-    for c in np.asarray(coeffs)[::-1]:
-        out = out * zinv + c
-    return out
 
 
 @dataclass
@@ -160,7 +152,7 @@ class FirKernel:
         """Complex response of z^forward_shift * FIR(taps) on a Hz grid."""
         w = hz_to_rad_per_sample(frequencies_hz, sample_time)
         zinv = np.exp(-1j * w)
-        return polyval_zinv(self.taps, zinv) * np.exp(1j * w * self.forward_shift)
+        return np.polyval(self.taps[::-1], zinv) * np.exp(1j * w * self.forward_shift)
 
 
 @dataclass
@@ -208,44 +200,14 @@ def evaluate(tf: DiscreteTransferFunction, frequencies_hz) -> FrequencyResponse:
         raise ValueError(f"frequency {bad} Hz outside (0, {tf.nyquist_hz}] Hz")
     w = hz_to_rad_per_sample(f, tf.sample_time)
     zinv = np.exp(-1j * w)
-    den = polyval_zinv(tf.denominator_coeffs, zinv)
+    den = np.polyval(tf.denominator_coeffs[::-1], zinv)
     small = np.abs(den) < 1e-14
     if np.any(small):
         raise SingularityError(
             f"denominator vanishes at {f[small][0]:.6g} Hz (|den| < 1e-14)"
         )
-    vals = polyval_zinv(tf.numerator_coeffs, zinv) / den * zinv**tf.pure_delay
+    vals = np.polyval(tf.numerator_coeffs[::-1], zinv) / den * zinv**tf.pure_delay
     return FrequencyResponse(f, vals, tf.sample_time)
-
-
-class DelayLine:
-    """Fixed-capacity FIFO: step() returns the sample inserted `capacity` steps ago.
-
-    Returns zeros during warm-up.  Capacity must be positive; a budget of
-    zero or less means the surrounding loop's forward shifts exceed the
-    available period and is a configuration error.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ConfigurationError(f"delay line capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
-        self._buf = [0.0] * self.capacity
-        self._pos = 0
-
-    def oldest(self) -> float:
-        """Value that the next step() call will return."""
-        return self._buf[self._pos]
-
-    def push(self, value: float) -> None:
-        self._buf[self._pos] = value
-        self._pos = (self._pos + 1) % self.capacity
-
-    def step(self, value: float) -> float:
-        out = self._buf[self._pos]
-        self.push(value)
-        return out
-
 
 
 class StreamingFilter:
@@ -262,11 +224,11 @@ class StreamingFilter:
         self._b[: len(tf.numerator_coeffs)] = tf.numerator_coeffs
         self._a[: len(tf.denominator_coeffs)] = tf.denominator_coeffs
         self._state = [0.0] * (n - 1)
-        self._delay = DelayLine(tf.pure_delay) if tf.pure_delay > 0 else None
+        self._delay = deque([0.0] * tf.pure_delay)
 
     def step(self, u: float) -> float:
-        if self._delay is not None:
-            u = self._delay.step(u)
+        self._delay.append(u)
+        u = self._delay.popleft()
         b, a, z = self._b, self._a, self._state
         y = b[0] * u + (z[0] if z else 0.0)
         for i in range(len(z) - 1):

@@ -20,7 +20,6 @@ from .lti import (
     DiscreteTransferFunction,
     FrequencyResponse,
     hz_to_rad_per_sample,
-    polyval_zinv,
     read_table,
     write_table,
 )
@@ -187,7 +186,7 @@ def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
     sk_mat = np.column_stack([powers, -target[:, None] * powers[:, 1:]])
 
     def residual(num, den):
-        fit = polyval_zinv(num, zinv) / polyval_zinv(den, zinv)
+        fit = np.polyval(num[::-1], zinv) / np.polyval(den[::-1], zinv)
         return float(np.sqrt(np.sum((base_w * np.abs(fit - target)) ** 2)))
 
     den_prev = np.ones_like(zinv)
@@ -198,7 +197,7 @@ def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
         sol = _weighted_lstsq(sk_mat, target, base_w / np.abs(den_prev))
         num = sol[: order + 1]
         den = np.concatenate([[1.0], sol[order + 1 :]])
-        den_val = polyval_zinv(den, zinv)
+        den_val = np.polyval(den[::-1], zinv)
         if np.any(np.abs(den_val) < 1e-300):
             raise np.linalg.LinAlgError("singular denominator during iteration")
         res = residual(num, den)
@@ -226,7 +225,7 @@ def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
             poles = np.where(np.abs(poles) >= 1.0, 1.0 / np.conj(poles), poles)
             den = np.real(np.poly(poles))
             den = den / den[0]
-            den_val = polyval_zinv(den, zinv)
+            den_val = np.polyval(den[::-1], zinv)
             # numerator-only refit against the stabilized denominator
             num = _weighted_lstsq(powers / den_val[:, None], target, base_w)
             warnings.warn(

@@ -14,7 +14,7 @@ import warnings
 from collections import deque
 
 from ventrc.control_rt import OVERFLOW_LIMIT
-from ventrc.lti import DelayLine, StreamingFilter
+from ventrc.lti import StreamingFilter
 from ventrc.rc_design import RcFilterSet
 
 
@@ -22,8 +22,10 @@ class ReferenceRepetitiveController:
     def __init__(self, filterset: RcFilterSet):
         n_short = filterset.period_n - filterset.l_shift - filterset.q_kernel.forward_shift
         self.buffer_length = n_short
-        self._memory = DelayLine(n_short)
-        self._advance = DelayLine(filterset.l_shift) if filterset.l_shift > 0 else None
+        # d[0] is the oldest sample of a line, and append pushes a new one
+        self._memory = deque([0.0] * n_short, maxlen=n_short)
+        l_shift = filterset.l_shift
+        self._advance = deque([0.0] * l_shift, maxlen=l_shift) if l_shift > 0 else None
         self._learning = StreamingFilter(filterset.l_causal)
         self._q_taps = [float(t) for t in filterset.q_kernel.taps]
         self._q_hist = deque([0.0] * len(self._q_taps), maxlen=len(self._q_taps))
@@ -34,8 +36,8 @@ class ReferenceRepetitiveController:
         if self.fault:
             return 0.0
         self.sample_count += 1
-        v = self._memory.oldest()
-        w = self._advance.oldest() if self._advance is not None else v
+        v = self._memory[0]
+        w = self._advance[0] if self._advance is not None else v
         a = error + w
         if not math.isfinite(a) or abs(a) > OVERFLOW_LIMIT:
             self._trip_fault(a)
@@ -48,9 +50,9 @@ class ReferenceRepetitiveController:
         if not math.isfinite(out) or abs(out) > OVERFLOW_LIMIT:
             self._trip_fault(out)
             return 0.0
-        self._memory.push(y_q)
+        self._memory.append(y_q)
         if self._advance is not None:
-            self._advance.push(v)
+            self._advance.append(v)
         return out
 
     def _trip_fault(self, value) -> None:

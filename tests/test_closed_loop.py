@@ -31,6 +31,7 @@ from ventrc.sysid import MultisineSpec, estimate_frf
 
 from closed_loop_reference import reference_estimate_frf, reference_run
 
+TS = 0.002
 SCENARIOS = ("adult", "pediatric", "baby")
 SIGNALS = ("reference", "p_aw", "p_lung", "q_pat", "command")
 LIMITS = (0.0, 40.0)
@@ -113,7 +114,7 @@ def test_chunk_length_does_not_change_the_run(chunk):
     scenario, circuit = load_scenario("baby")
     reference = np.tile(reference_profile(scenario, circuit.sample_time), 2)
     plant = VentilatorPlant(scenario, circuit, measurement_noise_rms=0.01, seed=3)
-    run = simulate(ClosedLoop(plant, benchmark_controller_tf(), chunk), reference,
+    run = simulate(ClosedLoop(plant, benchmark_controller_tf(TS), chunk), reference,
                    plant.draw_noise, np.inf, output_limits=(0.0, 20.0))
     ref = reference_run(ExperimentSpec("baby", "pid", breaths=2, seed=3,
                                        measurement_noise_rms=0.01, output_limits=(0.0, 20.0)))
@@ -126,7 +127,7 @@ def test_memory_shorter_than_a_chunk_rejected():
     scenario, circuit = load_scenario("baby")
     memory = RepetitiveController(RcFilterSet(
         DiscreteTransferFunction([0.5], [1.0], 0, circuit.sample_time), 0, FirKernel([1.0]), 100))
-    loop = ClosedLoop(VentilatorPlant(scenario, circuit), benchmark_controller_tf())
+    loop = ClosedLoop(VentilatorPlant(scenario, circuit), benchmark_controller_tf(TS))
     with pytest.raises(ConfigurationError, match="memory of 100 samples holds no whole chunk "
                                                  "of 128 samples"):
         simulate(loop, np.zeros(300), np.zeros, np.inf, memory=memory)
@@ -138,11 +139,11 @@ def test_long_delay_loop_runs_in_bounded_memory(design_outputs, tmp_path, mode):
     # its chunk to keep its arrays small, and the run (which diverges within
     # two breaths) still matches the reference sample for sample
     scenario, circuit = load_scenario("adult")
-    assert ClosedLoop(VentilatorPlant(scenario, circuit), benchmark_controller_tf()).chunk == 128
+    assert ClosedLoop(VentilatorPlant(scenario, circuit), benchmark_controller_tf(TS)).chunk == 128
     circuit = replace(circuit, blower_delay_samples=150, measurement_delay_samples=150)
     path = tmp_path / "long_delay.cfg"
     save_scenario(scenario, circuit, path)
-    loop = ClosedLoop(VentilatorPlant(scenario, circuit), benchmark_controller_tf())
+    loop = ClosedLoop(VentilatorPlant(scenario, circuit), benchmark_controller_tf(TS))
     held = sum(v.nbytes for v in vars(loop).values() if isinstance(v, np.ndarray))
     assert loop.order == 303 and held < 16 * 2**20
     spec = make_spec(path, mode, bound_filterset(design_outputs, scenario, circuit), breaths=2)
@@ -300,7 +301,7 @@ def test_fault_inside_a_clamp_episode_matches_reference(monkeypatch):
 
 
 @pytest.mark.parametrize("controller", [
-    benchmark_controller_tf(),
+    benchmark_controller_tf(TS),
     DiscreteTransferFunction([0.004, 0.006], [1.0, -1.0], 0),      # feedthrough
     DiscreteTransferFunction([0.0, 0.01], [1.0, -1.0], 2),         # input delay
 ])

@@ -58,21 +58,22 @@ class TestIntegralController:
         assert np.array_equal(ya, -yb)
 
     def test_saturation_holds_integration(self):
-        ctrl = IntegralController(gain=0.5, output_limits=(0.0, 1.0))
+        ctrl = IntegralController(output_limits=(0.0, 1.0))
+        scale = 0.5 / KI  # errors scaled so that each unit moves the command by 0.5
         for _ in range(20):
-            ctrl.step(10.0)  # drives hard against the upper clamp
+            ctrl.step(10.0 * scale)  # drives hard against the upper clamp
         assert ctrl.windup_active
-        out_at_limit = ctrl.step(-1.0)
+        out_at_limit = ctrl.step(-scale)
         assert out_at_limit == 1.0
         # held integrator: reversal bites immediately instead of unwinding
-        assert ctrl.step(-1.0) == pytest.approx(0.5)
+        assert ctrl.step(-scale) == pytest.approx(0.5)
 
     def test_matches_transfer_function(self):
         rng = np.random.default_rng(1)
         errs = rng.normal(size=300)
         ctrl = IntegralController()
         stream = np.array([ctrl.step(e) for e in errs])
-        batch = filter_stream(benchmark_controller_tf(), errs)
+        batch = filter_stream(benchmark_controller_tf(TS), errs)
         assert np.allclose(stream, batch, atol=1e-14)
 
 

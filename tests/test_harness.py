@@ -173,6 +173,16 @@ class TestCompare:
         table2 = ComparisonTable("x", np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         assert table2.ratios[0] == np.inf
 
+    @pytest.mark.parametrize("baseline, candidate, message", [
+        ([1.0, 2.0, 3.0], [0.5], "breath counts differ: 3 vs 1"),
+        ([0.5], [1.0, 2.0, 3.0], "breath counts differ: 1 vs 3"),
+        ([], [], "no breaths to compare"),
+    ])
+    def test_unequal_or_empty_norms_rejected(self, baseline, candidate, message):
+        # no ratio is left unwritten, and no mean is taken of nothing
+        with pytest.raises(ConfigurationError, match=message):
+            ComparisonTable("x", np.array(baseline), np.array(candidate))
+
     def test_mismatched_lengths_rejected(self, experiment_logs):
         a = experiment_logs["logs"][("adult", "pid")]
         short = run_experiment(ExperimentSpec(scenario="adult", mode="pid", breaths=2))
@@ -253,6 +263,12 @@ def test_identification_protocol_takes_only_a_seed():
     assert list(inspect.signature(identify_all).parameters) == ["seed"]
     assert list(inspect.signature(run_full_pipeline).parameters) == [
         "out_dir", "breaths", "cutoff_hz", "q_order", "seed", "min_margin"]
+
+
+def test_identify_rejects_unknown_level():
+    with pytest.raises(ConfigurationError,
+                       match=r"level must be one of \('peep', 'ipap'\), got 'PEEP'"):
+        identify("adult", "PEEP")
 
 
 def test_pid_and_rc_of_one_patient_build_each_lift_once(design_outputs, lift_builds):

@@ -18,7 +18,6 @@ from ventrc.errors import ConfigurationError, SingularityError
 from ventrc.lti import (
     BATCH,
     LIFT_MEMO,
-    DelayLine,
     DiscreteTransferFunction,
     FirKernel,
     LiftedSystem,
@@ -105,10 +104,12 @@ class TestFilterStream:
         assert np.all(np.isfinite(y))
         assert y[-1] > y[0]
 
-    def test_streaming_filter_matches_batch(self):
+    # pure delays from none to a 1,988-sample line, about a breath
+    @pytest.mark.parametrize("delay", [0, 1, 2, 17, 1988])
+    def test_streaming_filter_matches_batch(self, delay):
         rng = np.random.default_rng(3)
-        tf = DiscreteTransferFunction([0.4, -0.2, 0.05], [1.0, -1.1, 0.3], 2, TS)
-        u = rng.normal(size=400)
+        tf = DiscreteTransferFunction([0.4, -0.2, 0.05], [1.0, -1.1, 0.3], delay, TS)
+        u = rng.normal(size=delay + 400)
         batch = filter_stream(tf, u)
         sf = StreamingFilter(tf)
         stream = np.array([sf.step(v) for v in u])
@@ -155,34 +156,6 @@ class TestFirApplication:
     def test_asymmetric_zero_phase_flag_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
             FirKernel([0.5, 0.5, 0.1])
-
-
-class TestDelayLine:
-    def test_fifo_capacity_three(self):
-        line = DelayLine(3)
-        assert [line.step(v) for v in (1.0, 2.0, 3.0, 4.0)] == [0.0, 0.0, 0.0, 1.0]
-
-    def test_single_sample_delay(self):
-        line = DelayLine(1)
-        assert [line.step(v) for v in (5.0, 6.0, 7.0)] == [0.0, 5.0, 6.0]
-
-    def test_long_line_first_nonzero(self):
-        line = DelayLine(1988)
-        outs = [line.step(1.0 if k == 0 else 0.0) for k in range(1990)]
-        assert outs[:1988] == [0.0] * 1988
-        assert outs[1988] == 1.0
-
-    def test_contents_bit_exact(self):
-        rng = np.random.default_rng(9)
-        line = DelayLine(17)
-        values = list(rng.normal(size=100))
-        for v in values:
-            line.step(v)
-        assert [line.step(0.0) for _ in range(17)] == values[-17:]
-
-    def test_zero_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DelayLine(0)
 
 
 def test_evaluate_filter_stream_consistency():

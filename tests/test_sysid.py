@@ -56,7 +56,7 @@ class TestEstimateFrf:
     def test_unstable_loop_aborts(self):
         scenario, circuit = load_scenario("adult")
         plant = VentilatorPlant(scenario, circuit)
-        hot = benchmark_controller_tf(gain=100 * 0.01257, sample_time=circuit.sample_time)
+        hot = DiscreteTransferFunction([0.0, 100 * 0.01257], [1.0, -1.0], 0, circuit.sample_time)
         with pytest.raises(IdentificationError, match="unstable|diverg"):
             estimate_frf(plant, hot, 10.0, MultisineSpec(seed=3))
 
@@ -201,7 +201,7 @@ def test_higher_loop_gain_pulls_low_band_toward_unity():
     f = np.array([0.5, 1.0, 2.0])
 
     def closed_values(gain):
-        ctrl = benchmark_controller_tf(gain=gain, sample_time=circuit.sample_time)
+        ctrl = DiscreteTransferFunction([0.0, gain], [1.0, -1.0], 0, circuit.sample_time)
         closed = plant.closed_form_tf().cascade(ctrl).feedback_complementary()
         assert closed.is_stable()
         return evaluate(closed, f).values
