@@ -81,7 +81,7 @@ class ClosedLoop(LiftedSystem):
 
     @cached_property
     def clamped(self) -> LiftedSystem:
-        """The loop while its command is held at a limit, a companion of the loop's lift.
+        """The loop while its command is held at a limit, lifted with the loop's chunk.
 
         Its state is the loop's state before the clamp and the limit, a
         constant; its matrices are A P, A e, C P and C e, where P zeroes the
@@ -98,7 +98,8 @@ class ClosedLoop(LiftedSystem):
         limit = np.eye(1, self.order + 1, self.order)
         a = np.vstack([held(self.a), limit])
         c = np.vstack([held(self.c), np.eye(1, self.order + 1, s)])
-        return self.companion(StateSpace(a, np.append(self.b, 0.0), c, np.append(self.d, 0.0)))
+        return LiftedSystem(StateSpace(a, np.append(self.b, 0.0), c, np.append(self.d, 0.0)),
+                            self.chunk)
 
 
 @dataclass

@@ -10,7 +10,7 @@ class ConfigurationError(VentrcError, ValueError):
 
 
 class SingularityError(VentrcError, ValueError):
-    """Transfer-function evaluation hit a denominator root on the grid."""
+    """Transfer-function evaluation hit a denominator root on the grid, or overflowed."""
 
 
 class IdentificationError(VentrcError, RuntimeError):

@@ -64,7 +64,6 @@ class ExperimentSpec:
     output_limits: tuple[float, float] | None = None
     measurement_noise_rms: float = 0.0
     seed: int | None = SEED
-    skip_stability_guard: bool = False
 
     def __post_init__(self):
         if self.mode not in ("pid", "rc"):
@@ -144,17 +143,15 @@ def run_experiment(spec: ExperimentSpec) -> BreathLog:
                 f"{filterset.sample_time} s) does not match scenario {scenario.name} "
                 f"(period {n}, sample time {ts} s)"
             )
-        if not spec.skip_stability_guard:
-            frf = _analytic_frf(plant, default_stability_grid(ts))
-            report = check_stability(filterset.q_kernel, filterset.l_causal,
-                                     filterset.l_shift, {scenario.name: frf})
-            if not report.passed:
-                raise DesignError(
-                    f"stability bound fails for scenario {scenario.name} "
-                    f"(max {report.overall_max:.3f}); refusing to run the "
-                    "repetitive loop (pass skip_stability_guard to override)",
-                    report=report,
-                )
+        frf = _analytic_frf(plant, default_stability_grid(ts))
+        report = check_stability(filterset.q_kernel, filterset.l_causal,
+                                 filterset.l_shift, {scenario.name: frf})
+        if not report.passed:
+            raise DesignError(
+                f"stability bound fails for scenario {scenario.name} "
+                f"(max {report.overall_max:.3f}); refusing to run the repetitive loop",
+                report=report,
+            )
         memory = RepetitiveController(filterset)
     # rc and pid share the chunk schedule whenever the memory holds a chunk
     chunk = CHUNK if memory is None else min(CHUNK, memory.buffer_length)

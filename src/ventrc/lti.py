@@ -28,7 +28,7 @@ BATCH = 16
 LIFT_BUDGET_BYTES = 8 << 20
 # LiftedSystem keeps the lifts of this many recent systems, so equal systems
 # share one build
-LIFT_MEMO = 4
+LIFT_MEMO = 8
 # write_table formats this many rows at a time, so the text it holds stays
 # small whatever the length of the table
 TABLE_BLOCK_ROWS = 1024
@@ -66,6 +66,8 @@ class DiscreteTransferFunction:
         check_sample_time(self.sample_time)
         if self.pure_delay < 0 or int(self.pure_delay) != self.pure_delay:
             raise ValueError(f"pure_delay must be a nonnegative integer, got {self.pure_delay}")
+        if not (np.isfinite(num).all() and np.isfinite(den).all()):
+            raise ValueError("coefficients must be finite")
         if den.size == 0 or abs(den[0]) < 1e-300:
             raise ValueError("denominator leading (z^0) coefficient must be nonzero")
         lead = den[0]
@@ -157,7 +159,7 @@ class FirKernel:
 
 @dataclass
 class FrequencyResponse:
-    """Complex response samples on a strictly increasing Hz grid."""
+    """Finite complex response samples on a strictly increasing Hz grid."""
 
     frequencies_hz: np.ndarray
     values: np.ndarray
@@ -169,6 +171,8 @@ class FrequencyResponse:
         check_sample_time(self.sample_time)
         if len(self.frequencies_hz) != len(self.values):
             raise ValueError("frequencies and values must have equal length")
+        if not (np.isfinite(self.frequencies_hz).all() and np.isfinite(self.values).all()):
+            raise ValueError("frequencies and values must be finite")
         nyq = 0.5 / self.sample_time
         if np.any(self.frequencies_hz <= 0) or np.any(self.frequencies_hz > nyq + 1e-12):
             raise ValueError(f"frequencies must lie in (0, {nyq}] Hz")
@@ -192,7 +196,8 @@ def evaluate(tf: DiscreteTransferFunction, frequencies_hz) -> FrequencyResponse:
 
     The value at f is num(e^-iw)/den(e^-iw) * e^(-iw*pure_delay) with
     w = 2*pi*f*sample_time.  Frequencies above Nyquist raise; a denominator
-    magnitude below 1e-14 at a grid point raises naming the frequency.
+    magnitude below 1e-14 or a value that overflows at a grid point raises
+    naming the frequency.
     """
     f = np.atleast_1d(np.asarray(frequencies_hz, dtype=float))
     if np.any(f <= 0) or np.any(f > tf.nyquist_hz + 1e-12):
@@ -206,7 +211,11 @@ def evaluate(tf: DiscreteTransferFunction, frequencies_hz) -> FrequencyResponse:
         raise SingularityError(
             f"denominator vanishes at {f[small][0]:.6g} Hz (|den| < 1e-14)"
         )
-    vals = np.polyval(tf.numerator_coeffs[::-1], zinv) / den * zinv**tf.pure_delay
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.polyval(tf.numerator_coeffs[::-1], zinv) / den * zinv**tf.pure_delay
+    overflow = ~np.isfinite(vals)
+    if np.any(overflow):
+        raise SingularityError(f"response overflows at {f[overflow][0]:.6g} Hz")
     return FrequencyResponse(f, vals, tf.sample_time)
 
 
@@ -298,9 +307,7 @@ class LiftedSystem:
     A^0..A^chunk and the lifted matrix would exceed LIFT_BUDGET_BYTES; the
     object keeps the powers, G and [O T], read-only.  They are built by
     copies and shared: a system bit-identical to one of the last LIFT_MEMO
-    built, with the same requested chunk, reuses that build.  A system made
-    from this one is lifted by `companion`, whose lift the memo holds beside
-    this one's.
+    built, with the same requested chunk, reuses that build.
 
     An input is split into whole chunks from its first sample on, and a
     shorter rest.  The whole chunks go BATCH at a time, each chunk a row of
@@ -317,25 +324,11 @@ class LiftedSystem:
         if chunk < 1:
             raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
         self.a, self.b, self.c, self.d = ss.a, ss.b, ss.c, ss.d
-        self.chunk, self._powers, self._gamma, self._outputs_t, self._companions = \
-            _lift(ss, chunk, _LIFTS)
+        self.chunk, self._powers, self._gamma, self._outputs_t = _lift(ss, chunk)
 
     @property
     def order(self) -> int:
         return len(self.b)
-
-    def companion(self, ss: StateSpace) -> "LiftedSystem":
-        """ss lifted with this system's chunk, its lift held beside this one's.
-
-        For a system made from this one: its lift is built once while this
-        system's lift stays in the memo, takes no slot there, and goes with
-        it.
-        """
-        companion = LiftedSystem.__new__(LiftedSystem)
-        companion.a, companion.b, companion.c, companion.d = ss.a, ss.b, ss.c, ss.d
-        (companion.chunk, companion._powers, companion._gamma, companion._outputs_t,
-         companion._companions) = _lift(ss, self.chunk, self._companions)
-        return companion
 
     def run(self, x: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Outputs (len(u), outputs) from state x, and the state after."""
@@ -378,27 +371,25 @@ class LiftedSystem:
         return xu, x
 
 
-# the lifts of the last LIFT_MEMO (system, chunk) pairs, least recently used first;
-# each lift ends with a memo of the same kind for its companions
+# the lifts of the last LIFT_MEMO (system, chunk) pairs, least recently used first
 _LIFTS: dict[tuple, tuple] = {}
 
 
-def _lift(ss: StateSpace, chunk: int, memo: dict) -> tuple:
-    """_build_lift's arrays for ss and chunk and a companion memo, built once while in memo.
+def _lift(ss: StateSpace, chunk: int) -> tuple:
+    """_build_lift's result for ss and chunk, built once while in _LIFTS.
 
     The key is the exact dtype, shape and bytes of a, b, c and d, and the
     requested chunk, so only bit-identical systems share a build.
     """
     key = (chunk, *((m.dtype.str, m.shape, m.tobytes()) for m in (ss.a, ss.b, ss.c, ss.d)))
-    lift = memo.pop(key, None)
+    lift = _LIFTS.pop(key, None)
     if lift is None:
         lift = _build_lift(ss.a, ss.b, ss.c, ss.d, chunk)
         for array in lift[1:]:
             array.flags.writeable = False
-        lift = (*lift, {})
-        if len(memo) >= LIFT_MEMO:
-            del memo[next(iter(memo))]
-    memo[key] = lift
+        if len(_LIFTS) >= LIFT_MEMO:
+            del _LIFTS[next(iter(_LIFTS))]
+    _LIFTS[key] = lift
     return lift
 
 
@@ -539,8 +530,9 @@ class CoefficientFile:
     written "<name>" is a field read from that position.  A field named in
     array_fields takes a count as its value, and that many numbers follow on
     their own lines.  An empty file, a wrong header, a malformed line, a
-    missing field, a value that does not parse and an array shorter than its
-    count all raise ConfigurationError naming the path and the field.
+    missing field, a field given twice (in the header or on a line), a value
+    that does not parse and an array shorter than its count all raise
+    ConfigurationError naming the path and the field.
     """
 
     def __init__(self, path, header: str, array_fields: tuple[str, ...]):
@@ -561,6 +553,8 @@ class CoefficientFile:
                 raise ConfigurationError(
                     f"{path}: expected '<field> <value>', got {lines[idx]!r}")
             name, value = parts
+            if name in self._scalars or name in self._arrays:
+                raise ConfigurationError(f"{path}: field {name!r} appears twice")
             if name not in array_fields:
                 self._scalars[name] = value
                 idx += 1

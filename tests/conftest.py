@@ -4,10 +4,11 @@ suite (which also asserts their wall-clock budgets)."""
 
 import time
 import warnings
+from types import SimpleNamespace
 
 import pytest
 
-from ventrc import lti
+from ventrc import harness, lti
 from ventrc.errors import FitConvergenceWarning
 from ventrc.harness import SCENARIOS, ExperimentSpec, identify_all, run_experiment
 from ventrc.lti import FirKernel
@@ -29,6 +30,12 @@ def lift_builds(monkeypatch):
     monkeypatch.setattr(lti, "_LIFTS", {})
     monkeypatch.setattr(lti, "_build_lift", counting_build)
     return built
+
+
+@pytest.fixture
+def unguarded(monkeypatch):
+    """run_experiment without its stability guard, for runs of loops that the guard refuses."""
+    monkeypatch.setattr(harness, "check_stability", lambda *args: SimpleNamespace(passed=True))
 
 
 @pytest.fixture(scope="session")

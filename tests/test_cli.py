@@ -257,6 +257,26 @@ def test_mismatched_frf_grids_rejected(pipeline_dir, tmp_path, capsys, command):
     assert not (tmp_path / "rc.filterset").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["fit", "design", "check-stability"])
+def test_non_finite_frf_rejected(pipeline_dir, tmp_path, capsys, command, value):
+    # a response that is not finite fits nothing and certifies nothing
+    frf = tmp_path / "frf_adult_peep.csv"
+    lines = (pipeline_dir / "frf_adult_peep.csv").read_text().splitlines(keepends=True)
+    freq, _, imag = lines[3].split(",")
+    lines[3] = f"{freq},{value},{imag}"
+    frf.write_text("".join(lines))
+    out = tmp_path / "out"
+    options = {"fit": ["--scenario", "adult", "--out", str(out)],
+               "design": ["--scenario", "adult", "--out", str(out)],
+               "check-stability": ["--filterset", str(pipeline_dir / "rc_adult.filterset")]}
+    rc = main([command, "--frf-dir", str(tmp_path)] + options[command])
+    assert rc == 1
+    assert (f"error: {frf} (sample_time 0.002): frequencies and values must be finite"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_check_stability_command(pipeline_dir, tmp_path, capsys):
     report = tmp_path / "report.csv"
     rc = main(["check-stability", "--filterset", str(pipeline_dir / "rc_adult.filterset"),

@@ -21,7 +21,7 @@ from ventrc.harness import (
     run_full_pipeline,
 )
 from ventrc.lti import DiscreteTransferFunction
-from ventrc.plant import save_scenario, load_scenario, PatientScenario
+from ventrc.plant import save_scenario, load_scenario, reference_profile, PatientScenario
 from ventrc.rc_design import RcFilterSet
 
 
@@ -121,7 +121,7 @@ class TestRepetitiveRuns:
             run_experiment(ExperimentSpec(scenario="adult", mode="rc",
                                           breaths=2, filterset=bad))
 
-    def test_divergence_aborts_with_partial_log(self, design_outputs):
+    def test_divergence_aborts_with_partial_log(self, design_outputs, unguarded):
         fs = design_outputs["filterset"]
         lc = fs.l_causal
         flipped = DiscreteTransferFunction(-3.0 * lc.numerator_coeffs,
@@ -130,7 +130,7 @@ class TestRepetitiveRuns:
         bad = RcFilterSet(flipped, fs.l_shift, fs.q_kernel, fs.period_n)
         with pytest.raises(ExperimentDiverged) as err:
             run_experiment(ExperimentSpec(scenario="adult", mode="rc", breaths=12,
-                                          filterset=bad, skip_stability_guard=True))
+                                          filterset=bad))
         partial = err.value.partial_log
         assert partial is not None and not partial.complete
         assert len(partial.p_aw) > 0
@@ -285,4 +285,18 @@ def test_pid_and_rc_of_one_patient_build_each_lift_once(design_outputs, lift_bui
                                           filterset=filterset, output_limits=(0.0, 40.0)))
     loop_order = lift_builds[0][0]
     assert lift_builds[2:] == [(loop_order + 1, 5, lift_builds[0][2])]
-    assert len(lti._LIFTS) == 2
+    assert len(lti._LIFTS) == 3
+    # the limited pair of every built-in, twice: the limited benchmark
+    # workload's working set (three loops, their clamped loops and the
+    # learning filter) fits the memo, so the second pass builds no lift
+    built = []
+    for _ in range(2):
+        built.append(len(lift_builds))
+        for name in harness.SCENARIOS:
+            scenario, circuit = load_scenario(name)
+            bound = fs.with_period(len(reference_profile(scenario, circuit.sample_time)))
+            for mode, filterset in (("pid", None), ("rc", bound)):
+                run_experiment(ExperimentSpec(scenario=name, mode=mode, breaths=3,
+                                              filterset=filterset, output_limits=(0.0, 40.0)))
+    assert len(lift_builds) == built[1]
+    assert len(lti._LIFTS) <= lti.LIFT_MEMO

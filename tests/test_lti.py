@@ -79,6 +79,12 @@ class TestEvaluate:
         with pytest.raises(SingularityError, match="250"):
             evaluate(tf, [100.0, 250.0])
 
+    def test_overflow_names_frequency(self):
+        # |num| reaches 2e308 near DC: a value that is not finite certifies nothing
+        tf = DiscreteTransferFunction([1e308, 1e308], [1.0], 0, TS)
+        with pytest.raises(SingularityError, match="response overflows at 0.5 Hz"):
+            evaluate(tf, [0.5, 100.0])
+
 
 class TestFilterStream:
     def test_integrator_ramp(self):
@@ -204,6 +210,9 @@ def test_coefficient_file_round_trip(tmp_path):
     (lambda lines: ["tf -0.002 7"] + lines[1:], "sample_time must be positive, got -0.002"),
     (lambda lines: ["tf nan 7"] + lines[1:], "sample_time must be positive, got nan"),
     (lambda lines: ["tf inf 7"] + lines[1:], "sample_time must be finite, got inf"),
+    # a second value would silently replace the header's 2 ms
+    (lambda lines: lines[:1] + ["sample_time 0.001"] + lines[1:],
+     "field 'sample_time' appears twice"),
     (None, "cannot open: No such file or directory"),
 ])
 def test_truncated_coefficient_file_fails_closed(tmp_path, edit, message):
@@ -408,10 +417,10 @@ import sys
 from ventrc import (DiscreteTransferFunction, ExperimentSpec, FirKernel, RcFilterSet,
                     load_scenario, reference_profile, run_experiment)
 scenario, circuit = load_scenario("baby")
-lc = DiscreteTransferFunction([0.3, 0.1], [1.0, -0.2], 3, circuit.sample_time)
-fs = RcFilterSet(lc, 2, FirKernel([0.25, 0.5, 0.25]),
+lc = DiscreteTransferFunction([0.01, 0.005], [1.0, -0.2], 3, circuit.sample_time)
+fs = RcFilterSet(lc, 2, FirKernel([0.24875, 0.4975, 0.24875]),
                  len(reference_profile(scenario, circuit.sample_time)))
-run_experiment(ExperimentSpec("baby", "rc", breaths=2, filterset=fs, skip_stability_guard=True))
+run_experiment(ExperimentSpec("baby", "rc", breaths=2, filterset=fs))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 

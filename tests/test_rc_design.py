@@ -217,6 +217,8 @@ class TestFilterSet:
      "denominator leading (z^0) coefficient must be nonzero"),
     (lambda lines: [ln.replace("sample_time 0.002", "sample_time nan") for ln in lines],
      "sample_time must be positive, got nan"),
+    (lambda lines: lines + ["l_shift 14"], "field 'l_shift' appears twice"),
+    (lambda lines: ["nan" if ln == "0.2" else ln for ln in lines], "coefficients must be finite"),
     (None, "cannot open: No such file or directory"),
 ])
 def test_truncated_filterset_fails_closed(tmp_path, edit, message):
