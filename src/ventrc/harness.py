@@ -178,8 +178,8 @@ class ComparisonTable:
     """Per-breath baseline/candidate norms and their ratios.
 
     A ratio over a zero baseline norm is 0 for a zero candidate norm and inf
-    otherwise.  Norm arrays of unequal length, or of none, raise
-    ConfigurationError.
+    otherwise.  Norm arrays of unequal length, or of none, and a norm that is
+    not finite or is negative raise ConfigurationError.
     """
 
     scenario_name: str
@@ -195,6 +195,12 @@ class ComparisonTable:
             raise ConfigurationError(f"breath counts differ: {len(b)} vs {len(c)}")
         if len(b) == 0:
             raise ConfigurationError("no breaths to compare")
+        for label, norms in (("baseline", b), ("candidate", c)):
+            bad = np.flatnonzero(~(np.isfinite(norms) & (norms >= 0.0)))
+            if bad.size:
+                raise ConfigurationError(
+                    f"{label} norm of breath {bad[0] + 1} is {float(norms[bad[0]])}: "
+                    "norms must be finite and >= 0")
         self.ratios = np.divide(c, b, out=np.where(c == 0.0, 0.0, np.inf), where=b != 0.0)
         self.converged_ratio = float(np.mean(self.ratios[-5:]))
 
@@ -352,14 +358,19 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
     print(report.summary())
 
     comparisons: dict[str, ComparisonTable] = {}
+    rc_reports = None
     with _report_helper() as helper:
         for name, pid_spec in pid_specs.items():
             fs = filterset.with_period(periods[name])
-            save_filterset(fs, out_dir / f"rc_{name}.filterset")
             logs = []
             for spec in (pid_spec, replace(pid_spec, mode="rc", filterset=fs)):
                 print(f"running {name} / {spec.mode} for {breaths} breaths...")
                 logs.append(run_experiment(spec))
+            # the runs write nothing, so they overlap the helper's reports of the
+            # scenario before; its error is re-raised before this one's files
+            if rc_reports is not None:
+                rc_reports.result()
+            save_filterset(fs, out_dir / f"rc_{name}.filterset")
             # the helper writes the rc run's reports while this process writes
             # the pid run's and the comparison
             rc_reports = helper.submit(_emit_helper_report, logs[1], out_dir / name)
@@ -367,9 +378,9 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
             comparison = compare_runs(*logs)
             emit_comparison_report(*logs, comparison, out_dir / name)
             del logs   # only the comparison outlives the scenario's reports
-            rc_reports.result()   # re-raises the helper's error before the next scenario
             comparisons[name] = comparison
             print(f"  {name}: converged rc/pid norm ratio = {comparison.converged_ratio:.4f}")
+        rc_reports.result()
     return comparisons, report
 
 

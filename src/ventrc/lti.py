@@ -139,6 +139,8 @@ class FirKernel:
         self.taps = np.atleast_1d(np.asarray(self.taps, dtype=float))
         if self.taps.size % 2 == 0:
             raise ValueError(f"FirKernel needs an odd number of taps, got {self.taps.size}")
+        if not np.isfinite(self.taps).all():
+            raise ValueError("FirKernel taps must be finite")
         if not np.allclose(self.taps, self.taps[::-1], rtol=0.0,
                            atol=1e-12 * max(1.0, np.max(np.abs(self.taps)))):
             raise ValueError("FirKernel taps must be symmetric about the centre tap")
@@ -467,18 +469,19 @@ def write_table(path, header, columns) -> None:
     Each value is written as the repr of its Python number (`.tolist()`), so
     floats read back exactly and integer columns stay integers.  The bytes
     are csv.writer's.  The header goes through csv.writer, so a field that
-    needs quoting gets it.  The repr of a number holds no comma, space,
-    quote or line break, so a block of a column is formatted by one repr of
-    its list, split at ", ", and each row is its fields joined by commas and
-    ended by CRLF, as csv.writer would write it.
+    needs quoting gets it.  The repr of a number holds no comma, quote or
+    line break, so each block of TABLE_BLOCK_ROWS rows is formatted a column
+    at a time, one repr per value, and written in one write: its rows are
+    their fields joined by commas, each ended by CRLF, as csv.writer would
+    write them.
     """
     rows = min((len(column) for column in columns), default=0)
     with open_output(path, newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, rows, TABLE_BLOCK_ROWS):
             block = slice(start, start + TABLE_BLOCK_ROWS)
-            fields = [repr(column[block].tolist())[1:-1].split(", ") for column in columns]
-            fh.writelines(",".join(row) + "\r\n" for row in zip(*fields))
+            fields = [map(repr, column[block].tolist()) for column in columns]
+            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 
 def read_table(path, header) -> np.ndarray:

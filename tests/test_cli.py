@@ -380,6 +380,21 @@ def test_compare_rejects_unequal_breath_counts(tmp_path, capsys):
     assert capsys.readouterr().err == "error: breath counts differ: 2 vs 1\n"
 
 
+def test_compare_rejects_a_norm_that_is_not_finite(pipeline_dir, tmp_path, capsys):
+    # all's rc norms with the last breath's norm replaced by nan
+    pid = pipeline_dir / "adult" / "adult_pid_breath_norms.csv"
+    breath, norms = read_table(pipeline_dir / "adult" / "adult_rc_breath_norms.csv", NORMS_HEADER)
+    norms[-1] = float("nan")
+    bad = tmp_path / "adult_rc_breath_norms.csv"
+    write_table(bad, NORMS_HEADER, [breath.astype(int), norms])
+    rc = main(["compare", "--baseline", str(pid), "--candidate", str(bad)])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: candidate norm of breath {len(norms)} is nan: "
+                   "norms must be finite and >= 0\n")
+
+
 IDENTIFY = ["identify", "--scenario", "adult", "--level", "peep"]
 
 
@@ -529,7 +544,10 @@ def test_all_reports_helper_write_error(tmp_path, capsys):
     rc = main(["all", "--out-dir", str(tmp_path), "--breaths", "2"])
     assert rc == 1
     assert f"error: {blocked}: cannot write: " in capsys.readouterr().err
+    # the next scenario's runs overlap the helper's reports, but none of its
+    # files is written
     assert not (tmp_path / "pediatric").exists()
+    assert not (tmp_path / "rc_pediatric.filterset").exists()
     assert multiprocessing.active_children() == []
 
 

@@ -183,6 +183,17 @@ class TestCompare:
         with pytest.raises(ConfigurationError, match=message):
             ComparisonTable("x", np.array(baseline), np.array(candidate))
 
+    @pytest.mark.parametrize("baseline, candidate, message", [
+        ([1.0, 2.0], [1.0, np.nan], "candidate norm of breath 2 is nan"),
+        ([np.inf, 2.0], [1.0, 1.0], "baseline norm of breath 1 is inf"),
+        ([1.0, -0.5], [1.0, 1.0], "baseline norm of breath 2 is -0.5"),
+    ])
+    def test_norms_not_finite_or_negative_rejected(self, baseline, candidate, message):
+        # a nan norm would give a nan ratio and a nan converged ratio
+        with pytest.raises(ConfigurationError) as exc:
+            ComparisonTable("x", np.array(baseline), np.array(candidate))
+        assert str(exc.value) == f"{message}: norms must be finite and >= 0"
+
     def test_mismatched_lengths_rejected(self, experiment_logs):
         a = experiment_logs["logs"][("adult", "pid")]
         short = run_experiment(ExperimentSpec(scenario="adult", mode="pid", breaths=2))

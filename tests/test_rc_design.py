@@ -219,6 +219,9 @@ class TestFilterSet:
      "sample_time must be positive, got nan"),
     (lambda lines: lines + ["l_shift 14"], "field 'l_shift' appears twice"),
     (lambda lines: ["nan" if ln == "0.2" else ln for ln in lines], "coefficients must be finite"),
+    # a nan tap is not finite; it is not reported as breaking the symmetry
+    (lambda lines: lines[:lines.index("q_taps 51") + 1] + ["nan"] + lines[lines.index("q_taps 51") + 2:],
+     "FirKernel taps must be finite"),
     (None, "cannot open: No such file or directory"),
 ])
 def test_truncated_filterset_fails_closed(tmp_path, edit, message):
