@@ -9,6 +9,7 @@ normalized by breath length.
 
 from __future__ import annotations
 
+import operator
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -68,6 +69,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in ("pid", "rc"):
             raise ConfigurationError(f"mode must be 'pid' or 'rc', got {self.mode!r}")
+        _check_integer("breaths", self.breaths)
+        if self.seed is not None:
+            _check_integer("seed", self.seed)
         if self.breaths < 1:
             raise ConfigurationError("breaths must be >= 1")
         if self.seed is not None and not self.seed >= 0:
@@ -79,6 +83,13 @@ class ExperimentSpec:
         limits = self.output_limits   # written so that NaN fails too
         if limits is not None and not (np.shape(limits) == (2,) and limits[0] < limits[1]):
             raise ConfigurationError(f"output_limits must be a pair lo < hi, got {limits!r}")
+
+
+def _check_integer(name: str, value) -> None:
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -310,8 +321,9 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
                       ) -> tuple[dict[str, ComparisonTable], StabilityReport]:
     """The whole workflow on SCENARIOS: identify x(2 per scenario) -> average
     -> fit -> design -> stability checks -> run pid and rc per scenario ->
-    compare.  Progress is printed.  Returns each scenario's comparison and
-    the stability report of the design.
+    compare, and only then every scenario's reports.  Progress is printed.
+    Returns each scenario's comparison and the stability report of the
+    design.
 
     Identification runs with the sensor-noise hook on (design-grade realism:
     the high-frequency scatter is what forces the robustness filter, exactly
@@ -357,29 +369,35 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
     print(f"stability with the {cutoff_hz:g} Hz / order-{q_order} filter:")
     print(report.summary())
 
-    comparisons: dict[str, ComparisonTable] = {}
+    # every run comes before the helper is forked: the fork stops OpenBLAS's
+    # thread pool, and a BLAS call in this process after it would restart the
+    # pool, whose spinning threads slow both processes' writes.  So this
+    # process makes no BLAS call once the helper exists.
+    filtersets, logs, comparisons = {}, {}, {}
+    for name, pid_spec in pid_specs.items():
+        filtersets[name] = filterset.with_period(periods[name])
+        logs[name] = []
+        for spec in (pid_spec, replace(pid_spec, mode="rc", filterset=filtersets[name])):
+            print(f"running {name} / {spec.mode} for {breaths} breaths...")
+            logs[name].append(run_experiment(spec))
+        comparisons[name] = compare_runs(*logs[name])
+        print(f"  {name}: converged rc/pid norm ratio = "
+              f"{comparisons[name].converged_ratio:.4f}")
+
     rc_reports = None
     with _report_helper() as helper:
-        for name, pid_spec in pid_specs.items():
-            fs = filterset.with_period(periods[name])
-            logs = []
-            for spec in (pid_spec, replace(pid_spec, mode="rc", filterset=fs)):
-                print(f"running {name} / {spec.mode} for {breaths} breaths...")
-                logs.append(run_experiment(spec))
-            # the runs write nothing, so they overlap the helper's reports of the
-            # scenario before; its error is re-raised before this one's files
+        for name in pid_specs:
+            # only the comparison outlives the scenario's reports
+            pid_log, rc_log = logs.pop(name)
+            # the helper's error is re-raised before this scenario's files
             if rc_reports is not None:
                 rc_reports.result()
-            save_filterset(fs, out_dir / f"rc_{name}.filterset")
+            save_filterset(filtersets[name], out_dir / f"rc_{name}.filterset")
             # the helper writes the rc run's reports while this process writes
             # the pid run's and the comparison
-            rc_reports = helper.submit(_emit_helper_report, logs[1], out_dir / name)
-            emit_report(logs[0], out_dir / name)
-            comparison = compare_runs(*logs)
-            emit_comparison_report(*logs, comparison, out_dir / name)
-            del logs   # only the comparison outlives the scenario's reports
-            comparisons[name] = comparison
-            print(f"  {name}: converged rc/pid norm ratio = {comparison.converged_ratio:.4f}")
+            rc_reports = helper.submit(_emit_helper_report, rc_log, out_dir / name)
+            emit_report(pid_log, out_dir / name)
+            emit_comparison_report(pid_log, rc_log, comparisons[name], out_dir / name)
         rc_reports.result()
     return comparisons, report
 

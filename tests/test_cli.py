@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from ventrc import harness
 from ventrc.cli import build_parser, main
+from ventrc.errors import ExperimentDiverged
 from ventrc.harness import BREATHS, IDENT_JOBS, IDENT_LEVELS, NORMS_HEADER, SEED, TRACE_HEADER
 from ventrc.rc_design import (
     MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER, RcFilterSet, check_stability, design_q_fir,
@@ -544,10 +546,29 @@ def test_all_reports_helper_write_error(tmp_path, capsys):
     rc = main(["all", "--out-dir", str(tmp_path), "--breaths", "2"])
     assert rc == 1
     assert f"error: {blocked}: cannot write: " in capsys.readouterr().err
-    # the next scenario's runs overlap the helper's reports, but none of its
-    # files is written
+    # every run precedes the reports, but none of the next scenario's files
+    # is written
     assert not (tmp_path / "pediatric").exists()
     assert not (tmp_path / "rc_pediatric.filterset").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_all_stops_at_a_failed_run_before_any_report(tmp_path, capsys, monkeypatch):
+    # every run precedes the first report: a run that fails stops `all` before
+    # any scenario's reports or filter set is written
+    run = harness.run_experiment
+
+    def failing_run(spec):
+        if (spec.scenario, spec.mode) == ("pediatric", "rc"):
+            raise ExperimentDiverged("pediatric rc diverged")
+        return run(spec)
+
+    monkeypatch.setattr(harness, "run_experiment", failing_run)
+    rc = main(["all", "--out-dir", str(tmp_path), "--breaths", "2"])
+    assert rc == 1
+    assert "error: pediatric rc diverged" in capsys.readouterr().err
+    assert not (tmp_path / "adult").exists()
+    assert list(tmp_path.glob("rc_*.filterset")) == []
     assert multiprocessing.active_children() == []
 
 

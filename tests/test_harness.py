@@ -1,6 +1,7 @@
 import inspect
 import math
 import multiprocessing
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -42,6 +43,18 @@ class TestExperimentSpec:
     def test_zero_breaths_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentSpec(scenario="adult", mode="pid", breaths=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("breaths", 2.5), ("breaths", "3"), ("breaths", None), ("breaths", np.float64(3.0)),
+        ("seed", 1.5), ("seed", "1")])
+    def test_non_integer_breaths_or_seed_rejected(self, field, value):
+        with pytest.raises(ConfigurationError,
+                           match=rf"^{field} must be an integer, got {re.escape(repr(value))}$"):
+            ExperimentSpec(scenario="adult", mode="pid", **{field: value})
+
+    def test_integer_types_accepted(self):
+        spec = ExperimentSpec(scenario="adult", mode="pid", breaths=np.int64(3), seed=None)
+        assert spec.breaths == 3
 
     @pytest.mark.parametrize("limits", [
         (math.nan, 40.0), (0.0, math.nan), (0.0, 40.0, 1.0), (0.0,), (40.0, 0.0), 40.0])
@@ -265,6 +278,34 @@ class TestFullPipeline:
                 assert len((tmp_path / name / f"{name}_{mode}_trace.csv").read_text()
                            .splitlines()) > 1
         assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 43
+
+    @pytest.mark.filterwarnings("ignore::ventrc.errors.FitConvergenceWarning")
+    def test_every_run_precedes_the_first_report(self, tmp_path, monkeypatch):
+        # the helper is forked only after the last run, so that this process
+        # makes no BLAS call while the two processes write
+        calls = []
+        run, emit = harness.run_experiment, harness.emit_report
+
+        def recording_run(spec):
+            calls.append(("run", spec.scenario, spec.mode))
+            return run(spec)
+
+        def recording_emit(log, out_dir):
+            calls.append(("report", log.scenario_name, log.mode))
+            return emit(log, out_dir)
+
+        monkeypatch.setattr(harness, "run_experiment", recording_run)
+        monkeypatch.setattr(harness, "emit_report", recording_emit)
+        run_full_pipeline(tmp_path, breaths=2)
+        # this process writes the pid reports; the helper's calls are its own
+        runs = [("run", name, mode) for name in harness.SCENARIOS for mode in ("pid", "rc")]
+        reports = [("report", name, "pid") for name in harness.SCENARIOS]
+        assert calls == runs + reports
+
+    def test_non_integer_breaths_rejected_before_identification(self, tmp_path):
+        with pytest.raises(ConfigurationError, match=r"^breaths must be an integer, got 2\.5$"):
+            run_full_pipeline(tmp_path, breaths=2.5)
+        assert list(tmp_path.glob("frf_*.csv")) == []
 
 
 def test_identification_protocol_takes_only_a_seed():
