@@ -26,6 +26,7 @@ from .lti import (
     FrequencyResponse,
     evaluate,
     save_transfer_function,
+    sorted_distinct,
     write_table,
 )
 from .plant import VentilatorPlant, load_scenario, reference_profile
@@ -285,7 +286,7 @@ def design_excitation_bins(sample_time: float) -> np.ndarray:
     nyq = 0.5 / sample_time
     lin = np.linspace(nyq / 500.0, nyq * 0.998, 400)
     log = np.logspace(np.log10(nyq / 1000.0), np.log10(nyq / 5.0), 150)
-    return np.unique(np.concatenate([lin, log]))
+    return sorted_distinct(np.concatenate([lin, log]))
 
 
 def identify(scenario: str | Path, level: str, seed: int = SEED) -> FrequencyResponse:

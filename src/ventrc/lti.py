@@ -39,6 +39,20 @@ def hz_to_rad_per_sample(frequencies_hz, sample_time: float) -> np.ndarray:
     return 2.0 * np.pi * np.asarray(frequencies_hz, dtype=float) * sample_time
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """The flattened values sorted, each run of equal values kept once.
+
+    Without NaN or -0.0 in `values` this is exactly np.unique(values), same
+    dtype and bytes; np.unique is not used because its first call in a
+    process imports numpy.ma (5.8 ms with numpy 2.4), which ventrc never uses.
+    """
+    v = np.sort(np.asarray(values), axis=None)
+    keep = np.empty(v.shape, dtype=bool)
+    keep[:1] = True
+    np.not_equal(v[1:], v[:-1], out=keep[1:])
+    return v[keep]
+
+
 def check_sample_time(sample_time: float) -> None:
     """Raise ValueError unless 0 < sample_time < inf; NaN fails too."""
     if not sample_time > 0:

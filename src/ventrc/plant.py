@@ -303,11 +303,14 @@ SCENARIO_SECTIONS = {
 }
 
 
+def _builtin_names() -> list[str]:
+    return sorted(p.stem for p in _SCENARIO_DIR.glob("*.cfg"))
+
+
 def builtin_scenario_path(name: str) -> Path:
     path = _SCENARIO_DIR / f"{name}.cfg"
     if not path.exists():
-        known = sorted(p.stem for p in _SCENARIO_DIR.glob("*.cfg"))
-        raise ConfigurationError(f"unknown scenario {name!r}; built-ins: {known}")
+        raise ConfigurationError(f"unknown scenario {name!r}; built-ins: {_builtin_names()}")
     return path
 
 
@@ -316,7 +319,12 @@ def resolve_scenario_path(name_or_path) -> Path:
     p = Path(name_or_path)
     if p.exists():
         return p
-    return builtin_scenario_path(p.stem if p.suffix == ".cfg" else str(name_or_path))
+    name = p.stem if p.suffix == ".cfg" else str(name_or_path)
+    path = _SCENARIO_DIR / f"{name}.cfg"
+    if not path.exists():
+        raise ConfigurationError(f"scenario {str(name_or_path)!r}: no such file, and not a "
+                                 f"built-in; built-ins: {_builtin_names()}")
+    return path
 
 
 def _parse_failure(exc: configparser.Error) -> str:

@@ -22,6 +22,7 @@ from .lti import (
     FrequencyResponse,
     evaluate,
     hz_to_rad_per_sample,
+    sorted_distinct,
     write_coefficient_file,
     write_table,
 )
@@ -220,7 +221,7 @@ def default_stability_grid(sample_time: float = 0.002) -> np.ndarray:
     nyquist = 0.5 / sample_time
     lin = np.linspace(nyquist / 1000, nyquist, 1000)
     log = np.logspace(np.log10(nyquist / 2500), np.log10(nyquist / 5.0), 200)
-    return np.unique(np.concatenate([lin, log]))
+    return sorted_distinct(np.concatenate([lin, log]))
 
 
 def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: int,

@@ -21,6 +21,7 @@ from .lti import (
     FrequencyResponse,
     hz_to_rad_per_sample,
     read_table,
+    sorted_distinct,
     write_table,
 )
 
@@ -65,7 +66,7 @@ class MultisineSpec:
         """Requested frequencies snapped to the multisine's integer DFT bins."""
         k = np.round(np.asarray(self.bins_hz, dtype=float)
                      * self.period_samples * sample_time).astype(int)
-        k = np.unique(k[(k >= 1) & (k <= self.period_samples // 2 - 1)])
+        k = sorted_distinct(k[(k >= 1) & (k <= self.period_samples // 2 - 1)])
         if k.size == 0:
             raise IdentificationError("no excitation bins fall inside (0, Nyquist)")
         return k

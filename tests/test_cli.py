@@ -341,6 +341,16 @@ def test_unknown_scenario_errors(tmp_path, capsys):
     assert "built-ins" in capsys.readouterr().err
 
 
+def test_missing_scenario_file_named_as_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["run", "--scenario", "runs/p7.cfg", "--out-dir", "out"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "scenario 'runs/p7.cfg': no such file, and not a built-in" in err
+    assert "built-ins: ['adult', 'baby', 'pediatric']" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_rejects_bad_scenario_value(tmp_path, capsys):
     from ventrc.plant import load_scenario, save_scenario
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ventrc
-from ventrc import lti
+from ventrc import harness, lti, rc_design, sysid
 from ventrc.closed_loop import ClosedLoop
 from ventrc.errors import ConfigurationError, SingularityError
 from ventrc.lti import (
@@ -29,6 +30,7 @@ from ventrc.lti import (
     save_transfer_function,
     write_table,
 )
+from ventrc.plant import load_scenario
 
 from filter_reference import UnstableFilterWarning, filter_stream
 from lifted_reference import per_chunk_run, stacked_lift
@@ -413,23 +415,81 @@ def test_lift_arrays_refuse_writes(lift_builds):
 
 
 RC_RUN_PROBE = """
+import json
 import sys
-from ventrc import (DiscreteTransferFunction, ExperimentSpec, FirKernel, RcFilterSet,
-                    load_scenario, reference_profile, run_experiment)
+import warnings
+import numpy
+eager = "numpy.ma" in sys.modules
+from ventrc import (ExperimentSpec, design_pipeline, load_scenario, reference_profile,
+                    run_experiment)
+from ventrc.harness import identify
 scenario, circuit = load_scenario("baby")
-lc = DiscreteTransferFunction([0.01, 0.005], [1.0, -0.2], 3, circuit.sample_time)
-fs = RcFilterSet(lc, 2, FirKernel([0.24875, 0.4975, 0.24875]),
-                 len(reference_profile(scenario, circuit.sample_time)))
+frf = identify("baby", "peep")
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    fs, _ = design_pipeline({"baby_peep": frf}, frf,
+                            period_n=len(reference_profile(scenario, circuit.sample_time)))
 run_experiment(ExperimentSpec("baby", "rc", breaths=2, filterset=fs))
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(json.dumps({"scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"),
+                  "numpy.ma": ["numpy.ma" in sys.modules, eager]}))
 """
 
 
 def test_import_does_not_load_scipy_signal():
-    # scipy.signal takes about a second to import; ventrc runs, the learning
-    # filter included, on numpy alone
+    # scipy.signal takes about a second to import; ventrc identifies, designs
+    # and runs, the learning filter included, on numpy alone. numpy.ma (loaded
+    # by np.unique's first call in numpy 2.x) is loaded only if importing
+    # numpy loads it
     src = Path(ventrc.__file__).resolve().parent.parent
     out = subprocess.run([sys.executable, "-c", RC_RUN_PROBE], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
-    assert out.stdout.strip() == "[]"
+    loaded = json.loads(out.stdout)
+    assert loaded["scipy"] == []
+    after_run, after_import = loaded["numpy.ma"]
+    assert after_run == after_import
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("scenario", ["adult", "pediatric", "baby"])
+def test_grids_as_with_np_unique(scenario):
+    ts = load_scenario(scenario)[1].sample_time
+
+    def grids():
+        spec = sysid.MultisineSpec(bins_hz=harness.design_excitation_bins(ts),
+                                   period_samples=round(4.0 / ts))
+        return (rc_design.default_stability_grid(ts), harness.design_excitation_bins(ts),
+                spec.snapped_bins(ts))
+
+    got = grids()
+    with mock.patch.object(rc_design, "sorted_distinct", np.unique), \
+            mock.patch.object(harness, "sorted_distinct", np.unique), \
+            mock.patch.object(sysid, "sorted_distinct", np.unique):
+        want = grids()
+    for g, w in zip(got, want):
+        assert_same_array(g, w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(1e-300, 1e300), max_size=40), st.integers(1, 5))
+def test_sorted_distinct_matches_np_unique_on_positive_floats(values, repeat):
+    drawn = np.array(values * repeat, dtype=float)
+    assert_same_array(lti.sorted_distinct(drawn), np.unique(drawn))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-1000, 1000), max_size=60), st.integers(1, 4))
+def test_sorted_distinct_matches_np_unique_on_integers(values, repeat):
+    drawn = np.array(values * repeat, dtype=int)
+    assert_same_array(lti.sorted_distinct(drawn), np.unique(drawn))
+
+
+@pytest.mark.parametrize("dtype", [float, int])
+def test_sorted_distinct_of_nothing(dtype):
+    assert_same_array(lti.sorted_distinct(np.array([], dtype=dtype)),
+                      np.unique(np.array([], dtype=dtype)))
 

@@ -89,6 +89,12 @@ class TestEstimateFrf:
         k = spec.snapped_bins(TS)
         assert list(k) == [2, 80]  # 1 Hz -> bin 2, 40 Hz -> bin 80 at 0.5 Hz spacing
 
+    def test_no_bin_inside_nyquist_fails_closed(self):
+        # every bin is dropped, so an empty array reaches the deduplication
+        spec = MultisineSpec(bins_hz=[0.1, 300.0], period_samples=1000)
+        with pytest.raises(IdentificationError, match="no excitation bins"):
+            spec.snapped_bins(TS)
+
     def test_explicit_frequency_grid_overrides_spec(self):
         plant, controller, _ = analytic_closed_loop()
         spec = MultisineSpec(bins_hz=[2.0, 11.0, 30.0], periods_recorded=2,
