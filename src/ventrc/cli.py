@@ -29,8 +29,8 @@ from .harness import (
 from .lti import read_table, save_transfer_function
 from .plant import load_scenario, reference_profile
 from .rc_design import (
-    FIT_DELAY_SAMPLES, FIT_ORDER, GRID_REACH, MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER,
-    check_stability, design_pipeline, fit_loop_model, load_filterset, save_filterset,
+    FIT_DELAY_SAMPLES, FIT_ORDER, GRID_REACH, Q_CUTOFF_HZ, check_stability, design_pipeline,
+    fit_loop_model, load_filterset, save_filterset,
 )
 from .sysid import average_frf, load_frf, save_frf
 
@@ -83,10 +83,8 @@ def _cmd_fit(args) -> int:
 
 def _cmd_design(args) -> int:
     frfs, mean_frf, period_n = _design_inputs(args)
-    filterset, report = design_pipeline(
-        frfs, mean_frf, cutoff_hz=args.cutoff_hz, q_order=args.q_order,
-        period_n=period_n, min_margin=args.min_margin,
-    )
+    filterset, report = design_pipeline(frfs, mean_frf, cutoff_hz=args.cutoff_hz,
+                                        period_n=period_n)
     save_filterset(filterset, args.out)
     print(report.summary())
     print(f"wrote filter set to {args.out}")
@@ -137,13 +135,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_all(args) -> int:
     comparisons, report = run_full_pipeline(
-        args.out_dir,
-        breaths=args.breaths,
-        cutoff_hz=args.cutoff_hz,
-        q_order=args.q_order,
-        seed=args.seed,
-        min_margin=args.min_margin,
-    )
+        args.out_dir, breaths=args.breaths, cutoff_hz=args.cutoff_hz, seed=args.seed)
     print("\nsummary:")
     for name, comparison in comparisons.items():
         print(f"  {name}: converged rc/pid ratio {comparison.converged_ratio:.4f}")
@@ -177,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frf-dir", required=True)
     p.add_argument("--scenario", required=True)
     p.add_argument("--cutoff-hz", type=float, default=Q_CUTOFF_HZ)
-    p.add_argument("--q-order", type=int, default=Q_ORDER)
-    p.add_argument("--min-margin", type=float, default=MIN_MARGIN)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_design)
 
@@ -208,8 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--breaths", type=int, default=BREATHS)
     p.add_argument("--cutoff-hz", type=float, default=Q_CUTOFF_HZ)
-    p.add_argument("--q-order", type=int, default=Q_ORDER)
-    p.add_argument("--min-margin", type=float, default=MIN_MARGIN)
     p.add_argument("--seed", type=int, default=SEED)
     p.set_defaults(func=_cmd_all)
 

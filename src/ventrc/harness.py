@@ -31,7 +31,7 @@ from .lti import (
 )
 from .plant import VentilatorPlant, load_scenario, reference_profile
 from .rc_design import (
-    FIT_DELAY_SAMPLES, FIT_ORDER, MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER, RcFilterSet, StabilityReport,
+    FIT_DELAY_SAMPLES, FIT_ORDER, Q_CUTOFF_HZ, Q_ORDER, RcFilterSet, StabilityReport,
     check_q_fir, check_stability, default_stability_grid, design_pipeline, load_filterset,
     save_filterset,
 )
@@ -65,17 +65,16 @@ class ExperimentSpec:
     filterset: RcFilterSet | str | Path | None = None
     output_limits: tuple[float, float] | None = None
     measurement_noise_rms: float = 0.0
-    seed: int | None = SEED
+    seed: int = SEED
 
     def __post_init__(self):
         if self.mode not in ("pid", "rc"):
             raise ConfigurationError(f"mode must be 'pid' or 'rc', got {self.mode!r}")
         _check_integer("breaths", self.breaths)
-        if self.seed is not None:
-            _check_integer("seed", self.seed)
+        _check_integer("seed", self.seed)
         if self.breaths < 1:
             raise ConfigurationError("breaths must be >= 1")
-        if self.seed is not None and not self.seed >= 0:
+        if not self.seed >= 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.mode == "rc" and self.filterset is None:
             raise ConfigurationError("rc mode needs a filterset")
@@ -318,8 +317,7 @@ def identify_all(seed: int = SEED) -> dict[str, FrequencyResponse]:
 
 
 def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTOFF_HZ,
-                      q_order: int = Q_ORDER, seed: int = SEED, min_margin: float = MIN_MARGIN
-                      ) -> tuple[dict[str, ComparisonTable], StabilityReport]:
+                      seed: int = SEED) -> tuple[dict[str, ComparisonTable], StabilityReport]:
     """The whole workflow on SCENARIOS: identify x(2 per scenario) -> average
     -> fit -> design -> stability checks -> run pid and rc per scenario ->
     compare, and only then every scenario's reports.  Progress is printed.
@@ -341,9 +339,7 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
                for name, (scenario, circuit) in loaded.items()}
     # the robustness filter is designed at the sample time of the mean
     # response, which is the first scenario's
-    check_q_fir(cutoff_hz, q_order, loaded[SCENARIOS[0]][1].sample_time)
-    if not min_margin >= 0:   # written so that NaN fails too
-        raise ConfigurationError(f"min_margin must be >= 0, got {min_margin}")
+    check_q_fir(cutoff_hz, Q_ORDER, loaded[SCENARIOS[0]][1].sample_time)
 
     print("identifying complementary-sensitivity responses "
           f"({len(SCENARIOS)} scenarios x {len(IDENT_LEVELS)} levels)...")
@@ -355,10 +351,8 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
 
     print(f"fitting order-{FIT_ORDER} model with {FIT_DELAY_SAMPLES}-sample delay "
           "and synthesizing the filter set...")
-    filterset, report = design_pipeline(
-        frfs, mean_frf, cutoff_hz=cutoff_hz, q_order=q_order, period_n=periods[SCENARIOS[0]],
-        min_margin=min_margin,
-    )
+    filterset, report = design_pipeline(frfs, mean_frf, cutoff_hz=cutoff_hz,
+                                        period_n=periods[SCENARIOS[0]])
     save_transfer_function(filterset.t_fit, out_dir / "tfit.coeff")
 
     report_no_q = check_stability(FirKernel([1.0]),
@@ -367,7 +361,7 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
     report.save_csv(out_dir / "stability_report.csv")
     print("stability without robustness filter (expected to fail):")
     print(report_no_q.summary())
-    print(f"stability with the {cutoff_hz:g} Hz / order-{q_order} filter:")
+    print(f"stability with the {cutoff_hz:g} Hz / order-{Q_ORDER} filter:")
     print(report.summary())
 
     # every run comes before the helper is forked: the fork stops OpenBLAS's

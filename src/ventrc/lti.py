@@ -584,10 +584,8 @@ class CoefficientFile:
             self._arrays[name] = [parse_field(path, name, v, float) for v in body]
             idx += 1 + count
 
-    def scalar(self, field: str, kind, default=None):
+    def scalar(self, field: str, kind):
         if field not in self._scalars:
-            if default is not None:
-                return default
             raise ConfigurationError(f"{self.path}: missing field {field!r}")
         return parse_field(self.path, field, self._scalars[field], kind)
 

@@ -307,24 +307,17 @@ def _builtin_names() -> list[str]:
     return sorted(p.stem for p in _SCENARIO_DIR.glob("*.cfg"))
 
 
-def builtin_scenario_path(name: str) -> Path:
-    path = _SCENARIO_DIR / f"{name}.cfg"
-    if not path.exists():
-        raise ConfigurationError(f"unknown scenario {name!r}; built-ins: {_builtin_names()}")
-    return path
-
-
 def resolve_scenario_path(name_or_path) -> Path:
-    """Accept a filesystem path or a built-in scenario name (with/without .cfg)."""
+    """The scenario file that name_or_path names.  An existing file is that
+    file; anything else must be a bare built-in name, with or without .cfg."""
     p = Path(name_or_path)
-    if p.exists():
+    if p.is_file():
         return p
-    name = p.stem if p.suffix == ".cfg" else str(name_or_path)
-    path = _SCENARIO_DIR / f"{name}.cfg"
-    if not path.exists():
+    builtin = _SCENARIO_DIR / f"{p.name.removesuffix('.cfg')}.cfg"
+    if str(name_or_path) != p.name or not builtin.is_file():
         raise ConfigurationError(f"scenario {str(name_or_path)!r}: no such file, and not a "
                                  f"built-in; built-ins: {_builtin_names()}")
-    return path
+    return builtin
 
 
 def _parse_failure(exc: configparser.Error) -> str:

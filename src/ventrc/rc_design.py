@@ -31,15 +31,16 @@ from .sysid import fit_rational
 # the mean response is fitted only where it is trustworthy, with relative
 # (1/|T|) weighting
 FIT_BAND_HZ = (0.0, 40.0)
-# the paper's design choices: the loop model's fit order and delay in
-# samples, which every design uses, then the defaults of every design entry
-# point: the robustness filter's cutoff and order, and how far below one the
-# small-gain bound must stay
+# the paper's design choices, which every design uses: the loop model's fit
+# order and delay in samples, the robustness filter's order, and how far
+# below one the small-gain bound must stay
 FIT_ORDER = 4
 FIT_DELAY_SAMPLES = 12
-Q_CUTOFF_HZ = 23.0
 Q_ORDER = 50
 MIN_MARGIN = 0.05
+# the one design setting: the robustness filter's cutoff, which trades
+# robustness against tracking; this is its default
+Q_CUTOFF_HZ = 23.0
 # a grid reaches Nyquist when its top bin is at least this fraction of it:
 # excited multisine grids stop one bin short
 GRID_REACH = 0.98
@@ -268,19 +269,17 @@ def fit_loop_model(mean_frf: FrequencyResponse) -> DiscreteTransferFunction:
 
 
 def design_pipeline(frfs: dict[str, FrequencyResponse], mean_frf: FrequencyResponse, *,
-                    cutoff_hz: float = Q_CUTOFF_HZ, q_order: int = Q_ORDER,
-                    period_n: int,
-                    min_margin: float = MIN_MARGIN) -> tuple[RcFilterSet, StabilityReport]:
-    """Chain fit_loop_model -> inversion -> lowpass design -> stability check.
+                    cutoff_hz: float = Q_CUTOFF_HZ,
+                    period_n: int) -> tuple[RcFilterSet, StabilityReport]:
+    """Chain fit_loop_model -> inversion -> order-Q_ORDER lowpass design ->
+    stability check.
 
     Raises DesignError (with the report attached) if the bound fails or the
-    margin is below min_margin.
+    margin is below MIN_MARGIN.
     """
-    if not min_margin >= 0:   # written so that NaN fails too
-        raise ConfigurationError(f"min_margin must be >= 0, got {min_margin}")
     t_fit = fit_loop_model(mean_frf)
     l_causal, l_shift = zpetc_invert(t_fit)
-    q_kernel = design_q_fir(cutoff_hz, q_order, mean_frf.sample_time)
+    q_kernel = design_q_fir(cutoff_hz, Q_ORDER, mean_frf.sample_time)
     filterset = RcFilterSet(l_causal, l_shift, q_kernel, period_n)
     filterset.t_fit = t_fit
     report = check_stability(q_kernel, l_causal, l_shift, frfs)
@@ -289,9 +288,9 @@ def design_pipeline(frfs: dict[str, FrequencyResponse], mean_frf: FrequencyRespo
             f"stability bound failed: overall max {report.overall_max:.4f} >= 1",
             report=report,
         )
-    if report.margin < min_margin:
+    if report.margin < MIN_MARGIN:
         raise DesignError(
-            f"stability margin {report.margin:.4f} below required {min_margin}",
+            f"stability margin {report.margin:.4f} below required {MIN_MARGIN}",
             report=report,
         )
     return filterset, report
@@ -319,7 +318,7 @@ def save_filterset(filterset: RcFilterSet, path) -> None:
 def load_filterset(path) -> RcFilterSet:
     f = CoefficientFile(path, FILTERSET_HEADER, ("l_num", "l_den", "q_taps"))
     l_num, l_den, q_taps = f.array("l_num"), f.array("l_den"), f.array("q_taps")
-    l_delay, sample_time = f.scalar("l_delay", int, default=0), f.scalar("sample_time", float)
+    l_delay, sample_time = f.scalar("l_delay", int), f.scalar("sample_time", float)
     l_shift, q_shift = f.scalar("l_shift", int), f.scalar("q_shift", int)
     period_n = f.scalar("period_n", int)
     try:

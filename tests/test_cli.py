@@ -12,14 +12,13 @@ from ventrc.cli import build_parser, main
 from ventrc.errors import ExperimentDiverged
 from ventrc.harness import BREATHS, IDENT_JOBS, IDENT_LEVELS, NORMS_HEADER, SEED, TRACE_HEADER
 from ventrc.rc_design import (
-    MIN_MARGIN, Q_CUTOFF_HZ, Q_ORDER, RcFilterSet, check_stability, design_q_fir,
-    load_filterset, save_filterset,
+    Q_CUTOFF_HZ, RcFilterSet, check_stability, design_q_fir, load_filterset, save_filterset,
 )
 from ventrc.lti import (
     DiscreteTransferFunction, FrequencyResponse, load_transfer_function, read_table,
     save_transfer_function, write_table,
 )
-from ventrc.plant import builtin_scenario_path, load_scenario, save_scenario
+from ventrc.plant import load_scenario, resolve_scenario_path, save_scenario
 from ventrc.sysid import load_frf, save_frf
 
 # the noisy design-grade fit legitimately stops at the iteration cap
@@ -78,7 +77,7 @@ def test_written_files_read_back_bit_for_bit(pipeline_dir, tmp_path):
     rewrite(tfit, lambda copy: save_transfer_function(load_transfer_function(tfit), copy))
 
 
-DESIGN_DEFAULTS = {"cutoff_hz": Q_CUTOFF_HZ, "q_order": Q_ORDER, "min_margin": MIN_MARGIN}
+DESIGN_DEFAULTS = {"cutoff_hz": Q_CUTOFF_HZ}
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -203,7 +202,7 @@ def adult_with(path, **changes):
 
 
 @pytest.mark.parametrize("options, message", [
-    (["--q-order", "3"], "order must be a positive even integer, got 3"),
+    (["--cutoff-hz", "nan"], "cutoff must lie in (0, 250.0) Hz, got nan"),
     (["--cutoff-hz", "0"], "cutoff must lie in (0, 250.0) Hz, got 0.0"),
     # a 60 ms breath is 30 samples, and the design's l_shift 13 plus the q
     # shift 25 fill them all
@@ -214,7 +213,6 @@ def adult_with(path, **changes):
     # the FRFs reach 250 Hz, above the Nyquist frequency of 4 ms sampling
     ({"sample_time": 0.004}, "{frf_dir}/frf_adult_ipap.csv (sample_time 0.004): "
                              "frequencies must lie in (0, 125.0] Hz"),
-    (["--min-margin", "nan"], "min_margin must be >= 0, got nan"),
 ])
 def test_design_rejects_bad_request(pipeline_dir, tmp_path, capsys, options, message):
     # options: command-line options for the adult, or changes to its scenario file
@@ -481,7 +479,7 @@ def test_run_into_a_file_rejected(tmp_path, capsys):
 ])
 def test_input_that_is_not_utf8_rejected(pipeline_dir, tmp_path, capsys, source, argv):
     # a written input saved as UTF-16, which starts with the bytes 0xff 0xfe
-    source = pipeline_dir / source if source else builtin_scenario_path("adult")
+    source = pipeline_dir / source if source else resolve_scenario_path("adult")
     bad = tmp_path / f"{source.stem}_utf16{source.suffix}"   # frf_*.csv stays frf_*.csv
     bad.write_bytes(b"\xff\xfe" + source.read_text().encode("utf-16-le"))
     rc = main([a.format(bad=bad, tmp=tmp_path, source=source, dir=pipeline_dir) for a in argv])
@@ -531,21 +529,30 @@ def test_all_rejects_negative_seed_before_writing(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_all_rejects_nan_min_margin(tmp_path, capsys):
-    # rejected before the first identification job, like a negative margin and
-    # robustness-filter settings that design_q_fir would reject
-    for option, value, message in (
-        ("--min-margin", "nan", "min_margin must be >= 0, got nan"),
-        ("--min-margin", "-1", "min_margin must be >= 0, got -1.0"),
-        ("--q-order", "3", "order must be a positive even integer, got 3"),
-        ("--cutoff-hz", "300", "cutoff must lie in (0, 250.0) Hz, got 300.0"),
-    ):
-        out = tmp_path / f"{option}{value}"
-        rc = main(["all", "--out-dir", str(out), option, value])
-        assert rc == 1
-        assert f"error: {message}" in capsys.readouterr().err
-        assert not out.exists()
-        assert list(tmp_path.rglob("frf_*.csv")) == []
+def test_all_rejects_bad_cutoff_before_writing(tmp_path, capsys):
+    # a cutoff that design_q_fir would reject fails before the first
+    # identification job
+    out = tmp_path / "out"
+    rc = main(["all", "--out-dir", str(out), "--cutoff-hz", "300"])
+    assert rc == 1
+    assert "error: cutoff must lie in (0, 250.0) Hz, got 300.0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["design", "--frf-dir", "frfs", "--scenario", "adult", "--out", "rc.filterset",
+     "--q-order", "50"],
+    ["all", "--out-dir", "out", "--min-margin", "0.05"],
+])
+def test_filter_order_and_margin_are_not_options(tmp_path, capsys, monkeypatch, argv):
+    # the robustness filter's order and the required margin are the
+    # constants Q_ORDER and MIN_MARGIN; only the cutoff is a design option
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_all_reports_helper_write_error(tmp_path, capsys):

@@ -46,15 +46,16 @@ class TestExperimentSpec:
 
     @pytest.mark.parametrize("field, value", [
         ("breaths", 2.5), ("breaths", "3"), ("breaths", None), ("breaths", np.float64(3.0)),
-        ("seed", 1.5), ("seed", "1")])
+        ("seed", 1.5), ("seed", "1"), ("seed", None)])
     def test_non_integer_breaths_or_seed_rejected(self, field, value):
         with pytest.raises(ConfigurationError,
                            match=rf"^{field} must be an integer, got {re.escape(repr(value))}$"):
             ExperimentSpec(scenario="adult", mode="pid", **{field: value})
 
     def test_integer_types_accepted(self):
-        spec = ExperimentSpec(scenario="adult", mode="pid", breaths=np.int64(3), seed=None)
-        assert spec.breaths == 3
+        spec = ExperimentSpec(scenario="adult", mode="pid", breaths=np.int64(3),
+                              seed=np.int64(2))
+        assert (spec.breaths, spec.seed) == (3, 2)
 
     @pytest.mark.parametrize("limits", [
         (math.nan, 40.0), (0.0, math.nan), (0.0, 40.0, 1.0), (0.0,), (40.0, 0.0), 40.0])
@@ -314,7 +315,7 @@ def test_identification_protocol_takes_only_a_seed():
     assert list(inspect.signature(identify).parameters) == ["scenario", "level", "seed"]
     assert list(inspect.signature(identify_all).parameters) == ["seed"]
     assert list(inspect.signature(run_full_pipeline).parameters) == [
-        "out_dir", "breaths", "cutoff_hz", "q_order", "seed", "min_margin"]
+        "out_dir", "breaths", "cutoff_hz", "seed"]
 
 
 def test_identify_rejects_unknown_level():

@@ -13,9 +13,9 @@ from ventrc.plant import (
     CircuitParameters,
     PatientScenario,
     VentilatorPlant,
-    builtin_scenario_path,
     load_scenario,
     reference_profile,
+    resolve_scenario_path,
     save_scenario,
 )
 
@@ -272,7 +272,21 @@ class TestScenarioFiles:
 
     def test_unknown_name(self):
         with pytest.raises(ConfigurationError, match="built-ins"):
-            builtin_scenario_path("elephant")
+            resolve_scenario_path("elephant")
+
+    def test_missing_file_named_like_a_builtin_rejected(self, tmp_path, monkeypatch):
+        # a path with a directory part names a file, never a built-in
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigurationError,
+                           match=r"^scenario 'runs/adult\.cfg': no such file, and not a built-in"):
+            resolve_scenario_path("runs/adult.cfg")
+
+    def test_path_without_suffix_does_not_load_its_cfg_sibling(self, tmp_path):
+        save_scenario(*load_scenario("adult"), tmp_path / "odd.cfg")
+        odd = str(tmp_path / "odd")
+        with pytest.raises(ConfigurationError,
+                           match=rf"^scenario {re.escape(repr(odd))}: no such file"):
+            load_scenario(odd)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):

@@ -118,6 +118,9 @@ class TestQDesign:
             design_q_fir(260.0, 50, TS)
         with pytest.raises(ValueError):
             design_q_fir(0.0, 50, TS)
+        with pytest.raises(ConfigurationError,
+                           match="^order must be a positive even integer, got 3$"):
+            design_q_fir(23.0, 3, TS)
 
 
 class TestCheckStability:
@@ -204,6 +207,8 @@ class TestFilterSet:
     (lambda lines: lines[:7] + lines[8:], "field 'l_num': 'l_den 2' is not a valid float"),
     (lambda lines: [ln for ln in lines if not ln.startswith("period_n ")],
      "missing field 'period_n'"),
+    (lambda lines: [ln for ln in lines if not ln.startswith("l_delay ")],
+     "missing field 'l_delay'"),
     (lambda lines: [ln.replace("l_shift 13", "l_shift") for ln in lines],
      "expected '<field> <value>', got 'l_shift'"),
     (lambda lines: lines[:-1] + ["0.5"], "FirKernel taps must be symmetric about the centre tap"),
@@ -253,8 +258,10 @@ class TestDesignPipeline:
     def test_margin_enforced(self, design_outputs):
         frfs, mean = design_outputs["frfs"], design_outputs["mean"]
         with pytest.raises(DesignError) as err:
-            design_pipeline(frfs, mean, period_n=2000, min_margin=0.99)
-        assert err.value.report is not None
+            design_pipeline(frfs, mean, cutoff_hz=61.0, period_n=2000)
+        # the bound holds, but with less than MIN_MARGIN to spare
+        assert str(err.value) == "stability margin 0.0278 below required 0.05"
+        assert err.value.report.passed
 
     def test_zero_phase_compensation_on_designed_fit(self, design_outputs):
         t_fit = design_outputs["t_fit"]
