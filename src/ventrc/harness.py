@@ -29,7 +29,9 @@ from .lti import (
     sorted_distinct,
     write_table,
 )
-from .plant import VentilatorPlant, load_scenario, reference_profile
+from .plant import (
+    SCENARIO_DIR, VentilatorPlant, load_scenario, reference_profile, resolve_scenario_path,
+)
 from .rc_design import (
     FIT_DELAY_SAMPLES, FIT_ORDER, Q_CUTOFF_HZ, Q_ORDER, RcFilterSet, StabilityReport,
     check_q_fir, check_stability, default_stability_grid, design_pipeline, load_filterset,
@@ -295,18 +297,21 @@ def identify(scenario: str | Path, level: str, seed: int = SEED) -> FrequencyRes
     The multisine excites design_excitation_bins over a 4 s period at
     MultisineSpec's RMS; 5 periods settle and IDENT_PERIODS are recorded.
     Its phases come from `seed`, the sensor noise (IDENT_NOISE_RMS) from
-    seed + 1000 + the job's index in IDENT_JOBS (0 for a scenario file), so
-    a built-in's job is the one run_full_pipeline runs.
+    seed + 1000 + the index in IDENT_JOBS of the built-in that `scenario`
+    resolves to (0 for any other scenario file), so a built-in's job, named
+    with or without .cfg, is the one run_full_pipeline runs.
     """
     if level not in IDENT_LEVELS:
         raise ConfigurationError(f"level must be one of {IDENT_LEVELS}, got {level!r}")
-    patient, circuit = load_scenario(scenario)
+    path = resolve_scenario_path(scenario)
+    patient, circuit = load_scenario(path)
     ts = circuit.sample_time
     spec = MultisineSpec(bins_hz=design_excitation_bins(ts), period_samples=round(4.0 / ts),
                          periods_recorded=IDENT_PERIODS, periods_discarded=5, seed=seed)
-    job = IDENT_JOBS.index((scenario, level)) if (scenario, level) in IDENT_JOBS else 0
+    job = (path.stem, level) if path.resolve().parent == SCENARIO_DIR.resolve() else None
+    index = IDENT_JOBS.index(job) if job in IDENT_JOBS else 0
     plant = VentilatorPlant(patient, circuit, measurement_noise_rms=IDENT_NOISE_RMS,
-                            seed=seed + 1000 + job)
+                            seed=seed + 1000 + index)
     operating = patient.peep if level == "peep" else patient.ipap
     return estimate_frf(plant, benchmark_controller_tf(sample_time=ts), operating, spec)
 

@@ -29,6 +29,9 @@ LIFT_BUDGET_BYTES = 8 << 20
 # LiftedSystem keeps the lifts of this many recent systems, so equal systems
 # share one build
 LIFT_MEMO = 8
+# rc_design.check_stability keeps the grid responses of this many recent
+# filters, so equal filters on equal grids are evaluated once
+RESPONSE_MEMO = 8
 # write_table formats this many rows at a time, so the text it holds stays
 # small whatever the length of the table
 TABLE_BLOCK_ROWS = 1024
@@ -387,6 +390,28 @@ class LiftedSystem:
         return xu, x
 
 
+def array_key(*values) -> tuple:
+    """The exact dtype, shape and bytes of each value as an array: a memo key
+    under which only bit-identical values meet."""
+    return tuple((a.dtype.str, a.shape, a.tobytes()) for a in map(np.asarray, values))
+
+
+def lru_get(memo: dict, size: int, key, build):
+    """memo[key], from build() when it is missing.
+
+    memo holds at most `size` entries, least recently used first: a hit
+    moves its entry to the end, and a build evicts the first entry of a
+    full memo.  An exception from build leaves memo as it was.
+    """
+    value = memo.pop(key, None)
+    if value is None:
+        value = build()
+        if len(memo) >= size:
+            del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
 # the lifts of the last LIFT_MEMO (system, chunk) pairs, least recently used first
 _LIFTS: dict[tuple, tuple] = {}
 
@@ -397,16 +422,13 @@ def _lift(ss: StateSpace, chunk: int) -> tuple:
     The key is the exact dtype, shape and bytes of a, b, c and d, and the
     requested chunk, so only bit-identical systems share a build.
     """
-    key = (chunk, *((m.dtype.str, m.shape, m.tobytes()) for m in (ss.a, ss.b, ss.c, ss.d)))
-    lift = _LIFTS.pop(key, None)
-    if lift is None:
+    def build():
         lift = _build_lift(ss.a, ss.b, ss.c, ss.d, chunk)
         for array in lift[1:]:
             array.flags.writeable = False
-        if len(_LIFTS) >= LIFT_MEMO:
-            del _LIFTS[next(iter(_LIFTS))]
-    _LIFTS[key] = lift
-    return lift
+        return lift
+
+    return lru_get(_LIFTS, LIFT_MEMO, (chunk, *array_key(ss.a, ss.b, ss.c, ss.d)), build)
 
 
 def _build_lift(a, b, c, d, chunk: int) -> tuple:

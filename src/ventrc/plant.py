@@ -294,7 +294,7 @@ def reference_profile(scenario: PatientScenario, sample_time: float) -> np.ndarr
 # INI-style files with [patient], [ventilator], [circuit] sections; the three
 # canonical files (adult.cfg, pediatric.cfg, baby.cfg) ship with the package.
 
-_SCENARIO_DIR = Path(__file__).parent / "scenarios"
+SCENARIO_DIR = Path(__file__).parent / "scenarios"
 # the fields of each section, in the order save_scenario writes them
 SCENARIO_SECTIONS = {
     "patient": ("name", "r_lung", "c_lung"),
@@ -304,7 +304,7 @@ SCENARIO_SECTIONS = {
 
 
 def _builtin_names() -> list[str]:
-    return sorted(p.stem for p in _SCENARIO_DIR.glob("*.cfg"))
+    return sorted(p.stem for p in SCENARIO_DIR.glob("*.cfg"))
 
 
 def resolve_scenario_path(name_or_path) -> Path:
@@ -313,7 +313,7 @@ def resolve_scenario_path(name_or_path) -> Path:
     p = Path(name_or_path)
     if p.is_file():
         return p
-    builtin = _SCENARIO_DIR / f"{p.name.removesuffix('.cfg')}.cfg"
+    builtin = SCENARIO_DIR / f"{p.name.removesuffix('.cfg')}.cfg"
     if str(name_or_path) != p.name or not builtin.is_file():
         raise ConfigurationError(f"scenario {str(name_or_path)!r}: no such file, and not a "
                                  f"built-in; built-ins: {_builtin_names()}")

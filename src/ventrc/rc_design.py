@@ -16,12 +16,15 @@ import numpy as np
 
 from .errors import ConfigurationError, DesignError
 from .lti import (
+    RESPONSE_MEMO,
     CoefficientFile,
     DiscreteTransferFunction,
     FirKernel,
     FrequencyResponse,
+    array_key,
     evaluate,
     hz_to_rad_per_sample,
+    lru_get,
     sorted_distinct,
     write_coefficient_file,
     write_table,
@@ -225,6 +228,21 @@ def default_stability_grid(sample_time: float = 0.002) -> np.ndarray:
     return sorted_distinct(np.concatenate([lin, log]))
 
 
+# the grid responses of the last RESPONSE_MEMO filters that check_stability
+# evaluated, least recently used first
+_RESPONSES: dict[tuple, np.ndarray] = {}
+
+
+def _grid_response(key: tuple, response) -> np.ndarray:
+    """response(), stored read-only and computed once while key is in _RESPONSES."""
+    def build():
+        values = response()
+        values.flags.writeable = False
+        return values
+
+    return lru_get(_RESPONSES, RESPONSE_MEMO, key, build)
+
+
 def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: int,
                     frfs: dict[str, FrequencyResponse]) -> StabilityReport:
     """Evaluate |Q(1 - T_i L)| for every plant response on their shared grid.
@@ -232,6 +250,13 @@ def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: i
     The small-gain bound quantifies over all frequencies, so the shared grid
     should reach Nyquist (a warning is emitted otherwise) and be dense enough
     near the Q cutoff; default grids satisfy this.
+
+    Q's and L's responses on the grid come from a memo of the last
+    RESPONSE_MEMO evaluated, with the same arithmetic as
+    FirKernel.frequency_response and learning_filter_response.  Q and L are
+    separate entries, keyed by the exact dtype, shape and bytes of Q's taps,
+    or of L's coefficients, pure delay, sample time and l_shift, and of the
+    grid and its sample time.
     """
     if not frfs:
         raise ValueError("need at least one FRF to check")
@@ -246,8 +271,13 @@ def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: i
         )
     if not all(first.same_grid(frf) for frf in frfs.values()):
         raise ValueError("all FRFs must share one frequency grid")
-    q_val = q.frequency_response(grid, ts)
-    l_val = learning_filter_response(l_causal, l_shift, grid)
+    on_grid = array_key(grid, ts)
+    q_val = _grid_response(("q", *array_key(q.taps), *on_grid),
+                           lambda: q.frequency_response(grid, ts))
+    l_val = _grid_response(
+        ("l", *array_key(l_causal.numerator_coeffs, l_causal.denominator_coeffs,
+                         l_causal.pure_delay, l_causal.sample_time, l_shift), *on_grid),
+        lambda: learning_filter_response(l_causal, l_shift, grid))
     rows = {name: np.abs(q_val * (1.0 - frf.values * l_val)) for name, frf in frfs.items()}
     return StabilityReport(np.asarray(grid, dtype=float), rows)
 

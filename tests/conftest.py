@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from ventrc import harness, lti
+from ventrc import harness, lti, rc_design
 from ventrc.errors import FitConvergenceWarning
 from ventrc.harness import SCENARIOS, ExperimentSpec, identify_all, run_experiment
 from ventrc.lti import FirKernel
@@ -29,6 +29,27 @@ def lift_builds(monkeypatch):
 
     monkeypatch.setattr(lti, "_LIFTS", {})
     monkeypatch.setattr(lti, "_build_lift", counting_build)
+    return built
+
+
+@pytest.fixture
+def response_builds(monkeypatch):
+    """check_stability's response memo emptied, and a list that gets "q" or "l"
+    for each uncached evaluation of Q or L."""
+    built = []
+    q_response, l_response = lti.FirKernel.frequency_response, rc_design.learning_filter_response
+
+    def counting_q(self, frequencies_hz, sample_time):
+        built.append("q")
+        return q_response(self, frequencies_hz, sample_time)
+
+    def counting_l(l_causal, l_shift, frequencies_hz):
+        built.append("l")
+        return l_response(l_causal, l_shift, frequencies_hz)
+
+    monkeypatch.setattr(rc_design, "_RESPONSES", {})
+    monkeypatch.setattr(lti.FirKernel, "frequency_response", counting_q)
+    monkeypatch.setattr(rc_design, "learning_filter_response", counting_l)
     return built
 
 

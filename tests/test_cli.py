@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from ventrc import harness
+from ventrc import cli, harness
 from ventrc.cli import build_parser, main
-from ventrc.errors import ExperimentDiverged
+from ventrc.errors import ExperimentDiverged, VentrcError
 from ventrc.harness import BREATHS, IDENT_JOBS, IDENT_LEVELS, NORMS_HEADER, SEED, TRACE_HEADER
 from ventrc.rc_design import (
     Q_CUTOFF_HZ, RcFilterSet, check_stability, design_q_fir, load_filterset, save_filterset,
@@ -146,6 +146,16 @@ def test_identify_accepts_cfg_path(tmp_path):
     out = tmp_path / "frf.csv"
     rc = main(["identify", "--scenario", str(cfg), "--level", "ipap", "--out", str(out)])
     assert rc == 0 and out.exists()
+
+
+@pytest.mark.parametrize("files", [[], ["frf_mean.csv", "notes.csv"]])
+def test_frf_dir_without_responses_rejected(tmp_path, files):
+    # the mean is not one of the responses
+    for name in files:
+        (tmp_path / name).write_text("")
+    with pytest.raises(VentrcError) as exc:
+        cli._load_frf_dir(tmp_path, 0.002, "scenario adult")
+    assert str(exc.value) == f"no frf_*.csv files in {tmp_path}"
 
 
 def test_fit_command(pipeline_dir, tmp_path):

@@ -121,6 +121,17 @@ def test_chunk_length_does_not_change_the_run(chunk):
         assert np.max(np.abs(run.signals[row] - getattr(ref, name))) <= 1e-9
 
 
+def test_limits_need_a_command_that_is_one_state():
+    # a proportional controller feeds the error through: its command is no state
+    scenario, circuit = load_scenario("baby")
+    loop = ClosedLoop(VentilatorPlant(scenario, circuit),
+                      DiscreteTransferFunction([2.0], [1.0], 0, TS))
+    assert loop.command_state is None
+    with pytest.raises(ConfigurationError,
+                       match="^output limits need a controller whose command is one state$"):
+        simulate(loop, np.zeros(300), np.zeros, np.inf, output_limits=(0.0, 20.0))
+
+
 def test_memory_shorter_than_a_chunk_rejected():
     # a block of the memory's whole chunks would be empty and never advance
     scenario, circuit = load_scenario("baby")

@@ -12,6 +12,8 @@ from ventrc.errors import ConfigurationError, DesignError, ExperimentDiverged
 from ventrc.harness import (
     BreathLog,
     ComparisonTable,
+    IDENT_JOBS,
+    SEED,
     ExperimentSpec,
     compare_runs,
     emit_comparison_report,
@@ -22,7 +24,9 @@ from ventrc.harness import (
     run_full_pipeline,
 )
 from ventrc.lti import DiscreteTransferFunction
-from ventrc.plant import save_scenario, load_scenario, reference_profile, PatientScenario
+from ventrc.plant import (
+    save_scenario, load_scenario, reference_profile, resolve_scenario_path, PatientScenario,
+)
 from ventrc.rc_design import RcFilterSet
 
 
@@ -322,6 +326,28 @@ def test_identify_rejects_unknown_level():
     with pytest.raises(ConfigurationError,
                        match=r"level must be one of \('peep', 'ipap'\), got 'PEEP'"):
         identify("adult", "PEEP")
+
+
+def test_identify_seeds_a_builtin_by_its_job_however_named(tmp_path, monkeypatch):
+    # baby/peep is job 4 of IDENT_JOBS, named with or without .cfg; a copy of
+    # the built-in's file elsewhere, even one reached as baby.cfg, is job 0
+    seeds = []
+    plant = harness.VentilatorPlant
+
+    def recording_plant(*args, seed, **kwargs):
+        seeds.append(seed)
+        return plant(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(harness, "VentilatorPlant", recording_plant)
+    copy = tmp_path / "baby.cfg"
+    copy.write_bytes(resolve_scenario_path("baby").read_bytes())
+    builtin, suffixed, copied = (identify(s, "peep") for s in ("baby", "baby.cfg", copy))
+    monkeypatch.chdir(tmp_path)
+    identify("baby.cfg", "peep")
+    assert IDENT_JOBS.index(("baby", "peep")) == 4
+    assert seeds == [SEED + 1004, SEED + 1004, SEED + 1000, SEED + 1000]
+    assert suffixed.values.tobytes() == builtin.values.tobytes()
+    assert copied.values.tobytes() != builtin.values.tobytes()
 
 
 def test_pid_and_rc_of_one_patient_build_each_lift_once(design_outputs, lift_builds):

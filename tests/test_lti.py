@@ -21,6 +21,7 @@ from ventrc.lti import (
     LIFT_MEMO,
     DiscreteTransferFunction,
     FirKernel,
+    FrequencyResponse,
     LiftedSystem,
     StateSpace,
     StreamingFilter,
@@ -185,6 +186,26 @@ def test_transfer_function_normalizes_denominator():
     tf = DiscreteTransferFunction([2.0, 4.0], [2.0, -1.0], 0, TS)
     assert tf.denominator_coeffs[0] == 1.0
     assert np.allclose(tf.numerator_coeffs, [1.0, 2.0])
+
+
+def test_fractional_delay_rejected():
+    with pytest.raises(ValueError, match=r"^pure_delay must be a nonnegative integer, got 1\.5$"):
+        DiscreteTransferFunction([1.0], [1.0], 1.5, TS)
+
+
+def test_cascade_across_sample_times_rejected():
+    with pytest.raises(ValueError, match="^cascade requires identical sample times$"):
+        integrator().cascade(DiscreteTransferFunction([1.0], [1.0], 0, 0.001))
+
+
+@pytest.mark.parametrize("frequencies, values, message", [
+    ([1.0, 2.0], [1.0], "frequencies and values must have equal length"),
+    ([1.0, 2.0, 2.0], [1.0, 1.0, 1.0], "frequencies must be strictly increasing"),
+    ([2.0, 1.0], [1.0, 1.0], "frequencies must be strictly increasing"),
+])
+def test_malformed_frequency_response_rejected(frequencies, values, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FrequencyResponse(frequencies, values, TS)
 
 
 def test_coefficient_file_round_trip(tmp_path):
@@ -405,6 +426,11 @@ def test_lift_memo_keeps_the_most_recently_used(lift_builds):
     for ss in systems:
         LiftedSystem(ss, 8)
         assert len(lti._LIFTS) <= LIFT_MEMO
+
+
+def test_lift_chunk_below_one_rejected():
+    with pytest.raises(ConfigurationError, match="^chunk must be >= 1, got 0$"):
+        LiftedSystem(random_system(0), 0)
 
 
 def test_lift_arrays_refuse_writes(lift_builds):

@@ -87,6 +87,12 @@ class TestAirwayNode:
             assert abs(q_out - q_leak - q_pat) <= 1e-12
 
 
+@pytest.mark.parametrize("field", ["blower_delay_samples", "measurement_delay_samples"])
+def test_negative_delay_count_rejected(field):
+    with pytest.raises(ValueError, match="^delay sample counts must be nonnegative$"):
+        CircuitParameters(**{field: -1})
+
+
 class TestStep:
     def test_zero_input_stays_zero(self):
         plant = VentilatorPlant(adult())

@@ -1,11 +1,15 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
 
+from ventrc import rc_design
 from ventrc.errors import ConfigurationError, DesignError
 from ventrc.harness import design_excitation_bins
-from ventrc.lti import DiscreteTransferFunction, FirKernel, evaluate
+from ventrc.lti import (
+    RESPONSE_MEMO, DiscreteTransferFunction, FirKernel, FrequencyResponse, evaluate,
+)
 from ventrc.rc_design import (
     RcFilterSet,
     check_stability,
@@ -152,6 +156,11 @@ class TestCheckStability:
             check_stability(FirKernel([1.0]), l_causal, l_shift,
                             {"a": a, "b": b})
 
+    def test_no_responses_rejected(self):
+        l_causal = DiscreteTransferFunction([1.0], [1.0], 0, TS)
+        with pytest.raises(ValueError, match="^need at least one FRF to check$"):
+            check_stability(FirKernel([1.0]), l_causal, 0, {})
+
     def test_report_csv(self, tmp_path, design_outputs):
         report = design_outputs["report"]
         path = tmp_path / "report.csv"
@@ -159,6 +168,101 @@ class TestCheckStability:
         header = path.read_text().splitlines()[0].split(",")
         assert header[0] == "frequency_hz"
         assert set(header[1:]) == set(report.magnitudes)
+
+
+def stability_case():
+    """Q, L, its shift and one response on the default grid; L has a delay and a shift."""
+    t_fit = DiscreteTransferFunction([0.3, 0.5, 0.1], [1.0, -1.2, 0.4], 3, TS)
+    l_causal, l_shift = zpetc_invert(t_fit)
+    frf = evaluate(t_fit, default_stability_grid(TS))
+    return design_q_fir(23.0, 50, TS), l_causal, l_shift, frf
+
+
+def test_equal_filters_on_equal_grids_evaluate_once(response_builds):
+    q, l_causal, l_shift, frf = stability_case()
+    response_builds.clear()
+    first = check_stability(q, l_causal, l_shift, {"a": frf})
+    copies = (FirKernel(q.taps.copy()),
+              DiscreteTransferFunction(l_causal.numerator_coeffs.copy(),
+                                       l_causal.denominator_coeffs.copy(),
+                                       l_causal.pure_delay, l_causal.sample_time),
+              l_shift, {"a": FrequencyResponse(frf.frequencies_hz.copy(), frf.values, TS)})
+    second = check_stability(*copies)
+    assert response_builds == ["q", "l"] and len(rc_design._RESPONSES) == 2
+    assert second.magnitudes["a"].tobytes() == first.magnitudes["a"].tobytes()
+    # another shift is another L; the no-Q report shares L with the design's
+    check_stability(q, l_causal, l_shift + 1, {"a": frf})
+    assert response_builds == ["q", "l", "l"]
+    check_stability(FirKernel([1.0]), l_causal, l_shift, {"a": frf})
+    assert response_builds == ["q", "l", "l", "q"]
+
+
+def test_one_ulp_apart_evaluates_again(response_builds):
+    q, l_causal, l_shift, frf = stability_case()
+    taps = q.taps.copy()
+    taps[q.forward_shift] = np.nextafter(taps[q.forward_shift], np.inf)
+    grid = frf.frequencies_hz.copy()
+    grid[100] = np.nextafter(grid[100], np.inf)
+    moved = FrequencyResponse(grid, frf.values, TS)
+    response_builds.clear()
+    check_stability(q, l_causal, l_shift, {"a": frf})
+    check_stability(FirKernel(taps), l_causal, l_shift, {"a": frf})
+    assert response_builds == ["q", "l", "q"]
+    check_stability(q, l_causal, l_shift, {"a": moved})
+    assert response_builds == ["q", "l", "q", "q", "l"]
+
+
+def test_response_memo_keeps_the_most_recently_used(response_builds):
+    # one L and RESPONSE_MEMO + 2 distinct Q: L is the most recent entry after
+    # every check, so the Q entries age in the order they were last used
+    _, l_causal, l_shift, frf = stability_case()
+    kernels = [FirKernel([k * 1e-4, 1.0, k * 1e-4]) for k in range(RESPONSE_MEMO + 2)]
+    response_builds.clear()
+
+    def check(kernel):
+        check_stability(kernel, l_causal, l_shift, {"a": frf})
+
+    for kernel in kernels[:RESPONSE_MEMO - 1]:
+        check(kernel)
+    check(kernels[0])                         # reused, so no longer the least recent
+    check(kernels[RESPONSE_MEMO - 1])         # evicts kernels[1]
+    assert response_builds.count("q") == RESPONSE_MEMO and response_builds.count("l") == 1
+    assert len(rc_design._RESPONSES) == RESPONSE_MEMO
+    check(kernels[0])
+    assert response_builds.count("q") == RESPONSE_MEMO
+    check(kernels[1])
+    assert response_builds.count("q") == RESPONSE_MEMO + 1 and response_builds.count("l") == 1
+    for kernel in kernels:
+        check(kernel)
+        assert len(rc_design._RESPONSES) <= RESPONSE_MEMO
+
+
+def test_cached_responses_refuse_writes(response_builds):
+    q, l_causal, l_shift, frf = stability_case()
+    check_stability(q, l_causal, l_shift, {"a": frf})
+    assert len(rc_design._RESPONSES) == 2
+    for values in rc_design._RESPONSES.values():
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0.0
+
+
+def test_cold_and_warm_memo_give_the_same_bits(design_outputs, response_builds):
+    fs, frfs = design_outputs["filterset"], design_outputs["frfs"]
+    grid, ts = next(iter(frfs.values())).frequencies_hz, next(iter(frfs.values())).sample_time
+    for q, stored in ((fs.q_kernel, design_outputs["report"]),
+                      (FirKernel([1.0]), design_outputs["report_no_q"])):
+        rc_design._RESPONSES.clear()
+        response_builds.clear()
+        cold = check_stability(q, fs.l_causal, fs.l_shift, frfs)
+        warm = check_stability(q, fs.l_causal, fs.l_shift, frfs)
+        assert response_builds == ["q", "l"]
+        # the uncached arithmetic
+        q_val = q.frequency_response(grid, ts)
+        l_val = learning_filter_response(fs.l_causal, fs.l_shift, grid)
+        for name, frf in frfs.items():
+            want = np.abs(q_val * (1.0 - frf.values * l_val)).tobytes()
+            for report in (cold, warm, stored):
+                assert report.magnitudes[name].tobytes() == want
 
 
 class TestFilterSet:
@@ -177,6 +281,20 @@ class TestFilterSet:
         lc = DiscreteTransferFunction([1.0], [1.0], 0, TS)
         with pytest.raises((ConfigurationError, ValueError)):
             RcFilterSet(lc, 0, FirKernel([0.7, 0.2, 0.1]), 100)
+
+    @pytest.mark.parametrize("l_shift, q_taps, period_n, message", [
+        (-1, [1.0], 100, "l_shift must be nonnegative"),
+        (0, [1.0], 0, "period_n must be positive"),
+        (0, [1.0], -5, "period_n must be positive"),
+        (0, [0.3, 0.3, 0.3], 100, "q_kernel DC gain 0.900000 is not unity"),
+        (0, [0.0051, 1.0, 0.0051], 100, "q_kernel DC gain 1.010200 is not unity"),
+    ])
+    def test_bad_filter_set_rejected(self, l_shift, q_taps, period_n, message):
+        lc = DiscreteTransferFunction([1.0], [1.0], 0, TS)
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(message)}$"):
+            RcFilterSet(lc, l_shift, FirKernel(q_taps), period_n)
+        # a DC gain within 1 % of unity is accepted
+        RcFilterSet(lc, 0, FirKernel([0.0049, 1.0, 0.0049]), 100)
 
     def test_round_trip(self, tmp_path):
         fs = self.make()

@@ -130,6 +130,10 @@ class TestAverageFrf:
         with pytest.raises(ValueError, match="grid"):
             average_frf([a, b])
 
+    def test_nothing_to_average_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one FRF to average$"):
+            average_frf([])
+
 
 class TestFitRational:
     def known_system(self):
@@ -198,6 +202,15 @@ class TestFitRational:
         frf = FrequencyResponse(freqs, np.ones(len(freqs)), TS)
         with pytest.raises(ConfigurationError, match=message):
             fit_rational(frf, order=order, fixed_delay_samples=0)
+
+    @pytest.mark.parametrize("delay, weights, message", [
+        (-1, None, "fixed_delay_samples must be >= 0, got -1"),
+        (0, [1.0, -1e-12, 1.0], "weights must be nonnegative"),
+    ])
+    def test_negative_delay_or_weights_rejected(self, delay, weights, message):
+        frf = FrequencyResponse([1.0, 2.0, 3.0], np.ones(3), TS)
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            fit_rational(frf, order=1, fixed_delay_samples=delay, weights=weights)
 
 
 def test_higher_loop_gain_pulls_low_band_toward_unity():
