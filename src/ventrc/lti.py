@@ -169,11 +169,10 @@ class FirKernel:
     def dc_gain(self) -> float:
         return float(np.sum(self.taps))
 
-    def frequency_response(self, frequencies_hz, sample_time: float) -> np.ndarray:
-        """Complex response of z^forward_shift * FIR(taps) on a Hz grid."""
-        w = hz_to_rad_per_sample(frequencies_hz, sample_time)
-        zinv = np.exp(-1j * w)
-        return np.polyval(self.taps[::-1], zinv) * np.exp(1j * w * self.forward_shift)
+    def transfer_function(self, sample_time: float) -> DiscreteTransferFunction:
+        """The causal FIR(taps): evaluated with advance forward_shift, it gives
+        the kernel's response."""
+        return DiscreteTransferFunction(self.taps, [1.0], 0, sample_time)
 
 
 @dataclass
@@ -210,13 +209,13 @@ class FrequencyResponse:
         )
 
 
-def evaluate(tf: DiscreteTransferFunction, frequencies_hz) -> FrequencyResponse:
-    """Evaluate a transfer function on a Hz grid.
+def evaluate(tf: DiscreteTransferFunction, frequencies_hz, advance: int = 0) -> FrequencyResponse:
+    """Evaluate z^advance * tf, the transfer function advanced by `advance` samples, on a Hz grid.
 
     The value at f is num(e^-iw)/den(e^-iw) * e^(-iw*pure_delay) with
-    w = 2*pi*f*sample_time.  Frequencies above Nyquist raise; a denominator
-    magnitude below 1e-14 or a value that overflows at a grid point raises
-    naming the frequency.
+    w = 2*pi*f*sample_time, times e^(iw*advance) for a nonzero advance.
+    Frequencies above Nyquist raise; a denominator magnitude below 1e-14 or
+    a value that overflows at a grid point raises naming the frequency.
     """
     f = np.atleast_1d(np.asarray(frequencies_hz, dtype=float))
     if np.any(f <= 0) or np.any(f > tf.nyquist_hz + 1e-12):
@@ -232,6 +231,8 @@ def evaluate(tf: DiscreteTransferFunction, frequencies_hz) -> FrequencyResponse:
         )
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.polyval(tf.numerator_coeffs[::-1], zinv) / den * zinv**tf.pure_delay
+    if advance:
+        vals = vals * np.exp(1j * w * advance)
     overflow = ~np.isfinite(vals)
     if np.any(overflow):
         raise SingularityError(f"response overflows at {f[overflow][0]:.6g} Hz")

@@ -23,7 +23,6 @@ from .lti import (
     FrequencyResponse,
     array_key,
     evaluate,
-    hz_to_rad_per_sample,
     lru_get,
     sorted_distinct,
     write_coefficient_file,
@@ -89,13 +88,6 @@ class RcFilterSet:
     def with_period(self, period_n: int) -> "RcFilterSet":
         """Same filters bound to a different period (the design is N-independent)."""
         return RcFilterSet(self.l_causal, self.l_shift, self.q_kernel, period_n)
-
-
-def learning_filter_response(l_causal: DiscreteTransferFunction, l_shift: int,
-                             frequencies_hz) -> np.ndarray:
-    """Complex response of the non-causal L = z^l_shift * L_c on a Hz grid."""
-    zinv = np.exp(-1j * hz_to_rad_per_sample(frequencies_hz, l_causal.sample_time))
-    return evaluate(l_causal, frequencies_hz).values * zinv ** (-l_shift)
 
 
 @dataclass
@@ -214,7 +206,8 @@ def design_q_fir(cutoff_hz: float, order: int, sample_time: float) -> FirKernel:
     taps /= taps.sum()
     kernel = FirKernel(taps)
     probe = np.linspace(nyquist / 2048, nyquist, 2048)
-    peak = float(np.max(np.abs(kernel.frequency_response(probe, sample_time))))
+    response = evaluate(kernel.transfer_function(sample_time), probe, kernel.forward_shift)
+    peak = float(np.max(np.abs(response.values)))
     if peak > 1.0 + 1e-6:
         kernel = FirKernel(taps / peak)
     return kernel
@@ -233,13 +226,21 @@ def default_stability_grid(sample_time: float = 0.002) -> np.ndarray:
 _RESPONSES: dict[tuple, np.ndarray] = {}
 
 
-def _grid_response(key: tuple, response) -> np.ndarray:
-    """response(), stored read-only and computed once while key is in _RESPONSES."""
+def _grid_response(tf: DiscreteTransferFunction, advance: int, grid) -> np.ndarray:
+    """evaluate(tf, grid, advance).values, stored read-only and computed once
+    while tf, advance and grid are in _RESPONSES.  ConfigurationError for a tf
+    with a pole on or outside the unit circle."""
     def build():
-        values = response()
+        if not tf.is_stable():
+            raise ConfigurationError(
+                f"unstable filter: a pole at |z| = {np.max(np.abs(tf.poles())):.6g} >= 1; "
+                "the small-gain bound holds only for stable Q and L")
+        values = evaluate(tf, grid, advance).values
         values.flags.writeable = False
         return values
 
+    key = array_key(tf.numerator_coeffs, tf.denominator_coeffs, tf.pure_delay,
+                    tf.sample_time, advance, grid)
     return lru_get(_RESPONSES, RESPONSE_MEMO, key, build)
 
 
@@ -249,17 +250,18 @@ def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: i
 
     The small-gain bound quantifies over all frequencies, so the shared grid
     should reach Nyquist (a warning is emitted otherwise) and be dense enough
-    near the Q cutoff; default grids satisfy this.
+    near the Q cutoff; default grids satisfy this.  It holds only for a
+    stable L at the responses' sample time; ConfigurationError otherwise.
 
-    Q's and L's responses on the grid come from a memo of the last
-    RESPONSE_MEMO evaluated, with the same arithmetic as
-    FirKernel.frequency_response and learning_filter_response.  Q and L are
-    separate entries, keyed by the exact dtype, shape and bytes of Q's taps,
-    or of L's coefficients, pure delay, sample time and l_shift, and of the
-    grid and its sample time.
+    Q and L are each a transfer function plus an advance (Q's taps with
+    forward_shift, l_causal with l_shift), evaluated on the grid by
+    lti.evaluate.  Their responses come from a memo of the last
+    RESPONSE_MEMO evaluated, keyed by the exact dtype, shape and bytes of
+    the transfer function's coefficients, pure delay and sample time, the
+    advance and the grid.
     """
     if not frfs:
-        raise ValueError("need at least one FRF to check")
+        raise ConfigurationError("need at least one FRF to check")
     first = next(iter(frfs.values()))
     grid, ts = first.frequencies_hz, first.sample_time
     nyq = 0.5 / ts
@@ -270,14 +272,14 @@ def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: i
             stacklevel=2,
         )
     if not all(first.same_grid(frf) for frf in frfs.values()):
-        raise ValueError("all FRFs must share one frequency grid")
-    on_grid = array_key(grid, ts)
-    q_val = _grid_response(("q", *array_key(q.taps), *on_grid),
-                           lambda: q.frequency_response(grid, ts))
-    l_val = _grid_response(
-        ("l", *array_key(l_causal.numerator_coeffs, l_causal.denominator_coeffs,
-                         l_causal.pure_delay, l_causal.sample_time, l_shift), *on_grid),
-        lambda: learning_filter_response(l_causal, l_shift, grid))
+        raise ConfigurationError("all FRFs must share one frequency grid")
+    # written so that a NaN sample time fails too
+    if not abs(l_causal.sample_time - ts) <= 1e-15:
+        raise ConfigurationError(
+            f"learning filter sample time {l_causal.sample_time} s differs from "
+            f"the responses' sample time {ts} s")
+    q_val = _grid_response(q.transfer_function(ts), q.forward_shift, grid)
+    l_val = _grid_response(l_causal, l_shift, grid)
     rows = {name: np.abs(q_val * (1.0 - frf.values * l_val)) for name, frf in frfs.items()}
     return StabilityReport(np.asarray(grid, dtype=float), rows)
 

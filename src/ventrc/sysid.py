@@ -141,11 +141,11 @@ def average_frf(responses) -> FrequencyResponse:
     """Complex arithmetic mean per bin of FRFs sharing one grid."""
     responses = list(responses)
     if not responses:
-        raise ValueError("need at least one FRF to average")
+        raise ConfigurationError("need at least one FRF to average")
     first = responses[0]
     for other in responses[1:]:
         if not first.same_grid(other):
-            raise ValueError("FRFs must share an identical frequency grid")
+            raise ConfigurationError("FRFs must share an identical frequency grid")
     mean = np.mean([r.values for r in responses], axis=0)
     return FrequencyResponse(first.frequencies_hz.copy(), mean, first.sample_time)
 

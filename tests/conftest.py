@@ -11,9 +11,11 @@ import pytest
 from ventrc import harness, lti, rc_design
 from ventrc.errors import FitConvergenceWarning
 from ventrc.harness import SCENARIOS, ExperimentSpec, identify_all, run_experiment
-from ventrc.lti import FirKernel
+from ventrc.lti import DiscreteTransferFunction, FirKernel
 from ventrc.plant import load_scenario, reference_profile
-from ventrc.rc_design import check_stability, design_pipeline
+from ventrc.rc_design import (
+    Q_CUTOFF_HZ, Q_ORDER, RcFilterSet, check_stability, design_pipeline, design_q_fir,
+)
 from ventrc.sysid import average_frf
 
 
@@ -34,23 +36,26 @@ def lift_builds(monkeypatch):
 
 @pytest.fixture
 def response_builds(monkeypatch):
-    """check_stability's response memo emptied, and a list that gets "q" or "l"
-    for each uncached evaluation of Q or L."""
+    """check_stability's response memo emptied, and a list that gets "q" for
+    each uncached evaluation of an FIR filter (Q) and "l" for each of any
+    other filter (L), counted at the one path, rc_design's lti.evaluate."""
     built = []
-    q_response, l_response = lti.FirKernel.frequency_response, rc_design.learning_filter_response
 
-    def counting_q(self, frequencies_hz, sample_time):
-        built.append("q")
-        return q_response(self, frequencies_hz, sample_time)
-
-    def counting_l(l_causal, l_shift, frequencies_hz):
-        built.append("l")
-        return l_response(l_causal, l_shift, frequencies_hz)
+    def counting(tf, frequencies_hz, advance=0):
+        built.append("q" if tf.denominator_coeffs.size == 1 else "l")
+        return lti.evaluate(tf, frequencies_hz, advance)
 
     monkeypatch.setattr(rc_design, "_RESPONSES", {})
-    monkeypatch.setattr(lti.FirKernel, "frequency_response", counting_q)
-    monkeypatch.setattr(rc_design, "learning_filter_response", counting_l)
+    monkeypatch.setattr(rc_design, "evaluate", counting)
     return built
+
+
+@pytest.fixture
+def unstable_filterset():
+    """The default Q with L = -0.05 / (1 - 1.05 z^-1): unit DC gain, a pole at
+    z = 1.05, shift 13, the baby's period."""
+    l_causal = DiscreteTransferFunction([-0.05], [1.0, -1.05], 0, 0.002)
+    return RcFilterSet(l_causal, 13, design_q_fir(Q_CUTOFF_HZ, Q_ORDER, 0.002), 1000)
 
 
 @pytest.fixture

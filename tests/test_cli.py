@@ -296,6 +296,15 @@ def test_check_stability_command(pipeline_dir, tmp_path, capsys):
     assert report.exists()
 
 
+def test_check_stability_refuses_an_unstable_learning_filter(pipeline_dir, tmp_path, capsys,
+                                                            unstable_filterset):
+    path = tmp_path / "unstable.filterset"
+    save_filterset(unstable_filterset, path)
+    rc = main(["check-stability", "--filterset", str(path), "--frf-dir", str(pipeline_dir)])
+    assert rc == 1
+    assert "error: unstable filter: a pole at |z| = 1.05 >= 1" in capsys.readouterr().err
+
+
 def test_check_stability_rejects_truncated_filterset(pipeline_dir, tmp_path, capsys):
     cut = tmp_path / "cut.filterset"
     lines = (pipeline_dir / "rc_adult.filterset").read_text().splitlines(keepends=True)

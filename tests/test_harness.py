@@ -177,6 +177,18 @@ class TestRepetitiveRuns:
         assert np.max(np.abs(log.p_aw)) < 100.0
         assert log.complete
 
+    def test_unstable_learning_filter_refused_before_simulating(self, monkeypatch,
+                                                               unstable_filterset):
+        # its small-gain bound reads below one on the baby's loop, but the
+        # baby's pressure runs away within two breaths
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated a refused filter set")
+
+        monkeypatch.setattr(harness, "simulate", no_simulation)
+        with pytest.raises(ConfigurationError, match=r"a pole at \|z\| = 1\.05 >= 1"):
+            run_experiment(ExperimentSpec(scenario="baby", mode="rc", breaths=10,
+                                          filterset=unstable_filterset))
+
 
 class TestCompare:
     def test_identical_logs_unit_ratios(self, experiment_logs):

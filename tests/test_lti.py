@@ -125,11 +125,16 @@ class TestFilterStream:
         assert np.allclose(stream, batch, atol=1e-12)
 
 
+def fir_response(kernel, frequencies_hz):
+    """The kernel's response: its taps as a transfer function, advanced by its shift."""
+    return evaluate(kernel.transfer_function(TS), frequencies_hz, kernel.forward_shift).values
+
+
 class TestFirApplication:
     def test_single_tap_identity(self):
         k = FirKernel([1.0])
         assert k.forward_shift == 0
-        resp = k.frequency_response(np.linspace(0.5, 250.0, 32), TS)
+        resp = fir_response(k, np.linspace(0.5, 250.0, 32))
         assert np.allclose(resp, 1.0, atol=0.0)
 
     def test_symmetric_three_tap_circular(self):
@@ -138,13 +143,13 @@ class TestFirApplication:
         k = FirKernel([0.25, 0.5, 0.25])
         f = np.linspace(0.5, 250.0, 64)
         expected = 0.5 + 0.5 * np.cos(2 * np.pi * f * TS)
-        assert np.allclose(k.frequency_response(f, TS), expected, atol=1e-15)
+        assert np.allclose(fir_response(k, f), expected, atol=1e-15)
 
     def test_dc_preserved_by_unit_sum_kernel(self):
         taps = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
         k = FirKernel(taps)
         assert k.dc_gain() == pytest.approx(1.0, abs=1e-12)
-        assert k.frequency_response([1e-6], TS)[0] == pytest.approx(1.0, abs=1e-12)
+        assert fir_response(k, [1e-6])[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_shift_beyond_taps_rejected(self):
         # the shift follows from the taps: an even count has no centre tap,
@@ -159,7 +164,7 @@ class TestFirApplication:
     def test_zero_phase_response_is_real(self):
         taps = np.array([0.1, 0.2, 0.4, 0.2, 0.1])
         k = FirKernel(taps / taps.sum())
-        resp = k.frequency_response(np.linspace(0.5, 250.0, 500), TS)
+        resp = fir_response(k, np.linspace(0.5, 250.0, 500))
         assert np.max(np.abs(resp.imag)) <= 1e-12 * np.max(np.abs(resp))
 
     def test_asymmetric_zero_phase_flag_rejected(self):
@@ -180,6 +185,27 @@ def test_evaluate_filter_stream_consistency():
     ref = evaluate(tf, [f]).values[0]
     assert abs(coeff) == pytest.approx(abs(ref), rel=1e-3)
     assert np.angle(coeff / ref) == pytest.approx(0.0, abs=1e-3)
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(num=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=4),
+       poles=st.lists(st.floats(-0.8, 0.8), max_size=3),
+       delay=st.integers(0, 20), advance=st.integers(0, 60),
+       ts=st.sampled_from([0.0005, 0.002, 0.01]))
+def test_evaluate_advances_by_whole_samples(num, poles, delay, advance, ts):
+    tf = DiscreteTransferFunction(num, np.poly(poles), delay, ts)
+    f = np.linspace(0.05 / ts, 0.5 / ts, 97)
+    z = np.exp(2j * np.pi * f * ts)
+    b, a = tf.numerator_coeffs, tf.denominator_coeffs
+    want = (sum(c * z**-j for j, c in enumerate(b)) / sum(c * z**-j for j, c in enumerate(a))
+            * z ** -(delay - advance))
+    got = evaluate(tf, f, advance).values
+    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+    # no advance is the causal arithmetic, bit for bit
+    w = 2.0 * np.pi * f * ts
+    zinv = np.exp(-1j * w)
+    causal = np.polyval(b[::-1], zinv) / np.polyval(a[::-1], zinv) * zinv**delay
+    assert evaluate(tf, f, 0).values.tobytes() == causal.tobytes()
 
 
 def test_transfer_function_normalizes_denominator():

@@ -5,18 +5,19 @@ import numpy as np
 import pytest
 
 from ventrc import rc_design
-from ventrc.errors import ConfigurationError, DesignError
+from ventrc.errors import ConfigurationError, DesignError, VentrcError
 from ventrc.harness import design_excitation_bins
 from ventrc.lti import (
     RESPONSE_MEMO, DiscreteTransferFunction, FirKernel, FrequencyResponse, evaluate,
 )
 from ventrc.rc_design import (
+    Q_CUTOFF_HZ,
+    Q_ORDER,
     RcFilterSet,
     check_stability,
     default_stability_grid,
     design_pipeline,
     design_q_fir,
-    learning_filter_response,
     load_filterset,
     save_filterset,
     zpetc_invert,
@@ -28,7 +29,12 @@ TS = 0.002
 def compensated(t_fit, freqs):
     l_causal, l_shift = zpetc_invert(t_fit)
     t_val = evaluate(t_fit, freqs).values
-    return t_val * learning_filter_response(l_causal, l_shift, freqs), l_shift
+    return t_val * evaluate(l_causal, freqs, l_shift).values, l_shift
+
+
+def q_response(kernel, frequencies_hz):
+    """The kernel's response: its taps as a transfer function, advanced by its shift."""
+    return evaluate(kernel.transfer_function(TS), frequencies_hz, kernel.forward_shift).values
 
 
 class TestZpetc:
@@ -96,24 +102,46 @@ class TestQDesign:
 
     def test_half_gain_at_cutoff(self):
         k = design_q_fir(23.0, 50, TS)
-        mag = np.abs(k.frequency_response([23.0], TS)[0])
+        mag = np.abs(q_response(k, [23.0])[0])
         assert 0.45 < mag < 0.55
 
     def test_response_never_exceeds_one(self):
         k = design_q_fir(23.0, 50, TS)
         grid = np.linspace(0.1, 250.0, 4000)
-        assert np.max(np.abs(k.frequency_response(grid, TS))) <= 1.0 + 1e-6
+        assert np.max(np.abs(q_response(k, grid))) <= 1.0 + 1e-6
 
     def test_near_nyquist_cutoff_is_near_identity(self):
         k = design_q_fir(249.0, 2, TS)
         grid = np.linspace(0.5, 250.0, 1000)
-        mags = np.abs(k.frequency_response(grid, TS))
+        mags = np.abs(q_response(k, grid))
         assert np.mean(mags > 0.99) > 0.9
 
     def test_constant_passes_unchanged(self):
         k = design_q_fir(23.0, 50, TS)
         assert k.dc_gain() == pytest.approx(1.0, abs=1e-3)
-        assert k.frequency_response([1e-6], TS)[0] == pytest.approx(k.dc_gain(), abs=1e-12)
+        assert q_response(k, [1e-6])[0] == pytest.approx(k.dc_gain(), abs=1e-12)
+
+    @pytest.mark.parametrize("cutoff_hz", [Q_CUTOFF_HZ, 10.0])
+    def test_taps_keep_their_bits(self, cutoff_hz):
+        # the windowed sinc, the probe and the rescale redone with the FIR's
+        # own polynomial: filter sets and traces keep their bytes.  The
+        # default cutoff is rescaled, 10 Hz is not
+        n = np.arange(Q_ORDER + 1, dtype=float)
+        m = n - Q_ORDER / 2
+        wc = 2.0 * np.pi * cutoff_hz * TS
+        taps = np.empty(Q_ORDER + 1)
+        taps[m != 0] = np.sin(wc * m[m != 0]) / (np.pi * m[m != 0])
+        taps[m == 0] = wc / np.pi
+        taps *= 0.54 - 0.46 * np.cos(2.0 * np.pi * n / Q_ORDER)
+        taps /= taps.sum()
+        nyquist = 0.5 / TS
+        w = 2.0 * np.pi * np.linspace(nyquist / 2048, nyquist, 2048) * TS
+        zinv = np.exp(-1j * w)
+        peak = np.max(np.abs(np.polyval(taps[::-1], zinv) * np.exp(1j * w * (Q_ORDER // 2))))
+        assert (peak > 1.0 + 1e-6) == (cutoff_hz == Q_CUTOFF_HZ)
+        if peak > 1.0 + 1e-6:
+            taps = taps / peak
+        assert design_q_fir(cutoff_hz, Q_ORDER, TS).taps.tobytes() == taps.tobytes()
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -160,6 +188,44 @@ class TestCheckStability:
         l_causal = DiscreteTransferFunction([1.0], [1.0], 0, TS)
         with pytest.raises(ValueError, match="^need at least one FRF to check$"):
             check_stability(FirKernel([1.0]), l_causal, 0, {})
+
+    def test_input_errors_are_toolkit_errors(self):
+        t_fit = DiscreteTransferFunction([0.5, 0.1], [1.0, -0.7], 0, TS)
+        l_causal, l_shift = zpetc_invert(t_fit)
+        a = evaluate(t_fit, np.linspace(0.5, 250.0, 400))
+        b = evaluate(t_fit, np.linspace(0.6, 250.0, 400))
+        with pytest.raises(VentrcError, match="^all FRFs must share one frequency grid$"):
+            check_stability(FirKernel([1.0]), l_causal, l_shift, {"a": a, "b": b})
+        with pytest.raises(VentrcError, match="^need at least one FRF to check$"):
+            check_stability(FirKernel([1.0]), l_causal, l_shift, {})
+
+    def test_learning_filter_at_another_sample_time_rejected(self):
+        # a 1 ms L and a Q designed for 1 ms, against 2 ms responses on the
+        # 2 ms default grid
+        coeffs = ([0.3, 0.5, 0.1], [1.0, -1.2, 0.4], 3)
+        l_causal, l_shift = zpetc_invert(DiscreteTransferFunction(*coeffs, 0.001))
+        frf = evaluate(DiscreteTransferFunction(*coeffs, TS), default_stability_grid(TS))
+        with pytest.raises(ConfigurationError,
+                           match=r"^learning filter sample time 0\.001 s differs from "
+                                 r"the responses' sample time 0\.002 s$"):
+            check_stability(design_q_fir(23.0, 50, 0.001), l_causal, l_shift, {"a": frf})
+
+    def test_unstable_learning_filter_rejected(self, unstable_filterset, response_builds):
+        fs = unstable_filterset
+        frf = evaluate(DiscreteTransferFunction([0.5, 0.1], [1.0, -0.7], 0, TS),
+                       default_stability_grid(TS))
+        with pytest.raises(ConfigurationError,
+                           match=r"^unstable filter: a pole at \|z\| = 1\.05 >= 1; "):
+            check_stability(fs.q_kernel, fs.l_causal, fs.l_shift, {"a": frf})
+        # refused before L is evaluated, and not remembered
+        assert response_builds == ["q"] and len(rc_design._RESPONSES) == 1
+
+    def test_pole_just_inside_the_unit_circle_accepted(self):
+        # designed learning filters reach |z| = 0.99996, so no margin is taken
+        pole = 0.99996
+        l_causal = DiscreteTransferFunction([1.0 - pole], [1.0, -pole], 0, TS)
+        frf = evaluate(DiscreteTransferFunction([1.0], [1.0], 0, TS), default_stability_grid(TS))
+        check_stability(design_q_fir(23.0, 50, TS), l_causal, 0, {"a": frf})
 
     def test_report_csv(self, tmp_path, design_outputs):
         report = design_outputs["report"]
@@ -257,8 +323,8 @@ def test_cold_and_warm_memo_give_the_same_bits(design_outputs, response_builds):
         warm = check_stability(q, fs.l_causal, fs.l_shift, frfs)
         assert response_builds == ["q", "l"]
         # the uncached arithmetic
-        q_val = q.frequency_response(grid, ts)
-        l_val = learning_filter_response(fs.l_causal, fs.l_shift, grid)
+        q_val = evaluate(q.transfer_function(ts), grid, q.forward_shift).values
+        l_val = evaluate(fs.l_causal, grid, fs.l_shift).values
         for name, frf in frfs.items():
             want = np.abs(q_val * (1.0 - frf.values * l_val)).tobytes()
             for report in (cold, warm, stored):
@@ -385,8 +451,7 @@ class TestDesignPipeline:
         t_fit = design_outputs["t_fit"]
         fs = design_outputs["filterset"]
         grid = default_stability_grid(TS)
-        l_val = learning_filter_response(fs.l_causal, fs.l_shift, grid)
-        tl = evaluate(t_fit, grid).values * l_val
+        tl = evaluate(t_fit, grid).values * evaluate(fs.l_causal, grid, fs.l_shift).values
         assert np.max(np.abs(tl.imag) / np.abs(tl)) <= 1e-9
         assert np.all(tl.real >= -1e-12)
 

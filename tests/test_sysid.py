@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ventrc.control_rt import benchmark_controller_tf
-from ventrc.errors import ConfigurationError, FitConvergenceWarning, IdentificationError
+from ventrc.errors import (
+    ConfigurationError, FitConvergenceWarning, IdentificationError, VentrcError,
+)
 from ventrc.harness import design_excitation_bins
 from ventrc.lti import DiscreteTransferFunction, FrequencyResponse, evaluate
 from ventrc.plant import VentilatorPlant, load_scenario
@@ -132,6 +134,14 @@ class TestAverageFrf:
 
     def test_nothing_to_average_rejected(self):
         with pytest.raises(ValueError, match="^need at least one FRF to average$"):
+            average_frf([])
+
+    def test_input_errors_are_toolkit_errors(self):
+        a = FrequencyResponse([1.0, 2.0], [1, 1], TS)
+        b = FrequencyResponse([1.0, 3.0], [1, 1], TS)
+        with pytest.raises(VentrcError, match="^FRFs must share an identical frequency grid$"):
+            average_frf([a, b])
+        with pytest.raises(VentrcError, match="^need at least one FRF to average$"):
             average_frf([])
 
 
