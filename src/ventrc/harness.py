@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import operator
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -231,18 +232,83 @@ def compare_runs(baseline: BreathLog, candidate: BreathLog) -> ComparisonTable:
                            candidate.breath_norms)
 
 
+# the sample and time_s text of the traces written so far, by sample time,
+# while a _trace_text_scope is open; None outside one
+_trace_text: dict | None = None
+
+
+@contextmanager
+def _trace_text_scope():
+    """Share the sample and time_s text of every trace that emit_report writes
+    in this process until the scope closes; the text is dropped then."""
+    global _trace_text
+    outer, _trace_text = _trace_text, {}
+    try:
+        yield
+    finally:
+        _trace_text = outer
+
+
+def _share_trace_text() -> None:
+    """Share trace text until this process ends: the report helper's initializer."""
+    global _trace_text
+    _trace_text = {}
+
+
+def _format_sample_time(start: int, stop: int, sample_time) -> tuple[list, list]:
+    """The reprs of samples start..stop-1 and of their times k * sample_time."""
+    samples = np.arange(start, stop)
+    return (list(map(repr, samples.tolist())),
+            list(map(repr, (samples * sample_time).tolist())))
+
+
+def _sample_time_text(n: int, sample_time) -> tuple[list, list]:
+    """The text of the sample and time_s columns of an n-row trace: the reprs
+    of np.arange(n) and np.arange(n) * sample_time.
+
+    Inside a _trace_text_scope it is formatted once per exact sample time: a
+    longer trace formats only the rows it adds, and a shorter one takes the
+    leading rows, whose products have the same bits.
+    """
+    shared = {} if _trace_text is None else _trace_text
+    # the type too: an integer sample time writes integer times
+    key = (type(sample_time), float(sample_time).hex())
+    samples, times = shared.setdefault(key, ([], []))
+    if len(samples) < n:
+        more_samples, more_times = _format_sample_time(len(samples), n, sample_time)
+        samples += more_samples
+        times += more_times
+    return samples[:n], times[:n]
+
+
+def _reference_text(reference: np.ndarray, period_n: int):
+    """The reference column: one breath's reprs, repeated, when every breath
+    has the same bits as the first (so -0.0, 0.0 and NaN keep their own
+    repr); otherwise the values themselves, formatted value by value."""
+    n = len(reference)
+    if reference.dtype == np.float64 and 0 < period_n < n:
+        bits = reference.view(np.uint64)
+        if np.array_equal(bits[period_n:], bits[:-period_n]):
+            breath = list(map(repr, reference[:period_n].tolist()))
+            return (breath * -(-n // period_n))[:n]
+    return reference
+
+
 def emit_report(log: BreathLog, out_dir) -> dict[str, Path]:
     """Write the per-sample trace CSV, the per-breath norm CSV, and SVG plots.
 
-    The pressure plot shows the last complete breath.
+    The pressure plot shows the last complete breath.  The trace's bytes are
+    those of formatting every value; the sample, time_s and reference text is
+    shared where it repeats (see _sample_time_text and _reference_text).
     """
     out_dir = Path(out_dir)
     stem = f"{log.scenario_name}_{log.mode}"
     paths = {}
 
     trace = out_dir / f"{stem}_trace.csv"
-    samples = np.arange(len(log.reference))
-    write_table(trace, TRACE_HEADER, [samples, samples * log.sample_time, log.reference,
+    n = len(log.reference)
+    write_table(trace, TRACE_HEADER, [*_sample_time_text(n, log.sample_time),
+                                      _reference_text(log.reference, log.period_n),
                                       log.p_aw, log.p_lung, log.q_pat, log.command])
     paths["trace"] = trace
 
@@ -385,7 +451,7 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
               f"{comparisons[name].converged_ratio:.4f}")
 
     rc_reports = None
-    with _report_helper() as helper:
+    with _trace_text_scope(), _report_helper() as helper:
         for name in pid_specs:
             # only the comparison outlives the scenario's reports
             pid_log, rc_log = logs.pop(name)
@@ -413,7 +479,8 @@ def _report_helper():
     from concurrent.futures import ProcessPoolExecutor
 
     method = "fork" if sys.platform.startswith("linux") else None
-    return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method))
+    return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method),
+                               initializer=_share_trace_text)
 
 
 def _emit_helper_report(log: BreathLog, out_dir) -> None:

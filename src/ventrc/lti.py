@@ -504,20 +504,34 @@ def write_table(path, header, columns) -> None:
     """Write a CSV file: the header, then one row per element of the columns.
 
     Each value is written as the repr of its Python number (`.tolist()`), so
-    floats read back exactly and integer columns stay integers.  The bytes
-    are csv.writer's.  The header goes through csv.writer, so a field that
-    needs quoting gets it.  The repr of a number holds no comma, quote or
+    floats read back exactly and integer columns stay integers.  A column may
+    also be a list of that text already formatted, one str per row; a caller
+    that writes the same values into several files formats them once.  The
+    bytes are csv.writer's.  The header goes through csv.writer, so a field
+    that needs quoting gets it.  The repr of a number holds no comma, quote or
     line break, so each block of TABLE_BLOCK_ROWS rows is formatted a column
     at a time, one repr per value, and written in one write: its rows are
     their fields joined by commas, each ended by CRLF, as csv.writer would
     write them.
+
+    A header whose width is not the number of columns, and columns of
+    unequal lengths, raise ConfigurationError naming the path before the
+    file is opened.
     """
-    rows = min((len(column) for column in columns), default=0)
+    header = list(header)
+    lengths = [len(column) for column in columns]
+    if len(header) != len(lengths):
+        raise ConfigurationError(f"{path}: header {header} has width {len(header)}, "
+                                 f"the table {len(lengths)} columns")
+    if len(set(lengths)) > 1:
+        raise ConfigurationError(f"{path}: columns of unequal lengths {lengths}")
+    rows = lengths[0] if lengths else 0
     with open_output(path, newline="") as fh:
         csv.writer(fh).writerow(header)
         for start in range(0, rows, TABLE_BLOCK_ROWS):
             block = slice(start, start + TABLE_BLOCK_ROWS)
-            fields = [map(repr, column[block].tolist()) for column in columns]
+            fields = [column[block] if isinstance(column, list)
+                      else map(repr, column[block].tolist()) for column in columns]
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 

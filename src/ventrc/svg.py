@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
+
 from .lti import open_output
 
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
@@ -38,12 +40,13 @@ def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
     """Render polyline series to an SVG file.
 
     series: iterable of (x_values, y_values, label) triples; empty series
-    produce an empty-axes plot.
+    produce an empty-axes plot.  px and py map a value, or an array of them
+    (a polyline's points), to pixels by the same operations.
     """
-    series = [(list(map(float, x)), list(map(float, y)), str(label))
+    series = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float), str(label))
               for x, y, label in series]
-    xs = [v for x, _, _ in series for v in x]
-    ys = [v for _, y, _ in series for v in y]
+    xs = [v for x, _, _ in series for v in x.tolist()]
+    ys = [v for _, y, _ in series for v in y.tolist()]
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
     y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
     if x_hi == x_lo:
@@ -102,7 +105,9 @@ def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
 
     for i, (x, y, label) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
-        pts = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x, y))
+        n = min(len(x), len(y))
+        with np.errstate(all="ignore"):  # inf and nan pass silently, as with floats
+            pts = " ".join(map("{:.2f},{:.2f}".format, px(x[:n]).tolist(), py(y[:n]).tolist()))
         if pts:
             ET.SubElement(svg, "polyline", points=pts, fill="none",
                           stroke=color, attrib={"stroke-width": "1.5"})

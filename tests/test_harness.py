@@ -1,13 +1,15 @@
+import contextlib
 import inspect
 import math
 import multiprocessing
 import re
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ventrc import harness, lti
+from ventrc import harness, lti, svg
 from ventrc.errors import ConfigurationError, DesignError, ExperimentDiverged
 from ventrc.harness import (
     BreathLog,
@@ -28,6 +30,7 @@ from ventrc.plant import (
     save_scenario, load_scenario, reference_profile, resolve_scenario_path, PatientScenario,
 )
 from ventrc.rc_design import RcFilterSet
+from table_reference import write_table as reference_write_table
 
 
 class TestExperimentSpec:
@@ -262,6 +265,16 @@ class TestReports:
         assert len(paths["trace"].read_text().splitlines()) == 1  # header only
         ET.parse(paths["pressure_svg"])  # parses as XML
 
+    def test_unequal_signals_raise_naming_the_trace(self, tmp_path, experiment_logs):
+        log = experiment_logs["logs"][("baby", "pid")]
+        short = replace(log, p_aw=log.p_aw[:-1])
+        n = len(log.reference)
+        path = tmp_path / "short" / "baby_pid_trace.csv"
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(path))}: columns of "
+                           rf"unequal lengths \[{n}, {n}, {n}, {n - 1}, {n}, {n}, {n}\]$"):
+            emit_report(short, tmp_path / "short")
+        assert not path.exists()
+
     def test_comparison_report(self, tmp_path, experiment_logs):
         base = experiment_logs["logs"][("adult", "pid")]
         cand = experiment_logs["logs"][("adult", "rc")]
@@ -271,6 +284,78 @@ class TestReports:
         assert lines[0] == "breath,baseline_norm,candidate_norm,ratio"
         assert len(lines) == 21
         ET.parse(paths["norms_compare_svg"])
+
+
+def crafted_log(name, reference, period_n, sample_time=0.002):
+    """A log whose signals are functions of its reference."""
+    reference = np.asarray(reference, dtype=float)
+    return BreathLog(name, "pid", sample_time, period_n, reference, reference / 3.0,
+                     -reference, reference * 1e-7, reference + 0.5)
+
+
+def edge_logs(adult):
+    """Logs whose traces share little or no text with the built-ins'."""
+    breath = np.array([5.0, 0.0, 20.0, 20.0, 0.0])
+    signed = np.tile(breath, 3)
+    signed[6] = -0.0                 # one breath differs from the others only in its sign
+    nan_once = np.tile(breath, 3)
+    nan_once[12] = np.nan            # the third breath only
+    k = 2 * adult.period_n + adult.period_n // 2
+    return {
+        "another_sample_time": replace(adult, scenario_name="fast", sample_time=0.001),
+        "partial": replace(adult, scenario_name="partial", reference=adult.reference[:k],
+                           p_aw=adult.p_aw[:k], p_lung=adult.p_lung[:k],
+                           q_pat=adult.q_pat[:k], command=adult.command[:k]),
+        "empty": crafted_log("empty", [], 10),
+        "signed_zero": crafted_log("signed", signed, 5),
+        "nan_once": crafted_log("nan_once", nan_once, 5),
+        "nan_every_breath": crafted_log("nan_all", np.tile([np.nan, -0.0, 1.0], 4), 3),
+        "shorter_than_a_breath": crafted_log("short", breath[:3], 5),
+    }
+
+
+def reference_trace_bytes(log, path) -> bytes:
+    """The trace's bytes by csv.writer, from the seven columns it has always held."""
+    samples = np.arange(len(log.reference))
+    reference_write_table(path, harness.TRACE_HEADER, [
+        samples, samples * log.sample_time, log.reference,
+        log.p_aw, log.p_lung, log.q_pat, log.command])
+    return path.read_bytes()
+
+
+class TestTraceBytes:
+    """emit_report's trace against the csv.writer oracle, whatever text it shares."""
+
+    @pytest.fixture(scope="class")
+    def logs_and_bytes(self, experiment_logs, tmp_path_factory):
+        logs = {f"{name}_{mode}": log for (name, mode), log in experiment_logs["logs"].items()}
+        logs.update(edge_logs(experiment_logs["logs"][("adult", "pid")]))
+        out = tmp_path_factory.mktemp("oracle")
+        return logs, {key: reference_trace_bytes(log, out / f"{key}.csv")
+                      for key, log in logs.items()}
+
+    @pytest.mark.parametrize("order, scoped", [
+        ("longest first", True), ("shortest first", True), ("longest first", False)])
+    def test_trace_is_the_csv_writer_bytes(self, tmp_path, monkeypatch, logs_and_bytes,
+                                           order, scoped):
+        # the plots are not under test, and a NaN in a plotted breath fails them
+        monkeypatch.setattr(svg, "line_plot", lambda *args, **kwargs: None)
+        logs, expected = logs_and_bytes
+        keys = sorted(logs, key=lambda key: len(logs[key].reference),
+                      reverse=order == "longest first")
+        with harness._trace_text_scope() if scoped else contextlib.nullcontext():
+            for key in keys:
+                paths = emit_report(logs[key], tmp_path / key)
+                assert paths["trace"].read_bytes() == expected[key], key
+        assert harness._trace_text is None
+
+    def test_reference_repeats_only_when_every_breath_has_its_bits(self):
+        breath = [5.0, -0.0, 20.0]
+        periodic = harness._reference_text(np.tile(breath, 3)[:-1], 3)
+        assert periodic == ["5.0", "-0.0", "20.0"] * 2 + ["5.0", "-0.0"]
+        for values in ([5.0, -0.0, 20.0, 5.0, 0.0, 20.0], [np.nan, 1.0, 2.0, 1.0]):
+            reference = np.array(values)
+            assert harness._reference_text(reference, 3) is reference
 
 
 class TestFullPipeline:
@@ -318,6 +403,24 @@ class TestFullPipeline:
         runs = [("run", name, mode) for name in harness.SCENARIOS for mode in ("pid", "rc")]
         reports = [("report", name, "pid") for name in harness.SCENARIOS]
         assert calls == runs + reports
+
+    @pytest.mark.filterwarnings("ignore::ventrc.errors.FitConvergenceWarning")
+    def test_each_call_formats_its_sample_time_text_once(self, tmp_path, monkeypatch):
+        # the shared text lives only as long as the call that writes the traces
+        formatted = []
+        format_sample_time = harness._format_sample_time
+
+        def counting(start, stop, sample_time):
+            formatted.append((start, stop))
+            return format_sample_time(start, stop, sample_time)
+
+        monkeypatch.setattr(harness, "_format_sample_time", counting)
+        for call in range(2):
+            run_full_pipeline(tmp_path / str(call), breaths=2)
+            assert harness._trace_text is None
+        # this process formats the adult's 2 x 2000 rows in each call, and the
+        # shorter pid traces take their leading rows; the helper counts its own
+        assert formatted == [(0, 4000), (0, 4000)]
 
     def test_non_integer_breaths_rejected_before_identification(self, tmp_path):
         with pytest.raises(ConfigurationError, match=r"^breaths must be an integer, got 2\.5$"):

@@ -313,6 +313,34 @@ def test_write_table_writes_the_csv_writer_bytes(tmp_path, table):
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+@settings(deadline=None, derandomize=True, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tables(), st.data())
+def test_write_table_takes_columns_as_formatted_text(tmp_path, table, data):
+    # a column given as the reprs of its numbers writes the bytes of the numbers
+    header, columns = table
+    as_text = [list(map(repr, column.tolist())) if data.draw(st.booleans()) else column
+               for column in columns]
+    write_table(tmp_path / "text.csv", header, as_text)
+    write_table(tmp_path / "numbers.csv", header, columns)
+    assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "numbers.csv").read_bytes()
+
+
+@pytest.mark.parametrize("header, columns, message", [
+    (["a", "b"], [np.arange(3), np.ones(2)], "columns of unequal lengths [3, 2]"),
+    (["a", "b"], [np.arange(3), ["0.0"] * 4], "columns of unequal lengths [3, 4]"),
+    (["a", "b", "c"], [np.arange(3), np.ones(3)],
+     "header ['a', 'b', 'c'] has width 3, the table 2 columns"),
+    (["a"], [np.arange(0), np.ones(0)], "header ['a'] has width 1, the table 2 columns"),
+])
+def test_write_table_rejects_a_ragged_table_before_writing(tmp_path, header, columns, message):
+    path = tmp_path / "table.csv"
+    with pytest.raises(ConfigurationError) as exc:
+        write_table(path, header, columns)
+    assert str(exc.value) == f"{path}: {message}"
+    assert not path.exists()
+
+
 @st.composite
 def lifted_runs(draw):
     """A random stable system, its chunk, a start state and an input of 1-40 chunks."""
