@@ -18,9 +18,14 @@ _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 64, 16, 34, 44
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+    """About n round values in [lo, hi]; just lo and hi where the span is not
+    a positive finite float, or where a step is below the precision of the
+    values it steps."""
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
+    if not 0.0 < span / max(n, 1) < math.inf:
+        return [lo, hi]
     step = 10.0 ** round(math.log10(span / max(n, 1)))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if span / (step * mult) <= n:
@@ -32,29 +37,49 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     while t <= hi + 1e-12 * span:
         if t >= lo - 1e-12 * span:
             ticks.append(t)
+        if t + step == t:
+            return [lo, hi]
         t += step
     return ticks or [lo, hi]
+
+
+def _axis(values: np.ndarray, pad: float) -> tuple[float, float, float]:
+    """The range (lo, hi) of an axis that plots values * scale.
+
+    The range is that of the finite values, or (0, 1) without one, widened by
+    `pad` of its span at each end.  A single value v spans (v, v + 1), or v
+    and its neighbour toward zero where v + 1 rounds to v.  scale is 1, or
+    1/4 where the widened span overflows; a power of two scales exactly.
+    """
+    finite = values[np.isfinite(values)].tolist()
+    lo, hi = (min(finite), max(finite)) if finite else (0.0, 1.0)
+    if hi == lo:
+        hi = lo + 1.0
+    if hi == lo:
+        lo, hi = sorted((lo, math.nextafter(lo, 0.0)))
+    for scale in (1.0, 0.25):
+        a, b = lo * scale, hi * scale
+        if pad:
+            d = pad * (b - a)
+            a, b = a - d, b + d
+        if b - a < math.inf:
+            break
+    return a, b, scale
 
 
 def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
     """Render polyline series to an SVG file.
 
     series: iterable of (x_values, y_values, label) triples; empty series
-    produce an empty-axes plot.  px and py map a value, or an array of them
-    (a polyline's points), to pixels by the same operations.
+    produce an empty-axes plot.  The axes span the finite values (see _axis);
+    NaN and inf points are written as they map.  px and py map a scaled
+    value, or an array of them (a polyline's points), to pixels by the same
+    operations.
     """
     series = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float), str(label))
               for x, y, label in series]
-    xs = [v for x, _, _ in series for v in x.tolist()]
-    ys = [v for _, y, _ in series for v in y.tolist()]
-    x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)
-    y_lo, y_hi = (min(ys), max(ys)) if ys else (0.0, 1.0)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+    x_lo, x_hi, x_scale = _axis(np.concatenate([x for x, _, _ in series] or [[]]), 0.0)
+    y_lo, y_hi, y_scale = _axis(np.concatenate([y for _, y, _ in series] or [[]]), 0.05)
 
     iw = _WIDTH - _MARGIN_L - _MARGIN_R
     ih = _HEIGHT - _MARGIN_T - _MARGIN_B
@@ -86,12 +111,12 @@ def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
         ET.SubElement(svg, "line", x1=str(px(t)), y1=str(_MARGIN_T + ih),
                       x2=str(px(t)), y2=str(_MARGIN_T + ih + 4), **axis_style)
         ET.SubElement(svg, "text", x=str(px(t)), y=str(_MARGIN_T + ih + 16),
-                      attrib={**label_attr, "text-anchor": "middle"}).text = f"{t:g}"
+                      attrib={**label_attr, "text-anchor": "middle"}).text = f"{t / x_scale:g}"
     for t in _ticks(y_lo, y_hi):
         ET.SubElement(svg, "line", x1=str(_MARGIN_L - 4), y1=str(py(t)),
                       x2=str(_MARGIN_L), y2=str(py(t)), **axis_style)
         ET.SubElement(svg, "text", x=str(_MARGIN_L - 7), y=str(py(t) + 4),
-                      attrib={**label_attr, "text-anchor": "end"}).text = f"{t:g}"
+                      attrib={**label_attr, "text-anchor": "end"}).text = f"{t / y_scale:g}"
     if xlabel:
         ET.SubElement(svg, "text", x=str(_MARGIN_L + iw / 2), y=str(_HEIGHT - 8),
                       attrib={**label_attr, "text-anchor": "middle",
@@ -107,7 +132,8 @@ def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
         color = _COLORS[i % len(_COLORS)]
         n = min(len(x), len(y))
         with np.errstate(all="ignore"):  # inf and nan pass silently, as with floats
-            pts = " ".join(map("{:.2f},{:.2f}".format, px(x[:n]).tolist(), py(y[:n]).tolist()))
+            pts = " ".join(map("{:.2f},{:.2f}".format, px(x[:n] * x_scale).tolist(),
+                               py(y[:n] * y_scale).tolist()))
         if pts:
             ET.SubElement(svg, "polyline", points=pts, fill="none",
                           stroke=color, attrib={"stroke-width": "1.5"})

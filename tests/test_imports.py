@@ -1,5 +1,5 @@
-"""Every name that a module of the package imports is used in it, and only
-lti imports csv."""
+"""Every name that a module of the package imports is used in it, only lti
+imports csv, and no module rebinds a global."""
 
 import ast
 from pathlib import Path
@@ -54,3 +54,20 @@ def test_imported_modules_are_found():
 def test_only_lti_imports_csv():
     # lti.write_table and lti.read_table are the one CSV writer and reader
     assert [p.name for p in MODULES if "csv" in imported_modules(p.read_text())] == ["lti.py"]
+
+
+def global_statements(source: str) -> list[str]:
+    return [f"line {node.lineno}: global {', '.join(node.names)}"
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Global)]
+
+
+def test_global_statement_is_found():
+    source = "STATE = None\n\ndef reset():\n    global STATE\n    STATE = {}\n"
+    assert global_statements(source) == ["line 4: global STATE"]
+
+
+def test_no_module_rebinds_a_global():
+    # state that calls share belongs to an object that the caller creates
+    package = Path(ventrc.__file__).parent
+    found = {p.name: global_statements(p.read_text()) for p in sorted(package.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

@@ -1,12 +1,15 @@
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ventrc import svg
 
 POLYLINE = "{http://www.w3.org/2000/svg}polyline"
+LINE = "{http://www.w3.org/2000/svg}line"
 
 
 def per_point_points(series) -> list[str]:
@@ -56,3 +59,33 @@ def test_points_are_the_per_point_formula(tmp_path, series):
     svg.line_plot([(x, y, f"s{i}") for i, (x, y) in enumerate(series)], path)
     got = [el.get("points") for el in ET.parse(path).getroot().iter(POLYLINE)]
     assert got == per_point_points(series)
+
+
+@pytest.mark.parametrize("values", [
+    [np.nan, 1.0], [np.inf, 1.0], [np.nan, np.nan],
+    [0.0, 5e-324],                   # a subnormal span
+    [0.0, 1e308, -1e308],            # a span that overflows
+    [1e16, 1e16 + 2.0],              # a step below the precision of the values
+    [2.0 ** 60] * 2,                 # v + 1 rounds to v
+], ids=["nan first", "inf", "all nan", "subnormal", "overflow", "precision", "huge constant"])
+def test_any_series_gets_a_finite_axis(tmp_path, values):
+    # the values are both axes' series; every finite value maps into the plot
+    path = tmp_path / "plot.svg"
+    svg.line_plot([(values, values, "s")], path)
+    root = ET.parse(path).getroot()
+    for line in root.iter(LINE):
+        assert all(math.isfinite(float(line.get(k))) for k in ("x1", "y1", "x2", "y2"))
+    (polyline,) = root.iter(POLYLINE)
+    left, top = svg._MARGIN_L, svg._MARGIN_T
+    right, bottom = svg._WIDTH - svg._MARGIN_R, svg._HEIGHT - svg._MARGIN_B
+    points = [tuple(map(float, p.split(","))) for p in polyline.get("points").split()]
+    for value, (x, y) in zip(values, points, strict=True):
+        if math.isfinite(value):
+            assert left <= x <= right and top <= y <= bottom, (value, x, y)
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0), (0.0, 5e-324), (1e16, 1e16 + 2.0),
+    (2.0 ** 60, 2.0 ** 60)])
+def test_ticks_fall_back_to_the_ends(lo, hi):
+    assert list(map(repr, svg._ticks(lo, hi))) == [repr(lo), repr(hi)]
