@@ -1,3 +1,4 @@
+import contextlib
 import inspect
 import math
 import multiprocessing
@@ -345,14 +346,24 @@ class TestTraceBytes:
         return logs, {key: reference_trace_bytes(log, out / f"{key}.csv")
                       for key, log in logs.items()}
 
+    # in_helper: the trace is written by run_full_pipeline's report helper, as
+    # the rc runs' are, from a log that crossed the process boundary
+    @pytest.mark.parametrize("in_helper", [True, False])
     @pytest.mark.parametrize("order", ["longest first", "shortest first"])
-    def test_trace_is_the_csv_writer_bytes(self, tmp_path, logs_and_bytes, order):
+    def test_trace_is_the_csv_writer_bytes(self, tmp_path, logs_and_bytes, order, in_helper):
         logs, expected = logs_and_bytes
         keys = sorted(logs, key=lambda key: len(logs[key].reference),
                       reverse=order == "longest first")
-        for key in keys:
-            paths = emit_report(logs[key], tmp_path / key)
-            assert paths["trace"].read_bytes() == expected[key], key
+        with harness._report_helper() if in_helper else contextlib.nullcontext() as helper:
+            for key in keys:
+                log = logs[key]
+                if in_helper:
+                    helper.submit(harness._emit_helper_report, log, tmp_path / key).result()
+                else:
+                    emit_report(log, tmp_path / key)
+                trace = tmp_path / key / f"{log.scenario_name}_{log.mode}_trace.csv"
+                assert trace.read_bytes() == expected[key], key
+        assert multiprocessing.active_children() == []
 
     def test_reference_repeats_only_when_every_breath_has_its_bits(self):
         breath = [5.0, -0.0, 20.0]
