@@ -25,6 +25,7 @@ from .lti import (
     FirKernel,
     FrequencyResponse,
     evaluate,
+    same_sample_time,
     save_transfer_function,
     sorted_distinct,
     write_table,
@@ -149,8 +150,7 @@ def run_experiment(spec: ExperimentSpec) -> BreathLog:
         filterset = spec.filterset
         if not isinstance(filterset, RcFilterSet):
             filterset = load_filterset(filterset)
-        # written so that a NaN sample time fails too
-        if filterset.period_n != n or not abs(filterset.sample_time - ts) <= 1e-15:
+        if filterset.period_n != n or not same_sample_time(filterset.sample_time, ts):
             raise ConfigurationError(
                 f"filterset (period {filterset.period_n}, sample time "
                 f"{filterset.sample_time} s) does not match scenario {scenario.name} "
@@ -231,26 +231,11 @@ def compare_runs(baseline: BreathLog, candidate: BreathLog) -> ComparisonTable:
                            candidate.breath_norms)
 
 
-def _reference_text(reference: np.ndarray, period_n: int):
-    """The reference column: one breath's reprs, repeated, when every breath
-    has the same bits as the first (so -0.0, 0.0 and NaN keep their own
-    repr); otherwise the values themselves, formatted value by value."""
-    n = len(reference)
-    if reference.dtype == np.float64 and 0 < period_n < n:
-        bits = reference.view(np.uint64)
-        if np.array_equal(bits[period_n:], bits[:-period_n]):
-            breath = list(map(repr, reference[:period_n].tolist()))
-            return (breath * -(-n // period_n))[:n]
-    return reference
-
-
 def emit_report(log: BreathLog, out_dir) -> dict[str, Path]:
     """Write the per-sample trace CSV, the per-breath norm CSV, and SVG plots.
 
-    The pressure plot shows the last complete breath.  The trace's bytes are
-    those of formatting every value: sample and time_s are np.arange(n) and
-    np.arange(n) * sample_time, and a reference whose breaths share their
-    bits formats one breath and repeats its text (see _reference_text).
+    The pressure plot shows the last complete breath.  The trace's sample and
+    time_s columns are np.arange(n) and np.arange(n) * sample_time.
     """
     out_dir = Path(out_dir)
     stem = f"{log.scenario_name}_{log.mode}"
@@ -258,8 +243,7 @@ def emit_report(log: BreathLog, out_dir) -> dict[str, Path]:
 
     trace = out_dir / f"{stem}_trace.csv"
     samples = np.arange(len(log.reference))
-    write_table(trace, TRACE_HEADER, [samples, samples * log.sample_time,
-                                      _reference_text(log.reference, log.period_n),
+    write_table(trace, TRACE_HEADER, [samples, samples * log.sample_time, log.reference,
                                       log.p_aw, log.p_lung, log.q_pat, log.command])
     paths["trace"] = trace
 
@@ -445,17 +429,18 @@ def _emit_helper_report(log: BreathLog, out_dir) -> None:
 
 def emit_comparison_report(baseline: BreathLog, candidate: BreathLog,
                            comparison: ComparisonTable, out_dir) -> dict[str, Path]:
-    """Comparison CSV plus the two-curve norm plot."""
+    """Comparison CSV plus the two-curve norm plot: the comparison's norms,
+    labelled with the runs' modes."""
     out_dir = Path(out_dir)
     paths = {}
     cmp_path = out_dir / f"{comparison.scenario_name}_comparison.csv"
     comparison.save_csv(cmp_path)
     paths["comparison"] = cmp_path
     both_svg = out_dir / f"{comparison.scenario_name}_norms_compare.svg"
-    nb = np.arange(1, len(baseline.breath_norms) + 1)
+    nb = np.arange(1, len(comparison.baseline_norms) + 1)
     svg.line_plot(
-        [(nb, baseline.breath_norms, baseline.mode),
-         (nb, candidate.breath_norms, candidate.mode)],
+        [(nb, comparison.baseline_norms, baseline.mode),
+         (nb, comparison.candidate_norms, candidate.mode)],
         both_svg,
         title=f"{comparison.scenario_name}: error 2-norm per breath",
         xlabel="breath", ylabel="error 2-norm [mbar]",

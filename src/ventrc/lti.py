@@ -64,6 +64,11 @@ def check_sample_time(sample_time: float) -> None:
         raise ValueError(f"sample_time must be finite, got {sample_time}")
 
 
+def same_sample_time(a: float, b: float) -> bool:
+    """Whether two sample times are equal to within 1e-15 s; false for NaN."""
+    return abs(a - b) <= 1e-15
+
+
 @dataclass
 class DiscreteTransferFunction:
     """Rational function in z^-1 with an explicit pure delay.
@@ -114,7 +119,7 @@ class DiscreteTransferFunction:
 
     def cascade(self, other: "DiscreteTransferFunction") -> "DiscreteTransferFunction":
         """Series connection self * other (sample times must match)."""
-        if abs(self.sample_time - other.sample_time) > 1e-15:
+        if not same_sample_time(self.sample_time, other.sample_time):
             raise ValueError("cascade requires identical sample times")
         return DiscreteTransferFunction(
             np.convolve(self.numerator_coeffs, other.numerator_coeffs),
@@ -201,10 +206,11 @@ class FrequencyResponse:
         return len(self.frequencies_hz)
 
     def same_grid(self, other: "FrequencyResponse") -> bool:
-        """Same sample time, and the same frequencies to within 1e-9 Hz."""
+        """Same sample time (see same_sample_time), and the same frequencies to
+        within 1e-9 Hz."""
         return (
             len(self) == len(other)
-            and abs(self.sample_time - other.sample_time) < 1e-15
+            and same_sample_time(self.sample_time, other.sample_time)
             and np.allclose(self.frequencies_hz, other.frequencies_hz, rtol=0.0, atol=1e-9)
         )
 
@@ -503,16 +509,14 @@ def open_output(path, newline=None):
 def write_table(path, header, columns) -> None:
     """Write a CSV file: the header, then one row per element of the columns.
 
-    Each value is written as the repr of its Python number (`.tolist()`), so
-    floats read back exactly and integer columns stay integers.  A column may
-    also be a list of that text already formatted, one str per row; a caller
-    that writes the same values into several files formats them once.  The
-    bytes are csv.writer's.  The header goes through csv.writer, so a field
-    that needs quoting gets it.  The repr of a number holds no comma, quote or
-    line break, so each block of TABLE_BLOCK_ROWS rows is formatted a column
-    at a time, one repr per value, and written in one write: its rows are
-    their fields joined by commas, each ended by CRLF, as csv.writer would
-    write them.
+    Each column is an array of numbers, and each value is written as the repr
+    of its Python number (`.tolist()`), so floats read back exactly and
+    integer columns stay integers.  The bytes are csv.writer's.  The header
+    goes through csv.writer, so a field that needs quoting gets it.  The repr
+    of a number holds no comma, quote or line break, so each block of
+    TABLE_BLOCK_ROWS rows is formatted a column at a time, one repr per
+    value, and written in one write: its rows are their fields joined by
+    commas, each ended by CRLF, as csv.writer would write them.
 
     A header whose width is not the number of columns, and columns of
     unequal lengths, raise ConfigurationError naming the path before the
@@ -530,8 +534,7 @@ def write_table(path, header, columns) -> None:
         csv.writer(fh).writerow(header)
         for start in range(0, rows, TABLE_BLOCK_ROWS):
             block = slice(start, start + TABLE_BLOCK_ROWS)
-            fields = [column[block] if isinstance(column, list)
-                      else map(repr, column[block].tolist()) for column in columns]
+            fields = [map(repr, column[block].tolist()) for column in columns]
             fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
 
 

@@ -24,6 +24,7 @@ from .lti import (
     array_key,
     evaluate,
     lru_get,
+    same_sample_time,
     sorted_distinct,
     write_coefficient_file,
     write_table,
@@ -273,8 +274,7 @@ def check_stability(q: FirKernel, l_causal: DiscreteTransferFunction, l_shift: i
         )
     if not all(first.same_grid(frf) for frf in frfs.values()):
         raise ConfigurationError("all FRFs must share one frequency grid")
-    # written so that a NaN sample time fails too
-    if not abs(l_causal.sample_time - ts) <= 1e-15:
+    if not same_sample_time(l_causal.sample_time, ts):
         raise ConfigurationError(
             f"learning filter sample time {l_causal.sample_time} s differs from "
             f"the responses' sample time {ts} s")

@@ -71,9 +71,10 @@ def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
     """Render polyline series to an SVG file.
 
     series: iterable of (x_values, y_values, label) triples; empty series
-    produce an empty-axes plot.  The axes span the finite values (see _axis);
-    NaN and inf points are written as they map.  px and py map a scaled
-    value, or an array of them (a polyline's points), to pixels by the same
+    produce an empty-axes plot.  The axes span the finite values (see _axis).
+    Each run of points that map to finite pixels is a polyline of its own; a
+    point that maps to NaN or inf is dropped.  px and py map a scaled value,
+    or an array of them (a polyline's points), to pixels by the same
     operations.
     """
     series = [(np.asarray(x, dtype=float), np.asarray(y, dtype=float), str(label))
@@ -132,9 +133,13 @@ def line_plot(series, path, title: str = "", xlabel: str = "", ylabel: str = "")
         color = _COLORS[i % len(_COLORS)]
         n = min(len(x), len(y))
         with np.errstate(all="ignore"):  # inf and nan pass silently, as with floats
-            pts = " ".join(map("{:.2f},{:.2f}".format, px(x[:n] * x_scale).tolist(),
-                               py(y[:n] * y_scale).tolist()))
-        if pts:
+            xs, ys = px(x[:n] * x_scale), py(y[:n] * y_scale)
+        # the starts and stops of the runs of finite points, alternately
+        finite = np.concatenate([[False], np.isfinite(xs) & np.isfinite(ys), [False]])
+        edges = np.flatnonzero(finite[1:] != finite[:-1]).tolist()
+        for start, stop in zip(edges[::2], edges[1::2]):
+            pts = " ".join(map("{:.2f},{:.2f}".format, xs[start:stop].tolist(),
+                               ys[start:stop].tolist()))
             ET.SubElement(svg, "polyline", points=pts, fill="none",
                           stroke=color, attrib={"stroke-width": "1.5"})
         if label:

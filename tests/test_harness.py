@@ -88,6 +88,20 @@ class TestBenchmarkRuns:
             run_experiment(ExperimentSpec(scenario="baby", mode="rc",
                                           breaths=2, filterset=fs))
 
+    def test_sample_time_mismatch_rejected(self, design_outputs):
+        # sample times 2e-15 s apart differ, and one ulp apart are the same
+        fs = design_outputs["filterset"]
+        far = replace(fs.l_causal, sample_time=0.002 + 2e-15)
+        with pytest.raises(ConfigurationError, match=rf"^filterset \(period 2000, sample time "
+                                                     rf"{re.escape(str(far.sample_time))} s\) "
+                                                     r"does not match scenario adult"):
+            run_experiment(ExperimentSpec(scenario="adult", mode="rc", breaths=1,
+                                          filterset=replace(fs, l_causal=far)))
+        near = replace(fs.l_causal, sample_time=math.nextafter(0.002, 1))
+        log = run_experiment(ExperimentSpec(scenario="adult", mode="rc", breaths=1,
+                                            filterset=replace(fs, l_causal=near)))
+        assert log.complete and log.sample_time == 0.002
+
     def test_determinism(self):
         spec = ExperimentSpec(scenario="baby", mode="pid", breaths=2,
                               measurement_noise_rms=0.05, seed=42)
@@ -364,14 +378,6 @@ class TestTraceBytes:
                 trace = tmp_path / key / f"{log.scenario_name}_{log.mode}_trace.csv"
                 assert trace.read_bytes() == expected[key], key
         assert multiprocessing.active_children() == []
-
-    def test_reference_repeats_only_when_every_breath_has_its_bits(self):
-        breath = [5.0, -0.0, 20.0]
-        periodic = harness._reference_text(np.tile(breath, 3)[:-1], 3)
-        assert periodic == ["5.0", "-0.0", "20.0"] * 2 + ["5.0", "-0.0"]
-        for values in ([5.0, -0.0, 20.0, 5.0, 0.0, 20.0], [np.nan, 1.0, 2.0, 1.0]):
-            reference = np.array(values)
-            assert harness._reference_text(reference, 3) is reference
 
 
 class TestFullPipeline:

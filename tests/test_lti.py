@@ -28,6 +28,7 @@ from ventrc.lti import (
     TABLE_BLOCK_ROWS,
     evaluate,
     load_transfer_function,
+    same_sample_time,
     save_transfer_function,
     write_table,
 )
@@ -222,6 +223,19 @@ def test_fractional_delay_rejected():
 def test_cascade_across_sample_times_rejected():
     with pytest.raises(ValueError, match="^cascade requires identical sample times$"):
         integrator().cascade(DiscreteTransferFunction([1.0], [1.0], 0, 0.001))
+    # sample times 2e-15 s apart differ, and one ulp apart are the same
+    with pytest.raises(ValueError, match="^cascade requires identical sample times$"):
+        integrator().cascade(DiscreteTransferFunction([1.0], [1.0], 0, TS + 2e-15))
+    ulp = integrator().cascade(DiscreteTransferFunction([1.0], [1.0], 0, math.nextafter(TS, 1)))
+    assert ulp.sample_time == TS
+
+
+@pytest.mark.parametrize("a, b, same", [
+    (TS, TS, True), (TS, math.nextafter(TS, 1), True), (TS, TS + 2e-15, False),
+    (TS, math.nan, False), (math.nan, math.nan, False)])
+def test_same_sample_time(a, b, same):
+    assert same_sample_time(a, b) is same
+    assert same_sample_time(b, a) is same
 
 
 @pytest.mark.parametrize("frequencies, values, message", [
@@ -313,22 +327,9 @@ def test_write_table_writes_the_csv_writer_bytes(tmp_path, table):
     assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
-@settings(deadline=None, derandomize=True, max_examples=40,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(tables(), st.data())
-def test_write_table_takes_columns_as_formatted_text(tmp_path, table, data):
-    # a column given as the reprs of its numbers writes the bytes of the numbers
-    header, columns = table
-    as_text = [list(map(repr, column.tolist())) if data.draw(st.booleans()) else column
-               for column in columns]
-    write_table(tmp_path / "text.csv", header, as_text)
-    write_table(tmp_path / "numbers.csv", header, columns)
-    assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "numbers.csv").read_bytes()
-
-
 @pytest.mark.parametrize("header, columns, message", [
     (["a", "b"], [np.arange(3), np.ones(2)], "columns of unequal lengths [3, 2]"),
-    (["a", "b"], [np.arange(3), ["0.0"] * 4], "columns of unequal lengths [3, 4]"),
+    (["a", "b"], [np.arange(3), np.zeros(4)], "columns of unequal lengths [3, 4]"),
     (["a", "b", "c"], [np.arange(3), np.ones(3)],
      "header ['a', 'b', 'c'] has width 3, the table 2 columns"),
     (["a"], [np.arange(0), np.ones(0)], "header ['a'] has width 1, the table 2 columns"),

@@ -1,4 +1,5 @@
 import inspect
+import math
 import re
 
 import numpy as np
@@ -209,6 +210,15 @@ class TestCheckStability:
                            match=r"^learning filter sample time 0\.001 s differs from "
                                  r"the responses' sample time 0\.002 s$"):
             check_stability(design_q_fir(23.0, 50, 0.001), l_causal, l_shift, {"a": frf})
+        # sample times 2e-15 s apart differ, and one ulp apart are the same
+        q = design_q_fir(23.0, 50, TS)
+        l_causal, l_shift = zpetc_invert(DiscreteTransferFunction(*coeffs, TS + 2e-15))
+        with pytest.raises(ConfigurationError,
+                           match=rf"^learning filter sample time {re.escape(str(TS + 2e-15))} s "
+                                 r"differs from the responses' sample time 0\.002 s$"):
+            check_stability(q, l_causal, l_shift, {"a": frf})
+        l_causal, l_shift = zpetc_invert(DiscreteTransferFunction(*coeffs, math.nextafter(TS, 1)))
+        check_stability(q, l_causal, l_shift, {"a": frf})
 
     def test_unstable_learning_filter_rejected(self, unstable_filterset, response_builds):
         fs = unstable_filterset

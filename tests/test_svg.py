@@ -75,13 +75,31 @@ def test_any_series_gets_a_finite_axis(tmp_path, values):
     root = ET.parse(path).getroot()
     for line in root.iter(LINE):
         assert all(math.isfinite(float(line.get(k))) for k in ("x1", "y1", "x2", "y2"))
-    (polyline,) = root.iter(POLYLINE)
     left, top = svg._MARGIN_L, svg._MARGIN_T
     right, bottom = svg._WIDTH - svg._MARGIN_R, svg._HEIGHT - svg._MARGIN_B
-    points = [tuple(map(float, p.split(","))) for p in polyline.get("points").split()]
-    for value, (x, y) in zip(values, points, strict=True):
-        if math.isfinite(value):
-            assert left <= x <= right and top <= y <= bottom, (value, x, y)
+    points = [tuple(map(float, p.split(","))) for polyline in root.iter(POLYLINE)
+              for p in polyline.get("points").split()]
+    finite = [value for value in values if math.isfinite(value)]
+    for value, (x, y) in zip(finite, points, strict=True):
+        assert left <= x <= right and top <= y <= bottom, (value, x, y)
+
+
+def test_non_finite_points_split_the_polyline(tmp_path):
+    # each run of finite points is a polyline of its own; a NaN or inf point
+    # is dropped, and the axes are those of the finite points
+    path = tmp_path / "plot.svg"
+    svg.line_plot([([0, 1, 2], [1.0, np.nan, 2.0], "a")], path)
+    got = [el.get("points") for el in ET.parse(path).getroot().iter(POLYLINE)]
+    assert got == ["64.00,398.64", "884.00,51.36"]
+
+    x = [0.0, 1.0, 2.0, 3.0, 4.0, np.nan, 6.0]
+    y = [1.0, np.nan, 2.0, 3.0, -np.inf, 4.0, 5.0]
+    svg.line_plot([(x, y, "a"), ([1.0, 2.0], [np.nan, np.nan], "b")], path)
+    got = [el.get("points") for el in ET.parse(path).getroot().iter(POLYLINE)]
+    (finite,) = per_point_points([([0.0, 2.0, 3.0, 6.0], [1.0, 2.0, 3.0, 5.0])])
+    p0, p2, p3, p6 = finite.split()
+    assert got == [p0, f"{p2} {p3}", p6]
+    assert "nan" not in path.read_text() and "inf" not in path.read_text()
 
 
 @pytest.mark.parametrize("lo, hi", [

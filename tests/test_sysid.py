@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,13 @@ class TestAverageFrf:
         b = FrequencyResponse([1.0, 3.0], [1, 1], TS)
         with pytest.raises(ValueError, match="grid"):
             average_frf([a, b])
+        # sample times 2e-15 s apart differ, and one ulp apart are the same
+        c = FrequencyResponse([1.0, 2.0], [1, 1], TS + 2e-15)
+        with pytest.raises(ValueError, match="grid"):
+            average_frf([a, c])
+        d = FrequencyResponse([1.0, 2.0], [1, 1], math.nextafter(TS, 1))
+        assert a.same_grid(d) and d.same_grid(a)
+        assert average_frf([a, d]).sample_time == TS
 
     def test_nothing_to_average_rejected(self):
         with pytest.raises(ValueError, match="^need at least one FRF to average$"):
