@@ -1,4 +1,8 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one
+check of an input number."""
+
+import math
+import operator
 
 
 class VentrcError(Exception):
@@ -7,6 +11,34 @@ class VentrcError(Exception):
 
 class ConfigurationError(VentrcError, ValueError):
     """Structurally invalid configuration (shift budgets, capacities, periods)."""
+
+
+def check_number(field: str, value, *, gt=None, ge=None, lt=math.inf, le=None,
+                 integer: bool = False):
+    """value, or ConfigurationError("<field> must ..., got <value!r>").
+
+    The bounds are gt or ge below and lt or le above.  lt is math.inf unless
+    le is given, so inf fails unless le=math.inf allows it.  The first bound
+    that fails names the rule: "positive" for gt=0, "finite" for lt=inf.
+    NaN fails every bound.  An integer field must pass operator.index
+    ("must be an integer"), and its index is returned.
+    """
+    if integer:
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise ConfigurationError(f"{field} must be an integer, got {value!r}") from None
+    if gt is not None and not value > gt:
+        rule = "positive" if gt == 0 else f"> {gt}"
+    elif ge is not None and not value >= ge:
+        rule = f">= {ge}"
+    elif le is not None and not value <= le:
+        rule = f"<= {le}"
+    elif le is None and not value < lt:
+        rule = "finite" if lt == math.inf else f"< {lt}"
+    else:
+        return value
+    raise ConfigurationError(f"{field} must be {rule}, got {value!r}")
 
 
 class SingularityError(VentrcError, ValueError):

@@ -9,7 +9,6 @@ normalized by breath length.
 
 from __future__ import annotations
 
-import operator
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 from . import svg
 from .closed_loop import ClosedLoop, simulate
 from .control_rt import RepetitiveController, benchmark_controller_tf
-from .errors import ConfigurationError, DesignError, ExperimentDiverged
+from .errors import ConfigurationError, DesignError, ExperimentDiverged, check_number
 from .lti import (
     CHUNK,
     FirKernel,
@@ -73,26 +72,15 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in ("pid", "rc"):
             raise ConfigurationError(f"mode must be 'pid' or 'rc', got {self.mode!r}")
-        _check_integer("breaths", self.breaths)
-        _check_integer("seed", self.seed)
-        if self.breaths < 1:
-            raise ConfigurationError("breaths must be >= 1")
-        if not self.seed >= 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        check_number("breaths", self.breaths, ge=1, integer=True)
+        check_number("seed", self.seed, ge=0, integer=True)
         if self.mode == "rc" and self.filterset is None:
             raise ConfigurationError("rc mode needs a filterset")
         if self.mode == "pid" and self.filterset is not None:
             raise ConfigurationError("pid mode takes no filterset")
-        limits = self.output_limits   # written so that NaN fails too
+        limits = self.output_limits   # a NaN limit fails lo < hi
         if limits is not None and not (np.shape(limits) == (2,) and limits[0] < limits[1]):
             raise ConfigurationError(f"output_limits must be a pair lo < hi, got {limits!r}")
-
-
-def _check_integer(name: str, value) -> None:
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass

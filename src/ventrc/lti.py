@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, SingularityError
+from .errors import ConfigurationError, SingularityError, check_number
 
 CHUNK = 128
 # LiftedSystem runs this many whole chunks per pair of matrix-matrix products
@@ -56,14 +55,6 @@ def sorted_distinct(values) -> np.ndarray:
     return v[keep]
 
 
-def check_sample_time(sample_time: float) -> None:
-    """Raise ValueError unless 0 < sample_time < inf; NaN fails too."""
-    if not sample_time > 0:
-        raise ValueError(f"sample_time must be positive, got {sample_time}")
-    if sample_time == math.inf:
-        raise ValueError(f"sample_time must be finite, got {sample_time}")
-
-
 def same_sample_time(a: float, b: float) -> bool:
     """Whether two sample times are equal to within 1e-15 s; false for NaN."""
     return abs(a - b) <= 1e-15
@@ -85,9 +76,8 @@ class DiscreteTransferFunction:
     def __post_init__(self):
         num = np.atleast_1d(np.asarray(self.numerator_coeffs, dtype=float))
         den = np.atleast_1d(np.asarray(self.denominator_coeffs, dtype=float))
-        check_sample_time(self.sample_time)
-        if self.pure_delay < 0 or int(self.pure_delay) != self.pure_delay:
-            raise ValueError(f"pure_delay must be a nonnegative integer, got {self.pure_delay}")
+        check_number("sample_time", self.sample_time, gt=0)
+        self.pure_delay = check_number("pure_delay", self.pure_delay, ge=0, integer=True)
         if not (np.isfinite(num).all() and np.isfinite(den).all()):
             raise ValueError("coefficients must be finite")
         if den.size == 0 or abs(den[0]) < 1e-300:
@@ -95,7 +85,6 @@ class DiscreteTransferFunction:
         lead = den[0]
         self.numerator_coeffs = num / lead
         self.denominator_coeffs = den / lead
-        self.pure_delay = int(self.pure_delay)
 
     @property
     def nyquist_hz(self) -> float:
@@ -191,7 +180,7 @@ class FrequencyResponse:
     def __post_init__(self):
         self.frequencies_hz = np.atleast_1d(np.asarray(self.frequencies_hz, dtype=float))
         self.values = np.atleast_1d(np.asarray(self.values, dtype=complex))
-        check_sample_time(self.sample_time)
+        check_number("sample_time", self.sample_time, gt=0)
         if len(self.frequencies_hz) != len(self.values):
             raise ValueError("frequencies and values must have equal length")
         if not (np.isfinite(self.frequencies_hz).all() and np.isfinite(self.values).all()):
@@ -347,8 +336,7 @@ class LiftedSystem:
     """
 
     def __init__(self, ss: StateSpace, chunk: int = CHUNK):
-        if chunk < 1:
-            raise ConfigurationError(f"chunk must be >= 1, got {chunk}")
+        check_number("chunk", chunk, ge=1, integer=True)
         self.a, self.b, self.c, self.d = ss.a, ss.b, ss.c, ss.d
         self.chunk, self._powers, self._gamma, self._outputs_t = _lift(ss, chunk)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_number
 from .lti import DiscreteTransferFunction, StateSpace, open_output, parse_field, read_text
 
 
@@ -40,24 +40,19 @@ class PatientScenario:
     name: str = "scenario"
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not (self.r_lung > 0 and self.c_lung > 0):
-            raise ValueError("r_lung and c_lung must be positive")
-        for name in ("r_lung", "c_lung"):
-            if getattr(self, name) == math.inf:
-                raise ValueError(f"{name} must be finite")
-        for name in ("respiratory_rate", "t_insp", "t_exp"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("r_lung", "c_lung", "respiratory_rate", "t_insp", "t_exp"):
+            check_number(name, getattr(self, name), gt=0)
+        for name in ("peep", "ipap"):
+            check_number(name, getattr(self, name), ge=0)
+        # equality allowed so a flat (zero-amplitude) profile is constructible
+        if self.ipap < self.peep:
+            raise ValueError(f"ipap {self.ipap!r} must be >= peep {self.peep!r}")
         period = 60.0 / self.respiratory_rate
         if abs(self.t_insp + self.t_exp - period) > 1e-9:
             raise ValueError(
                 f"t_insp + t_exp = {self.t_insp + self.t_exp} s does not match "
                 f"60/respiratory_rate = {period} s"
             )
-        # equality allowed so a flat (zero-amplitude) profile is constructible
-        if not (math.inf > self.ipap >= self.peep >= 0):
-            raise ValueError("require a finite ipap >= peep >= 0")
 
     @property
     def period_s(self) -> float:
@@ -76,18 +71,13 @@ class CircuitParameters:
     sample_time: float = 0.002     # s
 
     def __post_init__(self):
-        # written so that NaN fails too; an infinite leak resistance is no leak
-        if not (self.r_hose > 0 and self.r_leak > 0):
-            raise ValueError("r_hose and r_leak must be positive")
-        if not self.blower_time_constant >= 0:
-            raise ValueError("blower_time_constant must be nonnegative")
-        if self.blower_delay_samples < 0 or self.measurement_delay_samples < 0:
-            raise ValueError("delay sample counts must be nonnegative")
-        if not self.sample_time > 0:
-            raise ValueError("sample_time must be positive")
-        for name in ("r_hose", "blower_time_constant", "sample_time"):
-            if getattr(self, name) == math.inf:
-                raise ValueError(f"{name} must be finite")
+        for name in ("r_hose", "sample_time"):
+            check_number(name, getattr(self, name), gt=0)
+        # an infinite leak resistance is no leak
+        check_number("r_leak", self.r_leak, gt=0, le=math.inf)
+        check_number("blower_time_constant", self.blower_time_constant, ge=0)
+        for name in ("blower_delay_samples", "measurement_delay_samples"):
+            check_number(name, getattr(self, name), ge=0, integer=True)
 
     @property
     def total_delay_samples(self) -> int:
@@ -116,13 +106,8 @@ class VentilatorPlant:
                  measurement_noise_rms: float = 0.0, seed: int | None = None):
         self.patient = patient
         self.circuit = circuit or CircuitParameters()
-        self.measurement_noise_rms = float(measurement_noise_rms)
-        if not self.measurement_noise_rms >= 0.0:
-            raise ConfigurationError(
-                f"measurement_noise_rms must be >= 0, got {measurement_noise_rms!r}")
-        if self.measurement_noise_rms == math.inf:
-            raise ConfigurationError(
-                f"measurement_noise_rms must be finite, got {measurement_noise_rms!r}")
+        self.measurement_noise_rms = check_number("measurement_noise_rms",
+                                                  float(measurement_noise_rms), ge=0)
         self._rng = np.random.default_rng(seed)
         c = self.circuit
         g_hose = 1.0 / c.r_hose
@@ -276,8 +261,7 @@ def reference_profile(scenario: PatientScenario, sample_time: float) -> np.ndarr
 
     N = round(period/sample_time) samples.
     """
-    if sample_time <= 0:
-        raise ConfigurationError("sample_time must be positive")
+    check_number("sample_time", sample_time, gt=0)
     n_insp = round(scenario.t_insp / sample_time)
     n_total = round(scenario.period_s / sample_time)
     if abs(scenario.t_insp - n_insp * sample_time) > sample_time / 2 or n_total <= 0:

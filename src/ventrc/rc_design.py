@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DesignError
+from .errors import ConfigurationError, DesignError, check_number
 from .lti import (
     RESPONSE_MEMO,
     CoefficientFile,
@@ -61,10 +61,8 @@ class RcFilterSet:
     period_n: int
 
     def __post_init__(self):
-        if self.l_shift < 0:
-            raise ConfigurationError("l_shift must be nonnegative")
-        if self.period_n <= 0:
-            raise ConfigurationError("period_n must be positive")
+        check_number("l_shift", self.l_shift, ge=0, integer=True)
+        check_number("period_n", self.period_n, gt=0, integer=True)
         if self.buffer_length <= 0:
             raise ConfigurationError(
                 f"shift budget violated: l_shift {self.l_shift} + q shift "
@@ -154,14 +152,9 @@ def zpetc_invert(t_fit: DiscreteTransferFunction) -> tuple[DiscreteTransferFunct
     inside = zeros[np.abs(zeros) < 1.0 - UNSTABLE_ZERO_TOL]
     kept = zeros[np.abs(zeros) >= 1.0 - UNSTABLE_ZERO_TOL]
 
-    def poly_of(zs, gain):
-        c = np.array([1.0 + 0j])
-        for z0 in zs:
-            c = np.convolve(c, [1.0, -z0])
-        return (gain * c).real  # conjugate pairs make this real
-
-    b_plus = poly_of(inside, core[0])
-    b_minus = poly_of(kept, 1.0)
+    # conjugate pairs make both real; np.poly([]) is the scalar 1.0
+    b_plus = (core[0] * np.atleast_1d(np.poly(inside))).real
+    b_minus = np.atleast_1d(np.poly(kept)).real
     b_minus_at_1 = float(np.sum(b_minus))
     if abs(b_minus_at_1) < 1e-9 * max(1.0, np.max(np.abs(b_minus))):
         raise ValueError(
@@ -179,9 +172,7 @@ def zpetc_invert(t_fit: DiscreteTransferFunction) -> tuple[DiscreteTransferFunct
 def check_q_fir(cutoff_hz: float, order: int, sample_time: float) -> None:
     """ConfigurationError unless design_q_fir accepts these settings: a cutoff
     strictly between 0 and the Nyquist frequency, a positive even order."""
-    nyquist = 0.5 / sample_time
-    if not (0.0 < cutoff_hz < nyquist):
-        raise ConfigurationError(f"cutoff must lie in (0, {nyquist}) Hz, got {cutoff_hz}")
+    check_number("cutoff_hz", cutoff_hz, gt=0, lt=0.5 / sample_time)
     if order <= 0 or order % 2 != 0:
         raise ConfigurationError(f"order must be a positive even integer, got {order}")
 

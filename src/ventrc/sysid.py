@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .closed_loop import ClosedLoop, simulate
-from .errors import ConfigurationError, FitConvergenceWarning, IdentificationError
+from .errors import (
+    ConfigurationError, FitConvergenceWarning, IdentificationError, check_number,
+)
 from .lti import (
     DiscreteTransferFunction,
     FrequencyResponse,
@@ -53,14 +55,11 @@ class MultisineSpec:
         if bad.size:
             raise ConfigurationError(
                 f"bins_hz: excitation frequencies must be finite and positive, got {bad[0]}")
-        if not self.rms_amplitude > 0:
-            raise ConfigurationError(
-                f"rms_amplitude: excitation amplitude must be positive, got {self.rms_amplitude}")
+        check_number("rms_amplitude", self.rms_amplitude, gt=0)
         for name in ("period_samples", "periods_recorded", "periods_discarded"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.seed is not None and not self.seed >= 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+            check_number(name, getattr(self, name), ge=1, integer=True)
+        if self.seed is not None:
+            check_number("seed", self.seed, ge=0, integer=True)
 
     def snapped_bins(self, sample_time: float) -> np.ndarray:
         """Requested frequencies snapped to the multisine's integer DFT bins."""
@@ -166,10 +165,8 @@ def fit_rational(frf: FrequencyResponse, order: int, fixed_delay_samples: int,
     weights: optional per-bin nonnegative weights (e.g. 1/|frf| for a
     relative-error fit); uniform by default.
     """
-    if order < 0:
-        raise ConfigurationError(f"order must be >= 0, got {order}")
-    if fixed_delay_samples < 0:
-        raise ConfigurationError(f"fixed_delay_samples must be >= 0, got {fixed_delay_samples}")
+    check_number("order", order, ge=0, integer=True)
+    check_number("fixed_delay_samples", fixed_delay_samples, ge=0, integer=True)
     f = frf.frequencies_hz
     n_par = 2 * order + 1
     if 2 * len(f) < n_par:

@@ -216,7 +216,7 @@ def test_transfer_function_normalizes_denominator():
 
 
 def test_fractional_delay_rejected():
-    with pytest.raises(ValueError, match=r"^pure_delay must be a nonnegative integer, got 1\.5$"):
+    with pytest.raises(ConfigurationError, match=r"^pure_delay must be an integer, got 1\.5$"):
         DiscreteTransferFunction([1.0], [1.0], 1.5, TS)
 
 

@@ -89,8 +89,14 @@ class TestAirwayNode:
 
 @pytest.mark.parametrize("field", ["blower_delay_samples", "measurement_delay_samples"])
 def test_negative_delay_count_rejected(field):
-    with pytest.raises(ValueError, match="^delay sample counts must be nonnegative$"):
+    with pytest.raises(ConfigurationError, match=f"^{field} must be >= 0, got -1$"):
         CircuitParameters(**{field: -1})
+
+
+@pytest.mark.parametrize("field", ["blower_delay_samples", "measurement_delay_samples"])
+def test_fractional_delay_count_rejected(field):
+    with pytest.raises(ConfigurationError, match=rf"^{field} must be an integer, got 2\.5$"):
+        VentilatorPlant(adult(), CircuitParameters(**{field: 2.5})).state_space()
 
 
 class TestStep:
@@ -223,6 +229,10 @@ class TestReferenceProfile:
         with pytest.raises(ConfigurationError):
             reference_profile(adult(), sample_time=10.0)
 
+    def test_nan_sample_time_rejected(self):
+        with pytest.raises(ConfigurationError, match="^sample_time must be positive, got nan$"):
+            reference_profile(adult(), float("nan"))
+
 
 class TestScenarioFiles:
     def test_builtin_adult_values(self):
@@ -308,7 +318,7 @@ class TestScenarioFiles:
     ("r_lung = 5.0", "", "missing field 'r_lung'"),
     ("t_exp = 2.5", "t_exp = 3.0",
      "t_insp + t_exp = 4.5 s does not match 60/respiratory_rate = 4.0 s"),
-    ("r_hose = 5.0", "r_hose = -5.0", "r_hose and r_leak must be positive"),
+    ("r_hose = 5.0", "r_hose = -5.0", "r_hose must be positive, got -5.0"),
     ("blower_delay_samples = 6", "blower_delay_samples = 6.5",
      "field 'blower_delay_samples': '6.5' is not a valid int"),
     # zero and NaN values fail closed instead of dividing by zero or running on
@@ -317,20 +327,20 @@ class TestScenarioFiles:
      "respiratory_rate must be positive, got nan"),
     ("t_insp = 1.5", "t_insp = nan", "t_insp must be positive, got nan"),
     ("t_exp = 2.5", "t_exp = nan", "t_exp must be positive, got nan"),
-    ("sample_time = 0.002", "sample_time = nan", "sample_time must be positive"),
+    ("sample_time = 0.002", "sample_time = nan", "sample_time must be positive, got nan"),
     ("blower_time_constant = 0.01", "blower_time_constant = nan",
-     "blower_time_constant must be nonnegative"),
-    ("r_lung = 5.0", "r_lung = nan", "r_lung and c_lung must be positive"),
-    ("c_lung = 0.05", "c_lung = nan", "r_lung and c_lung must be positive"),
-    ("r_hose = 5.0", "r_hose = nan", "r_hose and r_leak must be positive"),
-    ("r_leak = 50.0", "r_leak = nan", "r_hose and r_leak must be positive"),
+     "blower_time_constant must be >= 0, got nan"),
+    ("r_lung = 5.0", "r_lung = nan", "r_lung must be positive, got nan"),
+    ("c_lung = 0.05", "c_lung = nan", "c_lung must be positive, got nan"),
+    ("r_hose = 5.0", "r_hose = nan", "r_hose must be positive, got nan"),
+    ("r_leak = 50.0", "r_leak = nan", "r_leak must be positive, got nan"),
     # infinite values that cut the blower off the patient or the lung off
     # (an infinite leak resistance is no leak and stays legal)
-    ("r_hose = 5.0", "r_hose = inf", "r_hose must be finite"),
+    ("r_hose = 5.0", "r_hose = inf", "r_hose must be finite, got inf"),
     ("blower_time_constant = 0.01", "blower_time_constant = inf",
-     "blower_time_constant must be finite"),
-    ("r_lung = 5.0", "r_lung = inf", "r_lung must be finite"),
-    ("c_lung = 0.05", "c_lung = inf", "c_lung must be finite"),
+     "blower_time_constant must be finite, got inf"),
+    ("r_lung = 5.0", "r_lung = inf", "r_lung must be finite, got inf"),
+    ("c_lung = 0.05", "c_lung = inf", "c_lung must be finite, got inf"),
     # files that configparser cannot parse fail on one line that names the line
     ("r_lung = 5.0", "r_lung = 5.0\nr_lung = 6.0",
      "cannot parse scenario file: line 4: field 'r_lung' appears twice in [patient]"),

@@ -359,9 +359,9 @@ class TestFilterSet:
             RcFilterSet(lc, 0, FirKernel([0.7, 0.2, 0.1]), 100)
 
     @pytest.mark.parametrize("l_shift, q_taps, period_n, message", [
-        (-1, [1.0], 100, "l_shift must be nonnegative"),
-        (0, [1.0], 0, "period_n must be positive"),
-        (0, [1.0], -5, "period_n must be positive"),
+        (-1, [1.0], 100, "l_shift must be >= 0, got -1"),
+        (0, [1.0], 0, "period_n must be positive, got 0"),
+        (0, [1.0], -5, "period_n must be positive, got -5"),
         (0, [0.3, 0.3, 0.3], 100, "q_kernel DC gain 0.900000 is not unity"),
         (0, [0.0051, 1.0, 0.0051], 100, "q_kernel DC gain 1.010200 is not unity"),
     ])

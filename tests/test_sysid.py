@@ -67,7 +67,9 @@ class TestEstimateFrf:
     @pytest.mark.parametrize("field, value", [
         ("rms_amplitude", 0.0), ("rms_amplitude", -1.0), ("period_samples", 0),
         ("periods_recorded", 0), ("periods_discarded", 0), ("bins_hz", [0.0, 2.0]),
-        ("bins_hz", [-1.0, 2.0]), ("bins_hz", [np.nan, 2.0]), ("bins_hz", [2.0, np.inf])])
+        ("bins_hz", [-1.0, 2.0]), ("bins_hz", [np.nan, 2.0]), ("bins_hz", [2.0, np.inf]),
+        ("rms_amplitude", math.inf), ("period_samples", 1000.5), ("periods_recorded", 2.5),
+        ("seed", 1.5)])
     def test_bad_excitation_fields_rejected(self, field, value):
         with pytest.raises(ConfigurationError, match=field):
             MultisineSpec(**{field: value})
