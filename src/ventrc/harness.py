@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,13 @@ from .lti import (
     CHUNK,
     FirKernel,
     FrequencyResponse,
+    csv_fields,
+    csv_rows,
     evaluate,
     same_sample_time,
     save_transfer_function,
     sorted_distinct,
+    write_rows,
     write_table,
 )
 from .plant import (
@@ -55,6 +59,9 @@ IDENT_JOBS = tuple((name, level) for name in SCENARIOS for level in IDENT_LEVELS
 NORMS_HEADER = ("breath", "error_norm")
 # the per-sample trace CSV that emit_report writes
 TRACE_HEADER = ("sample", "time_s", "reference", "p_aw", "p_lung", "q_pat", "command")
+# run_full_pipeline's trace formatters, and the breaths they may run ahead
+FORMATTERS = 2
+BREATHS_AHEAD = 8
 
 
 @dataclass
@@ -219,20 +226,22 @@ def compare_runs(baseline: BreathLog, candidate: BreathLog) -> ComparisonTable:
                            candidate.breath_norms)
 
 
-def emit_report(log: BreathLog, out_dir) -> dict[str, Path]:
+def emit_report(log: BreathLog, out_dir, trace_rows=None) -> dict[str, Path]:
     """Write the per-sample trace CSV, the per-breath norm CSV, and SVG plots.
 
     The pressure plot shows the last complete breath.  The trace's sample and
-    time_s columns are np.arange(n) and np.arange(n) * sample_time.
+    time_s columns are np.arange(n) and np.arange(n) * sample_time.  Its rows
+    are trace_rows, its breaths' texts in order, or else formatted here.
     """
     out_dir = Path(out_dir)
     stem = f"{log.scenario_name}_{log.mode}"
     paths = {}
 
     trace = out_dir / f"{stem}_trace.csv"
-    samples = np.arange(len(log.reference))
-    write_table(trace, TRACE_HEADER, [samples, samples * log.sample_time, log.reference,
-                                      log.p_aw, log.p_lung, log.q_pat, log.command])
+    if trace_rows is None:
+        trace_rows = (_trace_rows(*job)[0] for job in _breaths(log))
+    lengths = [len(log.reference)] * 2 + [len(getattr(log, name)) for name in TRACE_HEADER[2:]]
+    write_rows(trace, TRACE_HEADER, lengths, trace_rows)
     paths["trace"] = trace
 
     norms = log.breath_norms
@@ -358,10 +367,11 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
     print(f"stability with the {cutoff_hz:g} Hz / order-{Q_ORDER} filter:")
     print(report.summary())
 
-    # every run comes before the helper is forked: the fork stops OpenBLAS's
-    # thread pool, and a BLAS call in this process after it would restart the
-    # pool, whose spinning threads slow both processes' writes.  So this
-    # process makes no BLAS call once the helper exists.
+    # every run comes before the formatters are forked: the fork stops
+    # OpenBLAS's thread pool, and a BLAS call in this process after it would
+    # restart the pool, whose spinning threads slow the formatters and the
+    # writes.  So this process makes no BLAS call once the pool exists; it
+    # writes every file, and the formatters format the traces.
     filtersets, logs, comparisons = {}, {}, {}
     for name, pid_spec in pid_specs.items():
         filtersets[name] = filterset.with_period(periods[name])
@@ -373,46 +383,63 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
         print(f"  {name}: converged rc/pid norm ratio = "
               f"{comparisons[name].converged_ratio:.4f}")
 
-    rc_reports = None
-    with _report_helper() as helper:
+    pool = _formatters()
+    try:
+        texts = _formatted(pool, (job for pair in list(logs.values()) for job in _breaths(*pair)))
         for name in pid_specs:
             # only the comparison outlives the scenario's reports
             pid_log, rc_log = logs.pop(name)
-            # the helper's error is re-raised before this scenario's files
-            if rc_reports is not None:
-                rc_reports.result()
             save_filterset(filtersets[name], out_dir / f"rc_{name}.filterset")
-            # the helper writes the rc run's reports while this process writes
-            # the pid run's and the comparison
-            rc_reports = helper.submit(_emit_helper_report, rc_log, out_dir / name)
-            emit_report(pid_log, out_dir / name)
+            # the pid trace is written as its breaths arrive; their rc rows wait
+            rc_rows = []
+            emit_report(pid_log, out_dir / name,
+                        (rc_rows.append(rc) or pid for pid, rc in islice(texts, breaths)))
+            emit_report(rc_log, out_dir / name, rc_rows)
             emit_comparison_report(pid_log, rc_log, comparisons[name], out_dir / name)
-        rc_reports.result()
+    finally:
+        # an error cancels the jobs not yet started, and no child outlives it
+        pool.shutdown(cancel_futures=True)
     return comparisons, report
 
 
-def _report_helper():
-    """The one helper process of run_full_pipeline, as an executor of one worker.
+def _breaths(first: BreathLog, *others: BreathLog):
+    """_trace_rows's arguments, one breath at a time, for logs that share the
+    reference: that breath's rows of it and of each log's four signals."""
+    for lo in range(0, len(first.reference), first.period_n):
+        rows = slice(lo, lo + first.period_n)
+        yield (first.sample_time, lo, first.reference[rows],
+               *([getattr(log, name)[rows] for name in TRACE_HEADER[3:]]
+                 for log in (first, *others)))
 
-    On Linux it is forked, so it starts with the package imported; elsewhere
-    it uses the platform's default start method.  It keeps nothing between
-    tasks: each report is written from the log it is sent.  Its modules are
-    imported here, so that importing ventrc does not pay for them.
-    """
+
+def _trace_rows(sample_time: float, start: int, reference: np.ndarray,
+                *signals: list[np.ndarray]) -> list[str]:
+    """The trace text of rows from sample `start` on, one per log's four
+    signals; the sample, time_s and reference fields, which the logs share,
+    are formatted once.  It pickles by name, as a formatter's job."""
+    samples = np.arange(start, start + len(reference))
+    shared = [csv_fields(samples), csv_fields(samples * sample_time), csv_fields(reference)]
+    return [csv_rows(shared + [csv_fields(column) for column in four]) for four in signals]
+
+
+def _formatters():
+    """run_full_pipeline's pool of FORMATTERS processes: forked on Linux, the
+    default start method elsewhere.  Its modules are imported here, not with ventrc."""
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     method = "fork" if sys.platform.startswith("linux") else None
-    return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context(method))
+    return ProcessPoolExecutor(FORMATTERS, mp_context=multiprocessing.get_context(method))
 
 
-def _emit_helper_report(log: BreathLog, out_dir) -> None:
-    """emit_report, run in the helper process.
-
-    A module-level function pickles by name, even when emit_report has been
-    replaced by a wrapper that does not pickle (a tracer's closure).
-    """
-    emit_report(log, out_dir)
+def _formatted(pool, jobs):
+    """_trace_rows's texts for each of the jobs, in order, with at most
+    BREATHS_AHEAD jobs in flight, so that this process holds few texts."""
+    pending = [pool.submit(_trace_rows, *job) for job in islice(jobs, BREATHS_AHEAD)]
+    while pending:
+        texts = pending.pop(0).result()
+        pending.extend(pool.submit(_trace_rows, *job) for job in islice(jobs, 1))
+        yield texts
 
 
 def emit_comparison_report(baseline: BreathLog, candidate: BreathLog,

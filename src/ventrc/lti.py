@@ -494,36 +494,45 @@ def open_output(path, newline=None):
         raise ConfigurationError(f"{path}: cannot write: {exc.strerror or exc}") from None
 
 
-def write_table(path, header, columns) -> None:
-    """Write a CSV file: the header, then one row per element of the columns.
+def csv_fields(column) -> list[str]:
+    """A column of numbers as CSV fields: the repr of each Python number
+    (`.tolist()`), so floats read back exactly and integers stay integers."""
+    return list(map(repr, column.tolist()))
 
-    Each column is an array of numbers, and each value is written as the repr
-    of its Python number (`.tolist()`), so floats read back exactly and
-    integer columns stay integers.  The bytes are csv.writer's.  The header
-    goes through csv.writer, so a field that needs quoting gets it.  The repr
-    of a number holds no comma, quote or line break, so each block of
-    TABLE_BLOCK_ROWS rows is formatted a column at a time, one repr per
-    value, and written in one write: its rows are their fields joined by
-    commas, each ended by CRLF, as csv.writer would write them.
 
-    A header whose width is not the number of columns, and columns of
-    unequal lengths, raise ConfigurationError naming the path before the
-    file is opened.
+def csv_rows(fields) -> str:
+    """The rows of columns of csv_fields, at least one row: a repr holds no
+    comma, quote or line break, so each row is its fields joined by commas
+    and ended by CRLF, as csv.writer writes them."""
+    return "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
+
+
+def write_rows(path, header, lengths, parts) -> None:
+    """Write a CSV file: the header through csv.writer, then each csv_rows
+    text of `parts` in turn.  A header whose width is not the number of
+    column `lengths`, and unequal lengths, raise ConfigurationError naming
+    the path before the file is opened.
     """
     header = list(header)
-    lengths = [len(column) for column in columns]
     if len(header) != len(lengths):
         raise ConfigurationError(f"{path}: header {header} has width {len(header)}, "
                                  f"the table {len(lengths)} columns")
     if len(set(lengths)) > 1:
         raise ConfigurationError(f"{path}: columns of unequal lengths {lengths}")
-    rows = lengths[0] if lengths else 0
     with open_output(path, newline="") as fh:
         csv.writer(fh).writerow(header)
-        for start in range(0, rows, TABLE_BLOCK_ROWS):
-            block = slice(start, start + TABLE_BLOCK_ROWS)
-            fields = [map(repr, column[block].tolist()) for column in columns]
-            fh.write("\r\n".join(map(",".join, zip(*fields))) + "\r\n")
+        for part in parts:
+            fh.write(part)
+
+
+def write_table(path, header, columns) -> None:
+    """Write a CSV file of the header and one row per element of the columns
+    (write_rows), formatted TABLE_BLOCK_ROWS rows at a time.  The bytes are
+    csv.writer's."""
+    lengths = [len(column) for column in columns]
+    write_rows(path, header, lengths, (
+        csv_rows([csv_fields(column[start:start + TABLE_BLOCK_ROWS]) for column in columns])
+        for start in range(0, lengths[0] if lengths else 0, TABLE_BLOCK_ROWS)))
 
 
 def read_table(path, header) -> np.ndarray:

@@ -25,6 +25,10 @@ import numpy as np
 from .errors import ConfigurationError, check_number
 from .lti import DiscreteTransferFunction, StateSpace, open_output, parse_field, read_text
 
+# the shortest sample time (s) of a circuit and a reference profile: 1 MHz,
+# far faster than any blower, and a breath's sample count stays finite
+MIN_SAMPLE_TIME = 1e-6
+
 
 @dataclass
 class PatientScenario:
@@ -71,8 +75,8 @@ class CircuitParameters:
     sample_time: float = 0.002     # s
 
     def __post_init__(self):
-        for name in ("r_hose", "sample_time"):
-            check_number(name, getattr(self, name), gt=0)
+        check_number("r_hose", self.r_hose, gt=0)
+        check_number("sample_time", self.sample_time, gt=0, ge=MIN_SAMPLE_TIME)
         # an infinite leak resistance is no leak
         check_number("r_leak", self.r_leak, gt=0, le=math.inf)
         check_number("blower_time_constant", self.blower_time_constant, ge=0)
@@ -261,7 +265,7 @@ def reference_profile(scenario: PatientScenario, sample_time: float) -> np.ndarr
 
     N = round(period/sample_time) samples.
     """
-    check_number("sample_time", sample_time, gt=0)
+    check_number("sample_time", sample_time, gt=0, ge=MIN_SAMPLE_TIME)
     n_insp = round(scenario.t_insp / sample_time)
     n_total = round(scenario.period_s / sample_time)
     if abs(scenario.t_insp - n_insp * sample_time) > sample_time / 2 or n_total <= 0:

@@ -574,9 +574,9 @@ def test_filter_order_and_margin_are_not_options(tmp_path, capsys, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
-def test_all_reports_helper_write_error(tmp_path, capsys):
-    # the helper process cannot write the adult rc trace: the run stops there,
-    # names the path, and leaves no child process behind
+def test_all_stops_at_a_report_that_cannot_be_written(tmp_path, capsys):
+    # the adult rc trace cannot be written: the run stops there, names the
+    # path, cancels the formatters' pending jobs and leaves no child process
     blocked = tmp_path / "adult" / "adult_rc_trace.csv"
     blocked.mkdir(parents=True)
     rc = main(["all", "--out-dir", str(tmp_path), "--breaths", "2"])

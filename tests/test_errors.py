@@ -36,6 +36,11 @@ NAN, INF = math.nan, math.inf
     (np.int64(3), {"ge": 0, "integer": True}, None),
     (0, {"ge": 1, "integer": True}, ">= 1"),
     (0, {"gt": 0, "integer": True}, "positive"),
+    # both lower bounds: gt names NaN and zero, ge the values between
+    (NAN, {"gt": 0, "ge": 1e-6}, "positive"),
+    (0.0, {"gt": 0, "ge": 1e-6}, "positive"),
+    (5e-324, {"gt": 0, "ge": 1e-6}, ">= 1e-06"),
+    (1e-6, {"gt": 0, "ge": 1e-6}, None),
 ])
 def test_check_number(value, bounds, expected):
     if expected is None:

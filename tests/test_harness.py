@@ -336,8 +336,18 @@ def edge_logs(adult):
         "signed_zero": crafted_log("signed", signed, 5),
         "nan_once": crafted_log("nan_once", nan_once, 5),
         "nan_every_breath": crafted_log("nan_all", np.tile([np.nan, -0.0, 1.0], 4), 3),
+        # three and a half breaths of -0.0 and nan
+        "nan_partial_breath": crafted_log("nan_partial", np.tile([np.nan, -0.0, 1.0, 2.5], 4)[:14],
+                                          4),
         "shorter_than_a_breath": crafted_log("short", breath[:3], 5),
     }
+
+
+def partner(log):
+    """A log of the other mode that shares the log's reference, its signals in
+    reverse order."""
+    return replace(log, mode="rc" if log.mode == "pid" else "pid", p_aw=log.command,
+                   p_lung=log.q_pat, q_pat=log.p_lung, command=log.p_aw)
 
 
 def reference_trace_bytes(log, path) -> bytes:
@@ -357,74 +367,105 @@ class TestTraceBytes:
         logs = {f"{name}_{mode}": log for (name, mode), log in experiment_logs["logs"].items()}
         logs.update(edge_logs(experiment_logs["logs"][("adult", "pid")]))
         out = tmp_path_factory.mktemp("oracle")
-        return logs, {key: reference_trace_bytes(log, out / f"{key}.csv")
+        return logs, {key: [reference_trace_bytes(run, out / f"{key}_{run.mode}.csv")
+                            for run in (log, partner(log))]
                       for key, log in logs.items()}
 
-    # in_helper: the trace is written by run_full_pipeline's report helper, as
-    # the rc runs' are, from a log that crossed the process boundary
-    @pytest.mark.parametrize("in_helper", [True, False])
+    # by_formatters: the rows come from run_full_pipeline's formatter jobs,
+    # one breath of the log and of its partner each, formatted in another
+    # process; else emit_report formats the log's rows itself
+    @pytest.mark.parametrize("by_formatters", [True, False])
     @pytest.mark.parametrize("order", ["longest first", "shortest first"])
-    def test_trace_is_the_csv_writer_bytes(self, tmp_path, logs_and_bytes, order, in_helper):
+    def test_trace_is_the_csv_writer_bytes(self, tmp_path, logs_and_bytes, order, by_formatters):
         logs, expected = logs_and_bytes
         keys = sorted(logs, key=lambda key: len(logs[key].reference),
                       reverse=order == "longest first")
-        with harness._report_helper() if in_helper else contextlib.nullcontext() as helper:
+        with harness._formatters() if by_formatters else contextlib.nullcontext() as pool:
             for key in keys:
-                log = logs[key]
-                if in_helper:
-                    helper.submit(harness._emit_helper_report, log, tmp_path / key).result()
+                runs = (logs[key], partner(logs[key]))
+                if by_formatters:
+                    texts = list(harness._formatted(pool, harness._breaths(*runs)))
+                    assert len(texts) == math.ceil(len(runs[0].reference) / runs[0].period_n)
+                    for i, run in enumerate(runs):
+                        emit_report(run, tmp_path / key, [pair[i] for pair in texts])
                 else:
-                    emit_report(log, tmp_path / key)
-                trace = tmp_path / key / f"{log.scenario_name}_{log.mode}_trace.csv"
-                assert trace.read_bytes() == expected[key], key
+                    for run in runs:
+                        emit_report(run, tmp_path / key)
+                for run, oracle in zip(runs, expected[key]):
+                    trace = tmp_path / key / f"{run.scenario_name}_{run.mode}_trace.csv"
+                    assert trace.read_bytes() == oracle, (key, run.mode)
         assert multiprocessing.active_children() == []
+
+
+def failing_rows(sample_time, start, reference, *signals):
+    """A formatter job that fails; module-level, so that it pickles by name."""
+    raise ConfigurationError(f"cannot format the breath from sample {start}")
 
 
 class TestFullPipeline:
     @pytest.mark.filterwarnings("ignore::ventrc.errors.FitConvergenceWarning")
-    def test_report_helper_with_replaced_emit_report(self, tmp_path, monkeypatch):
-        # a tracer replaces emit_report by a closure, which does not pickle;
-        # the helper still writes the rc reports, and no child outlives the run
-        original, modes = harness.emit_report, []
+    def test_a_failed_job_stops_the_run_in_its_scenario(self, tmp_path, monkeypatch):
+        # the job's error reaches the main process while it writes the first
+        # trace; the pending jobs are cancelled and no child outlives the run
+        monkeypatch.setattr(harness, "_trace_rows", failing_rows)
+        with pytest.raises(ConfigurationError, match="^cannot format the breath from sample 0$"):
+            run_full_pipeline(tmp_path, breaths=2)
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in (tmp_path / "adult").iterdir()) == ["adult_pid_trace.csv"]
+        assert not (tmp_path / "pediatric").exists()
+        assert not (tmp_path / "rc_pediatric.filterset").exists()
 
-        def wrapper(log, out_dir):
-            modes.append((log.scenario_name, log.mode))
-            return original(log, out_dir)
+    @pytest.mark.filterwarnings("ignore::ventrc.errors.FitConvergenceWarning")
+    def test_replaced_emit_report_writes_every_report(self, tmp_path, monkeypatch):
+        # a tracer replaces emit_report by a closure: this process makes all
+        # six calls, each trace from the formatters' rows, and no child
+        # outlives the run
+        original, calls = harness.emit_report, []
+
+        def wrapper(log, out_dir, trace_rows=None):
+            calls.append((log.scenario_name, log.mode, trace_rows is not None))
+            return original(log, out_dir, trace_rows)
 
         monkeypatch.setattr(harness, "emit_report", wrapper)
         comparisons, _ = run_full_pipeline(tmp_path, breaths=2)
         assert multiprocessing.active_children() == []
         assert list(comparisons) == ["adult", "pediatric", "baby"]
-        # this process wrote the pid reports, the helper the rc ones
-        assert modes == [(name, "pid") for name in comparisons]
+        assert calls == [(name, mode, True) for name in comparisons for mode in ("pid", "rc")]
         for name in comparisons:
+            scenario, circuit = load_scenario(name)
+            rows = 2 * len(reference_profile(scenario, circuit.sample_time))
             for mode in ("pid", "rc"):
                 assert len((tmp_path / name / f"{name}_{mode}_trace.csv").read_text()
-                           .splitlines()) > 1
+                           .splitlines()) == 1 + rows
         assert sum(1 for p in tmp_path.rglob("*") if p.is_file()) == 43
 
     @pytest.mark.filterwarnings("ignore::ventrc.errors.FitConvergenceWarning")
     def test_every_run_precedes_the_first_report(self, tmp_path, monkeypatch):
-        # the helper is forked only after the last run, so that this process
-        # makes no BLAS call while the two processes write
+        # the formatters are forked only after the last run, so that this
+        # process makes no BLAS call while they format; then this process
+        # writes all six reports
         calls = []
-        run, emit = harness.run_experiment, harness.emit_report
+        run, emit, formatters = harness.run_experiment, harness.emit_report, harness._formatters
 
         def recording_run(spec):
             calls.append(("run", spec.scenario, spec.mode))
             return run(spec)
 
-        def recording_emit(log, out_dir):
+        def recording_emit(log, out_dir, trace_rows=None):
             calls.append(("report", log.scenario_name, log.mode))
-            return emit(log, out_dir)
+            return emit(log, out_dir, trace_rows)
+
+        def recording_formatters():
+            calls.append(("fork",))
+            return formatters()
 
         monkeypatch.setattr(harness, "run_experiment", recording_run)
         monkeypatch.setattr(harness, "emit_report", recording_emit)
+        monkeypatch.setattr(harness, "_formatters", recording_formatters)
         run_full_pipeline(tmp_path, breaths=2)
-        # this process writes the pid reports; the helper's calls are its own
-        runs = [("run", name, mode) for name in harness.SCENARIOS for mode in ("pid", "rc")]
-        reports = [("report", name, "pid") for name in harness.SCENARIOS]
-        assert calls == runs + reports
+        pairs = [(name, mode) for name in harness.SCENARIOS for mode in ("pid", "rc")]
+        assert calls == ([("run", *pair) for pair in pairs] + [("fork",)]
+                         + [("report", *pair) for pair in pairs])
 
     def test_non_integer_breaths_rejected_before_identification(self, tmp_path):
         with pytest.raises(ConfigurationError, match=r"^breaths must be an integer, got 2\.5$"):

@@ -1,7 +1,11 @@
 """Every name that a module of the package imports is used in it, only lti
-imports csv, and no module rebinds a global."""
+imports csv, no module rebinds a global, and importing ventrc starts no
+process pool's modules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +75,14 @@ def test_no_module_rebinds_a_global():
     package = Path(ventrc.__file__).parent
     found = {p.name: global_statements(p.read_text()) for p in sorted(package.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_importing_ventrc_loads_no_process_pool():
+    # run_full_pipeline imports its formatters' modules when it forks them,
+    # so that the other commands do not pay for them
+    probe = ("import sys, ventrc.cli; print(sorted(m for m in "
+             "('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    src = Path(ventrc.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert out.stdout.strip() == "[]"

@@ -233,6 +233,16 @@ class TestReferenceProfile:
         with pytest.raises(ConfigurationError, match="^sample_time must be positive, got nan$"):
             reference_profile(adult(), float("nan"))
 
+    def test_subnormal_sample_time_rejected(self):
+        # a breath of 5e-324 s samples would be inf samples long
+        scenario = load_scenario("adult")[0]
+        with pytest.raises(ConfigurationError,
+                           match="^sample_time must be >= 1e-06, got 5e-324$"):
+            reference_profile(scenario, 5e-324)
+        with pytest.raises(ConfigurationError,
+                           match="^sample_time must be >= 1e-06, got 5e-324$"):
+            CircuitParameters(sample_time=5e-324)
+
 
 class TestScenarioFiles:
     def test_builtin_adult_values(self):
@@ -328,6 +338,8 @@ class TestScenarioFiles:
     ("t_insp = 1.5", "t_insp = nan", "t_insp must be positive, got nan"),
     ("t_exp = 2.5", "t_exp = nan", "t_exp must be positive, got nan"),
     ("sample_time = 0.002", "sample_time = nan", "sample_time must be positive, got nan"),
+    ("sample_time = 0.002", "sample_time = 5e-324",
+     "sample_time must be >= 1e-06, got 5e-324"),
     ("blower_time_constant = 0.01", "blower_time_constant = nan",
      "blower_time_constant must be >= 0, got nan"),
     ("r_lung = 5.0", "r_lung = nan", "r_lung must be positive, got nan"),
