@@ -112,7 +112,7 @@ def _cmd_run(args) -> int:
         measurement_noise_rms=args.noise_rms,
     )
     log = run_experiment(spec)
-    paths = emit_report(log, args.out_dir)
+    paths = emit_report([log], args.out_dir)
     norms = log.breath_norms
     print(f"{log.scenario_name} / {log.mode}: {len(norms)} breaths, "
           f"first norm {norms[0]:.3f}, last norm {norms[-1]:.3f} mbar")

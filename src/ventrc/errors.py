@@ -17,9 +17,10 @@ def check_number(field: str, value, *, gt=None, ge=None, lt=math.inf, le=None,
                  integer: bool = False):
     """value, or ConfigurationError("<field> must ..., got <value!r>").
 
-    The bounds are gt or ge below and lt or le above.  lt is math.inf unless
-    le is given, so inf fails unless le=math.inf allows it.  The first bound
-    that fails names the rule: "positive" for gt=0, "finite" for lt=inf.
+    The bounds are gt or ge below and lt and le above.  lt is math.inf and
+    holds unless le=math.inf, so inf fails unless le=math.inf allows it.  The
+    first bound that fails names the rule: "positive" for gt=0, "finite" for
+    lt=inf.
     NaN fails every bound.  An integer field must pass operator.index
     ("must be an integer"), and its index is returned.
     """
@@ -32,10 +33,10 @@ def check_number(field: str, value, *, gt=None, ge=None, lt=math.inf, le=None,
         rule = "positive" if gt == 0 else f"> {gt}"
     elif ge is not None and not value >= ge:
         rule = f">= {ge}"
+    elif le != math.inf and not value < lt:
+        rule = "finite" if lt == math.inf else f"< {lt}"
     elif le is not None and not value <= le:
         rule = f"<= {le}"
-    elif le is None and not value < lt:
-        rule = "finite" if lt == math.inf else f"< {lt}"
     else:
         return value
     raise ConfigurationError(f"{field} must be {rule}, got {value!r}")

@@ -226,52 +226,48 @@ def compare_runs(baseline: BreathLog, candidate: BreathLog) -> ComparisonTable:
                            candidate.breath_norms)
 
 
-def emit_report(log: BreathLog, out_dir, trace_rows=None) -> dict[str, Path]:
-    """Write the per-sample trace CSV, the per-breath norm CSV, and SVG plots.
-
-    The pressure plot shows the last complete breath.  The trace's sample and
-    time_s columns are np.arange(n) and np.arange(n) * sample_time.  Its rows
-    are trace_rows, its breaths' texts in order, or else formatted here.
+def emit_report(logs, out_dir, trace_rows=None) -> dict[str, Path]:
+    """Write the trace CSV, norm CSV and two SVG plots of each of one
+    scenario's logs, which share the reference.  The traces, whose sample
+    and time_s columns are np.arange(n) and np.arange(n) * sample_time, are
+    written side by side as trace_rows's breaths arrive, each one text per
+    log, or else as they are formatted here.  The pressure plot shows the
+    last complete breath.  Returns every path, keyed "<key>" for one log,
+    else "<mode>_<key>".
     """
     out_dir = Path(out_dir)
-    stem = f"{log.scenario_name}_{log.mode}"
-    paths = {}
-
-    trace = out_dir / f"{stem}_trace.csv"
+    # a temporary set: no copy of a reference lives on into a forked formatter
+    if len({(log.sample_time, log.period_n, log.reference.tobytes()) for log in logs}) > 1:
+        raise ConfigurationError(f"the logs of {logs[0].scenario_name} do not share the reference")
+    stems = [f"{log.scenario_name}_{log.mode}" for log in logs]
+    traces = [out_dir / f"{stem}_trace.csv" for stem in stems]
     if trace_rows is None:
-        trace_rows = (_trace_rows(*job)[0] for job in _breaths(log))
-    lengths = [len(log.reference)] * 2 + [len(getattr(log, name)) for name in TRACE_HEADER[2:]]
-    write_rows(trace, TRACE_HEADER, lengths, trace_rows)
-    paths["trace"] = trace
+        trace_rows = (_trace_rows(*job) for job in _breaths(*logs))
+    write_rows(traces, TRACE_HEADER,
+               [[len(log.reference)] * 2 + [len(getattr(log, name)) for name in TRACE_HEADER[2:]]
+                for log in logs], trace_rows)
 
-    norms = log.breath_norms
-    norms_path = out_dir / f"{stem}_breath_norms.csv"
-    write_table(norms_path, NORMS_HEADER, [np.arange(1, len(norms) + 1), norms])
-    paths["norms"] = norms_path
-
-    pressure_svg = out_dir / f"{stem}_pressure.svg"
-    if len(norms) > 0:
-        breath = len(norms) - 1
-        lo = breath * log.period_n
-        hi = lo + log.period_n
-        t = np.arange(lo, hi) * log.sample_time
-        series = [
-            (t, log.reference[lo:hi], "target"),
-            (t, log.p_aw[lo:hi], "measured"),
-        ]
-        title = f"{log.scenario_name} ({log.mode}), breath {breath + 1}"
-    else:
-        series = []
-        title = f"{log.scenario_name} ({log.mode})"
-    svg.line_plot(series, pressure_svg, title=title,
-                  xlabel="time [s]", ylabel="airway pressure [mbar]")
-    paths["pressure_svg"] = pressure_svg
-
-    norms_svg = out_dir / f"{stem}_breath_norms.svg"
-    series = [(np.arange(1, len(norms) + 1), norms, log.mode)] if len(norms) else []
-    svg.line_plot(series, norms_svg, title=f"{log.scenario_name}: error 2-norm per breath",
-                  xlabel="breath", ylabel="error 2-norm [mbar]")
-    paths["norms_svg"] = norms_svg
+    paths = {}
+    for log, stem, trace in zip(logs, stems, traces):
+        norms = log.breath_norms
+        written = {"trace": trace, "norms": out_dir / f"{stem}_breath_norms.csv",
+                   "pressure_svg": out_dir / f"{stem}_pressure.svg",
+                   "norms_svg": out_dir / f"{stem}_breath_norms.svg"}
+        breaths = np.arange(1, len(norms) + 1)
+        write_table(written["norms"], NORMS_HEADER, [breaths, norms])
+        series, title = [], f"{log.scenario_name} ({log.mode})"
+        if len(norms):
+            rows = slice((len(norms) - 1) * log.period_n, len(norms) * log.period_n)
+            t = np.arange(rows.start, rows.stop) * log.sample_time
+            series = [(t, log.reference[rows], "target"), (t, log.p_aw[rows], "measured")]
+            title += f", breath {len(norms)}"
+        svg.line_plot(series, written["pressure_svg"], title=title,
+                      xlabel="time [s]", ylabel="airway pressure [mbar]")
+        svg.line_plot([(breaths, norms, log.mode)] if len(norms) else [], written["norms_svg"],
+                      title=f"{log.scenario_name}: error 2-norm per breath",
+                      xlabel="breath", ylabel="error 2-norm [mbar]")
+        prefix = f"{log.mode}_" if len(logs) > 1 else ""
+        paths.update((prefix + key, path) for key, path in written.items())
     return paths
 
 
@@ -388,14 +384,11 @@ def run_full_pipeline(out_dir, breaths: int = BREATHS, cutoff_hz: float = Q_CUTO
         texts = _formatted(pool, (job for pair in list(logs.values()) for job in _breaths(*pair)))
         for name in pid_specs:
             # only the comparison outlives the scenario's reports
-            pid_log, rc_log = logs.pop(name)
+            runs = logs.pop(name)
             save_filterset(filtersets[name], out_dir / f"rc_{name}.filterset")
-            # the pid trace is written as its breaths arrive; their rc rows wait
-            rc_rows = []
-            emit_report(pid_log, out_dir / name,
-                        (rc_rows.append(rc) or pid for pid, rc in islice(texts, breaths)))
-            emit_report(rc_log, out_dir / name, rc_rows)
-            emit_comparison_report(pid_log, rc_log, comparisons[name], out_dir / name)
+            # both traces are written as their breaths arrive
+            emit_report(runs, out_dir / name, islice(texts, breaths))
+            emit_comparison_report(*runs, comparisons[name], out_dir / name)
     finally:
         # an error cancels the jobs not yet started, and no child outlives it
         pool.shutdown(cancel_futures=True)
@@ -446,19 +439,14 @@ def emit_comparison_report(baseline: BreathLog, candidate: BreathLog,
                            comparison: ComparisonTable, out_dir) -> dict[str, Path]:
     """Comparison CSV plus the two-curve norm plot: the comparison's norms,
     labelled with the runs' modes."""
-    out_dir = Path(out_dir)
-    paths = {}
-    cmp_path = out_dir / f"{comparison.scenario_name}_comparison.csv"
-    comparison.save_csv(cmp_path)
-    paths["comparison"] = cmp_path
-    both_svg = out_dir / f"{comparison.scenario_name}_norms_compare.svg"
+    stem = Path(out_dir) / comparison.scenario_name
+    paths = {"comparison": Path(f"{stem}_comparison.csv"),
+             "norms_compare_svg": Path(f"{stem}_norms_compare.svg")}
+    comparison.save_csv(paths["comparison"])
     nb = np.arange(1, len(comparison.baseline_norms) + 1)
-    svg.line_plot(
-        [(nb, comparison.baseline_norms, baseline.mode),
-         (nb, comparison.candidate_norms, candidate.mode)],
-        both_svg,
-        title=f"{comparison.scenario_name}: error 2-norm per breath",
-        xlabel="breath", ylabel="error 2-norm [mbar]",
-    )
-    paths["norms_compare_svg"] = both_svg
+    svg.line_plot([(nb, comparison.baseline_norms, baseline.mode),
+                   (nb, comparison.candidate_norms, candidate.mode)],
+                  paths["norms_compare_svg"],
+                  title=f"{comparison.scenario_name}: error 2-norm per breath",
+                  xlabel="breath", ylabel="error 2-norm [mbar]")
     return paths

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from collections import deque
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,9 +31,6 @@ LIFT_MEMO = 8
 # rc_design.check_stability keeps the grid responses of this many recent
 # filters, so equal filters on equal grids are evaluated once
 RESPONSE_MEMO = 8
-# write_table formats this many rows at a time, so the text it holds stays
-# small whatever the length of the table
-TABLE_BLOCK_ROWS = 1024
 
 
 def hz_to_rad_per_sample(frequencies_hz, sample_time: float) -> np.ndarray:
@@ -491,7 +488,11 @@ def open_output(path, newline=None):
         with open(path, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
     except OSError as exc:
-        raise ConfigurationError(f"{path}: cannot write: {exc.strerror or exc}") from None
+        raise _cannot_write(path, exc) from None
+
+
+def _cannot_write(path, exc: OSError) -> ConfigurationError:
+    return ConfigurationError(f"{path}: cannot write: {exc.strerror or exc}")
 
 
 def csv_fields(column) -> list[str]:
@@ -507,32 +508,38 @@ def csv_rows(fields) -> str:
     return "\r\n".join(map(",".join, zip(*fields))) + "\r\n"
 
 
-def write_rows(path, header, lengths, parts) -> None:
-    """Write a CSV file: the header through csv.writer, then each csv_rows
-    text of `parts` in turn.  A header whose width is not the number of
-    column `lengths`, and unequal lengths, raise ConfigurationError naming
-    the path before the file is opened.
+def write_rows(paths, header, lengths, parts) -> None:
+    """Write CSV files side by side: in each, the header through csv.writer,
+    then, part by part, its csv_rows text of each of `parts`, which hold one
+    text per path.  A header whose width is not the number of a file's
+    column `lengths`, and a file's unequal lengths, raise ConfigurationError
+    naming its path before any file is opened.
     """
     header = list(header)
-    if len(header) != len(lengths):
-        raise ConfigurationError(f"{path}: header {header} has width {len(header)}, "
-                                 f"the table {len(lengths)} columns")
-    if len(set(lengths)) > 1:
-        raise ConfigurationError(f"{path}: columns of unequal lengths {lengths}")
-    with open_output(path, newline="") as fh:
-        csv.writer(fh).writerow(header)
+    for path, widths in zip(paths, lengths):
+        if len(header) != len(widths):
+            raise ConfigurationError(f"{path}: header {header} has width {len(header)}, "
+                                     f"the table {len(widths)} columns")
+        if len(set(widths)) > 1:
+            raise ConfigurationError(f"{path}: columns of unequal lengths {widths}")
+    with ExitStack() as stack:
+        files = [stack.enter_context(open_output(path, newline="")) for path in paths]
+        for fh in files:
+            csv.writer(fh).writerow(header)
         for part in parts:
-            fh.write(part)
+            for path, fh, text in zip(paths, files, part):
+                try:
+                    fh.write(text)
+                except OSError as exc:   # else the last file opened would be named
+                    raise _cannot_write(path, exc) from None
 
 
 def write_table(path, header, columns) -> None:
     """Write a CSV file of the header and one row per element of the columns
-    (write_rows), formatted TABLE_BLOCK_ROWS rows at a time.  The bytes are
-    csv.writer's."""
+    (write_rows).  The bytes are csv.writer's."""
     lengths = [len(column) for column in columns]
-    write_rows(path, header, lengths, (
-        csv_rows([csv_fields(column[start:start + TABLE_BLOCK_ROWS]) for column in columns])
-        for start in range(0, lengths[0] if lengths else 0, TABLE_BLOCK_ROWS)))
+    rows = [[csv_rows([csv_fields(column) for column in columns])]] if any(lengths) else []
+    write_rows([path], header, [lengths], rows)
 
 
 def read_table(path, header) -> np.ndarray:

@@ -28,6 +28,9 @@ from .lti import DiscreteTransferFunction, StateSpace, open_output, parse_field,
 # the shortest sample time (s) of a circuit and a reference profile: 1 MHz,
 # far faster than any blower, and a breath's sample count stays finite
 MIN_SAMPLE_TIME = 1e-6
+# the highest PEEP and IPAP (mbar): 1 bar above ambient, far above any
+# ventilator's setting, and low enough that a run's norms stay finite
+MAX_PRESSURE_MBAR = 1000.0
 
 
 @dataclass
@@ -47,7 +50,7 @@ class PatientScenario:
         for name in ("r_lung", "c_lung", "respiratory_rate", "t_insp", "t_exp"):
             check_number(name, getattr(self, name), gt=0)
         for name in ("peep", "ipap"):
-            check_number(name, getattr(self, name), ge=0)
+            check_number(name, getattr(self, name), ge=0, le=MAX_PRESSURE_MBAR)
         # equality allowed so a flat (zero-amplitude) profile is constructible
         if self.ipap < self.peep:
             raise ValueError(f"ipap {self.ipap!r} must be >= peep {self.peep!r}")

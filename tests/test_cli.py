@@ -381,6 +381,21 @@ def test_run_rejects_bad_scenario_value(tmp_path, capsys):
     assert f"error: {cfg}: field 'r_lung': 'abc' is not a valid float" in capsys.readouterr().err
 
 
+def test_run_rejects_pressures_above_the_ceiling(tmp_path, capsys):
+    # peep = ipap = 1e300 once ran to a norm of inf; now no report is written
+    from ventrc.plant import load_scenario, save_scenario
+
+    scenario, circuit = load_scenario("adult")
+    cfg = tmp_path / "high.cfg"
+    save_scenario(scenario, circuit, cfg)
+    cfg.write_text(cfg.read_text().replace("peep = 5.0\nipap = 15.0",
+                                           "peep = 1e300\nipap = 1e300"))
+    rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "run")])
+    assert rc == 1
+    assert f"error: {cfg}: peep must be <= 1000.0, got 1e+300" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("", "file is empty"),
     ("breath,norm\n1,2.5\n", "expected header ['breath', 'error_norm'], got ['breath', 'norm']"),

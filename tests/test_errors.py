@@ -41,6 +41,11 @@ NAN, INF = math.nan, math.inf
     (0.0, {"gt": 0, "ge": 1e-6}, "positive"),
     (5e-324, {"gt": 0, "ge": 1e-6}, ">= 1e-06"),
     (1e-6, {"gt": 0, "ge": 1e-6}, None),
+    # a finite le: inf still fails as not finite, and NaN at the lower bound
+    (INF, {"ge": 0, "le": 1000.0}, "finite"),
+    (1e300, {"ge": 0, "le": 1000.0}, "<= 1000.0"),
+    (1000.0, {"ge": 0, "le": 1000.0}, None),
+    (NAN, {"ge": 0, "le": 1000.0}, ">= 0"),
 ])
 def test_check_number(value, bounds, expected):
     if expected is None:

@@ -5,6 +5,7 @@ import multiprocessing
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,7 +257,7 @@ class TestCompare:
 class TestReports:
     def test_files_and_contents(self, tmp_path, experiment_logs):
         log = experiment_logs["logs"][("adult", "pid")]
-        paths = emit_report(log, tmp_path / "out")
+        paths = emit_report([log], tmp_path / "out")
         trace = paths["trace"].read_text().splitlines()
         assert trace[0] == "sample,time_s,reference,p_aw,p_lung,q_pat,command"
         assert len(trace) == 1 + 20 * 2000
@@ -266,7 +267,7 @@ class TestReports:
 
     def test_svg_well_formed(self, tmp_path, experiment_logs):
         log = experiment_logs["logs"][("adult", "rc")]
-        paths = emit_report(log, tmp_path / "svg")
+        paths = emit_report([log], tmp_path / "svg")
         for key in ("pressure_svg", "norms_svg"):
             root = ET.parse(paths[key]).getroot()
             assert root.tag.endswith("svg")
@@ -275,7 +276,7 @@ class TestReports:
         empty = BreathLog("empty", "pid", 0.002, 10,
                           np.array([]), np.array([]), np.array([]),
                           np.array([]), np.array([]))
-        paths = emit_report(empty, tmp_path / "empty")
+        paths = emit_report([empty], tmp_path / "empty")
         assert len(paths["trace"].read_text().splitlines()) == 1  # header only
         ET.parse(paths["pressure_svg"])  # parses as XML
 
@@ -284,7 +285,7 @@ class TestReports:
         reference = np.tile([1.0, np.nan, 2.0], 3)
         zeros = np.zeros_like(reference)
         log = BreathLog("x", "pid", 0.002, 3, reference, zeros, zeros, zeros, zeros)
-        paths = emit_report(log, tmp_path / "nan")
+        paths = emit_report([log], tmp_path / "nan")
         assert sorted(paths) == ["norms", "norms_svg", "pressure_svg", "trace"]
         assert all(path.is_file() for path in paths.values())
         assert len(paths["norms"].read_text().splitlines()) == 4
@@ -298,8 +299,26 @@ class TestReports:
         path = tmp_path / "short" / "baby_pid_trace.csv"
         with pytest.raises(ConfigurationError, match=rf"^{re.escape(str(path))}: columns of "
                            rf"unequal lengths \[{n}, {n}, {n}, {n - 1}, {n}, {n}, {n}\]$"):
-            emit_report(short, tmp_path / "short")
+            emit_report([short], tmp_path / "short")
         assert not path.exists()
+
+    def test_two_logs_write_side_by_side_under_their_modes(self, tmp_path, experiment_logs):
+        runs = [experiment_logs["logs"][("baby", mode)] for mode in ("pid", "rc")]
+        paths = emit_report(runs, tmp_path / "both")
+        assert list(paths) == [f"{mode}_{key}" for mode in ("pid", "rc")
+                               for key in ("trace", "norms", "pressure_svg", "norms_svg")]
+        for run in runs:
+            alone = emit_report([run], tmp_path / run.mode)
+            for key, path in alone.items():
+                assert paths[f"{run.mode}_{key}"].read_bytes() == path.read_bytes(), key
+
+    def test_logs_of_another_reference_rejected_before_writing(self, tmp_path, experiment_logs):
+        log = experiment_logs["logs"][("baby", "pid")]
+        other = replace(log, mode="rc", reference=log.reference + 1.0)
+        with pytest.raises(ConfigurationError,
+                           match="^the logs of baby do not share the reference$"):
+            emit_report([log, other], tmp_path / "other")
+        assert not (tmp_path / "other").exists()
 
     def test_comparison_report(self, tmp_path, experiment_logs):
         base = experiment_logs["logs"][("adult", "pid")]
@@ -373,7 +392,8 @@ class TestTraceBytes:
 
     # by_formatters: the rows come from run_full_pipeline's formatter jobs,
     # one breath of the log and of its partner each, formatted in another
-    # process; else emit_report formats the log's rows itself
+    # process; else emit_report formats both logs' rows itself.  Either way
+    # the log and its partner are written through one call
     @pytest.mark.parametrize("by_formatters", [True, False])
     @pytest.mark.parametrize("order", ["longest first", "shortest first"])
     def test_trace_is_the_csv_writer_bytes(self, tmp_path, logs_and_bytes, order, by_formatters):
@@ -386,11 +406,9 @@ class TestTraceBytes:
                 if by_formatters:
                     texts = list(harness._formatted(pool, harness._breaths(*runs)))
                     assert len(texts) == math.ceil(len(runs[0].reference) / runs[0].period_n)
-                    for i, run in enumerate(runs):
-                        emit_report(run, tmp_path / key, [pair[i] for pair in texts])
+                    emit_report(runs, tmp_path / key, texts)
                 else:
-                    for run in runs:
-                        emit_report(run, tmp_path / key)
+                    emit_report(runs, tmp_path / key)
                 for run, oracle in zip(runs, expected[key]):
                     trace = tmp_path / key / f"{run.scenario_name}_{run.mode}_trace.csv"
                     assert trace.read_bytes() == oracle, (key, run.mode)
@@ -411,26 +429,30 @@ class TestFullPipeline:
         with pytest.raises(ConfigurationError, match="^cannot format the breath from sample 0$"):
             run_full_pipeline(tmp_path, breaths=2)
         assert multiprocessing.active_children() == []
-        assert sorted(p.name for p in (tmp_path / "adult").iterdir()) == ["adult_pid_trace.csv"]
+        traces = ["adult_pid_trace.csv", "adult_rc_trace.csv"]
+        assert sorted(p.name for p in (tmp_path / "adult").iterdir()) == traces
+        for trace in traces:   # their headers only
+            assert (tmp_path / "adult" / trace).read_text().splitlines() == [
+                ",".join(harness.TRACE_HEADER)]
         assert not (tmp_path / "pediatric").exists()
         assert not (tmp_path / "rc_pediatric.filterset").exists()
 
     @pytest.mark.filterwarnings("ignore::ventrc.errors.FitConvergenceWarning")
     def test_replaced_emit_report_writes_every_report(self, tmp_path, monkeypatch):
-        # a tracer replaces emit_report by a closure: this process makes all
-        # six calls, each trace from the formatters' rows, and no child
-        # outlives the run
+        # a tracer replaces emit_report by a closure: this process makes the
+        # three calls, one per scenario, each with the formatters' rows, and
+        # no child outlives the run
         original, calls = harness.emit_report, []
 
-        def wrapper(log, out_dir, trace_rows=None):
-            calls.append((log.scenario_name, log.mode, trace_rows is not None))
-            return original(log, out_dir, trace_rows)
+        def wrapper(logs, out_dir, trace_rows=None):
+            calls.append(([(log.scenario_name, log.mode) for log in logs], trace_rows is not None))
+            return original(logs, out_dir, trace_rows)
 
         monkeypatch.setattr(harness, "emit_report", wrapper)
         comparisons, _ = run_full_pipeline(tmp_path, breaths=2)
         assert multiprocessing.active_children() == []
         assert list(comparisons) == ["adult", "pediatric", "baby"]
-        assert calls == [(name, mode, True) for name in comparisons for mode in ("pid", "rc")]
+        assert calls == [([(name, "pid"), (name, "rc")], True) for name in comparisons]
         for name in comparisons:
             scenario, circuit = load_scenario(name)
             rows = 2 * len(reference_profile(scenario, circuit.sample_time))
@@ -443,7 +465,7 @@ class TestFullPipeline:
     def test_every_run_precedes_the_first_report(self, tmp_path, monkeypatch):
         # the formatters are forked only after the last run, so that this
         # process makes no BLAS call while they format; then this process
-        # writes all six reports
+        # writes the reports, one call per scenario
         calls = []
         run, emit, formatters = harness.run_experiment, harness.emit_report, harness._formatters
 
@@ -451,9 +473,9 @@ class TestFullPipeline:
             calls.append(("run", spec.scenario, spec.mode))
             return run(spec)
 
-        def recording_emit(log, out_dir, trace_rows=None):
-            calls.append(("report", log.scenario_name, log.mode))
-            return emit(log, out_dir, trace_rows)
+        def recording_emit(logs, out_dir, trace_rows=None):
+            calls.append(("report", *[(log.scenario_name, log.mode) for log in logs]))
+            return emit(logs, out_dir, trace_rows)
 
         def recording_formatters():
             calls.append(("fork",))
@@ -465,7 +487,33 @@ class TestFullPipeline:
         run_full_pipeline(tmp_path, breaths=2)
         pairs = [(name, mode) for name in harness.SCENARIOS for mode in ("pid", "rc")]
         assert calls == ([("run", *pair) for pair in pairs] + [("fork",)]
-                         + [("report", *pair) for pair in pairs])
+                         + [("report", (name, "pid"), (name, "rc")) for name in harness.SCENARIOS])
+
+    @pytest.mark.filterwarnings("ignore::ventrc.errors.FitConvergenceWarning")
+    def test_pid_and_rc_traces_are_written_breath_by_breath(self, tmp_path, monkeypatch):
+        # each scenario's two traces take their headers, then a breath each
+        # in turn, so that no trace's text waits for the other's
+        writes, opened = [], lti.open_output
+
+        class Recording:
+            def __init__(self, fh, name):
+                self.fh, self.name = fh, name
+
+            def write(self, text):
+                writes.append(self.name)
+                return self.fh.write(text)
+
+        @contextlib.contextmanager
+        def recording_open(path, newline=None):
+            name = Path(path).name
+            with opened(path, newline) as fh:
+                yield Recording(fh, name) if name.endswith("_trace.csv") else fh
+
+        monkeypatch.setattr(lti, "open_output", recording_open)
+        run_full_pipeline(tmp_path, breaths=2)
+        for name in harness.SCENARIOS:
+            traces = [f"{name}_{mode}_trace.csv" for mode in ("pid", "rc")]
+            assert [w for w in writes if w in traces] == traces * 3   # the headers, 2 breaths
 
     def test_non_integer_breaths_rejected_before_identification(self, tmp_path):
         with pytest.raises(ConfigurationError, match=r"^breaths must be an integer, got 2\.5$"):

@@ -1,3 +1,5 @@
+import contextlib
+import errno
 import json
 import math
 import os
@@ -25,11 +27,11 @@ from ventrc.lti import (
     LiftedSystem,
     StateSpace,
     StreamingFilter,
-    TABLE_BLOCK_ROWS,
     evaluate,
     load_transfer_function,
     same_sample_time,
     save_transfer_function,
+    write_rows,
     write_table,
 )
 from ventrc.plant import load_scenario
@@ -297,8 +299,8 @@ TABLE_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 1e-05, 1
 
 @st.composite
 def tables(draw):
-    """A header and columns of one length, long enough to span several blocks."""
-    rows = draw(st.integers(0, 3 * TABLE_BLOCK_ROWS))
+    """A header and columns of one length, up to 3,072 rows."""
+    rows = draw(st.integers(0, 3072))
     columns = []
     for _ in range(draw(st.integers(1, 4))):
         if draw(st.booleans()):
@@ -317,8 +319,7 @@ def tables(draw):
 @given(tables())
 @example((["sample", "value"], [np.arange(0), np.zeros(0)]))
 @example((["value"], [np.array(TABLE_FLOATS)]))
-@example((["sample", "value"], [np.arange(2 * TABLE_BLOCK_ROWS + 3),
-                                np.resize(np.array(TABLE_FLOATS), 2 * TABLE_BLOCK_ROWS + 3)]))
+@example((["sample", "value"], [np.arange(2051), np.resize(np.array(TABLE_FLOATS), 2051)]))
 @example((["a,b", 'say "x"', " pad "], [np.arange(3), np.ones(3), -np.zeros(3)]))
 def test_write_table_writes_the_csv_writer_bytes(tmp_path, table):
     header, columns = table
@@ -340,6 +341,42 @@ def test_write_table_rejects_a_ragged_table_before_writing(tmp_path, header, col
         write_table(path, header, columns)
     assert str(exc.value) == f"{path}: {message}"
     assert not path.exists()
+
+
+def test_write_rows_checks_every_file_before_opening_any(tmp_path):
+    # the second file's ragged columns stop the write before the first opens
+    paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    with pytest.raises(ConfigurationError) as exc:
+        write_rows(paths, ["a", "b"], [[1, 1], [1, 2]], [["1,2\r\n", "3,4\r\n"]])
+    assert str(exc.value) == f"{paths[1]}: columns of unequal lengths [1, 2]"
+    assert not any(path.exists() for path in paths)
+
+
+def test_write_rows_writes_each_part_side_by_side(tmp_path):
+    paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    write_rows(paths, ["a"], [[2], [2]], [["1\r\n", "3\r\n"], ["2\r\n", "4\r\n"]])
+    assert [path.read_bytes() for path in paths] == [b"a\r\n1\r\n2\r\n", b"a\r\n3\r\n4\r\n"]
+
+
+def test_write_rows_names_the_file_whose_write_fails(tmp_path, monkeypatch):
+    # the disk under the first of two open files fills after its header
+    class Full:
+        def write(self, text):
+            if text != "a\r\n":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    opened = lti.open_output
+
+    @contextlib.contextmanager
+    def open_output(path, newline=None):
+        with opened(path, newline) as fh:
+            yield Full() if path.name == "first.csv" else fh
+
+    monkeypatch.setattr(lti, "open_output", open_output)
+    paths = [tmp_path / "first.csv", tmp_path / "second.csv"]
+    with pytest.raises(ConfigurationError) as exc:
+        write_rows(paths, ["a"], [[1], [1]], [["1\r\n", "2\r\n"]])
+    assert str(exc.value) == f"{paths[0]}: cannot write: {os.strerror(errno.ENOSPC)}"
 
 
 @st.composite

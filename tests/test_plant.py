@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from ventrc.errors import ConfigurationError
 from ventrc.harness import ExperimentSpec, run_experiment
 from ventrc.plant import (
+    MAX_PRESSURE_MBAR,
     CircuitParameters,
     PatientScenario,
     VentilatorPlant,
@@ -314,6 +315,14 @@ class TestScenarioFiles:
                            match=rf"^scenario {re.escape(repr(odd))}: no such file"):
             load_scenario(odd)
 
+    def test_pressures_up_to_the_ceiling_run_finite(self, tmp_path):
+        # 1 bar above ambient is valid, and a run there stays finite
+        path = tmp_path / "ceiling.cfg"
+        scenario = replace(adult(), peep=MAX_PRESSURE_MBAR, ipap=MAX_PRESSURE_MBAR)
+        save_scenario(scenario, CircuitParameters(), path)
+        log = run_experiment(ExperimentSpec(scenario=path, mode="pid", breaths=2))
+        assert np.all(np.isfinite(log.breath_norms))
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             PatientScenario(5.0, 0.05, 15, peep=20.0, ipap=15.0, t_insp=1.5, t_exp=2.5)
@@ -342,6 +351,8 @@ class TestScenarioFiles:
      "sample_time must be >= 1e-06, got 5e-324"),
     ("blower_time_constant = 0.01", "blower_time_constant = nan",
      "blower_time_constant must be >= 0, got nan"),
+    ("peep = 5.0", "peep = nan", "peep must be >= 0, got nan"),
+    ("peep = 5.0", "peep = -1", "peep must be >= 0, got -1.0"),
     ("r_lung = 5.0", "r_lung = nan", "r_lung must be positive, got nan"),
     ("c_lung = 0.05", "c_lung = nan", "c_lung must be positive, got nan"),
     ("r_hose = 5.0", "r_hose = nan", "r_hose must be positive, got nan"),
@@ -353,6 +364,10 @@ class TestScenarioFiles:
      "blower_time_constant must be finite, got inf"),
     ("r_lung = 5.0", "r_lung = inf", "r_lung must be finite, got inf"),
     ("c_lung = 0.05", "c_lung = inf", "c_lung must be finite, got inf"),
+    ("ipap = 15.0", "ipap = inf", "ipap must be finite, got inf"),
+    # the pressures stop at MAX_PRESSURE_MBAR, 1 bar above ambient
+    ("ipap = 15.0", "ipap = 1000.5", "ipap must be <= 1000.0, got 1000.5"),
+    ("peep = 5.0\nipap = 15.0", "peep = 1e300\nipap = 1e300", "peep must be <= 1000.0, got 1e+300"),
     # files that configparser cannot parse fail on one line that names the line
     ("r_lung = 5.0", "r_lung = 5.0\nr_lung = 6.0",
      "cannot parse scenario file: line 4: field 'r_lung' appears twice in [patient]"),
